@@ -130,22 +130,6 @@ class SignedPermutationMatcher:
         return V.reshape(-1), float(np.linalg.norm(w - V.reshape(-1)))
 
 
-class CatalogMatcher:
-    """Nearest entry of an explicit catalog of minima."""
-
-    def __init__(self, catalog):
-        self.catalog = catalog
-
-    def nearest(self, w):
-        w = np.asarray(w, dtype=float)
-        best, dist = None, np.inf
-        for entry in self.catalog.entries:
-            d = float(np.linalg.norm(w - entry.point))
-            if d < dist:
-                best, dist = entry.point, d
-        return best, dist
-
-
 @dataclass
 class SaddleReport:
     """Classification of one feasible point with its numeric evidence."""
@@ -454,12 +438,19 @@ def derivative_check(problem, n_points, rng):
 
 
 def multiplier_check(problem, closed_form, n_points, rng):
-    """Worst |closed-form multipliers - pseudo-inverse multipliers|."""
+    """Worst |closed-form multipliers - pseudo-inverse multipliers|.
+
+    The oracle solves lstsq on C(w) itself; both the coordinate closed
+    form given and :func:`manifold.lagrange_multipliers` are compared
+    against it.
+    """
     worst = 0.0
     for _ in range(n_points):
         w = problem.random_feasible(rng)
-        lam = manifold.lagrange_multipliers(problem, w)
-        worst = max(worst, float(np.max(np.abs(closed_form(w) - lam))))
+        C = problem.constraints.constraint_gradients(w)
+        lam, *_ = np.linalg.lstsq(C, problem.gradient(w), rcond=None)
+        for got in (closed_form(w), manifold.lagrange_multipliers(problem, w)):
+            worst = max(worst, float(np.max(np.abs(got - lam))))
     return worst
 
 

@@ -18,10 +18,10 @@ except elapsed_ms are byte-identical across reruns.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,6 +75,9 @@ class ExperimentConfig:
     overwrite: bool = False
 
     def validate(self):
+        for name in ("eta", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise CliError(f"{name} must be finite")
         if self.d < 1:
             raise CliError("d must be >= 1")
         if self.iters < 1:
@@ -258,10 +261,6 @@ def build_sampler(config, basis):
     return ica.IcaSampler(model, batch_size=config.batch)
 
 
-def _pool_size(n_jobs):
-    return max(1, min(n_jobs, os.cpu_count() or 1, 8))
-
-
 def _final_error(record):
     err = float(record.recon_errors[-1]) if record.recon_errors.size else float("nan")
     return err
@@ -270,7 +269,6 @@ def _final_error(record):
 def cmd_decompose(config, out_dir):
     """One projected noisy SGD run per seed; per-seed trace plus summary."""
     manifest = RunManifest("decompose", config.snapshot(), config.seeds(), _utc_stamp())
-    seeds = config.seeds()
 
     def run_one(seed):
         rng = run_rng(seed)
@@ -283,8 +281,7 @@ def cmd_decompose(config, out_dir):
         record.to_csv(path)
         return seed, path, record
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(seeds))) as pool:
-        results = list(pool.map(run_one, seeds))
+    results = [run_one(seed) for seed in config.seeds()]
 
     summary_path = os.path.join(out_dir, "summary.csv")
     failed = 0
@@ -318,7 +315,6 @@ def cmd_ica(config, out_dir):
     until the error plateaus and then letting it decay.
     """
     manifest = RunManifest("ica", config.snapshot(), config.seeds(), _utc_stamp())
-    seeds = config.seeds()
 
     def run_one(seed):
         rng = run_rng(seed)
@@ -337,8 +333,7 @@ def cmd_ica(config, out_dir):
         rec_anneal.to_csv(p2)
         return seed, (p1, p2), rec_const, rec_anneal
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(seeds))) as pool:
-        results = list(pool.map(run_one, seeds))
+    results = [run_one(seed) for seed in config.seeds()]
 
     summary_path = os.path.join(out_dir, "summary.csv")
     failed = 0
@@ -381,10 +376,10 @@ def cmd_verify(config, out_dir):
 
 def cmd_escape(config, out_dir):
     """Escape statistics from the two-component maxeig saddle."""
-    rng = run_rng(config.seed)
-    basis = tensor4.OrthoBasis.random(config.d, rng)
     if config.d < 2:
         raise CliError("escape requires d >= 2")
+    rng = run_rng(config.seed)
+    basis = tensor4.OrthoBasis.random(config.d, rng)
     T = tensor4.make_orthogonal_tensor(basis)
     problem = objectives.maxeig_objective(T, basis=basis)
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)

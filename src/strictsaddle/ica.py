@@ -25,7 +25,6 @@ from .tensor4 import OrthoBasis
 
 __all__ = [
     "IcaModel",
-    "ZTensor",
     "gen_ica_sample",
     "gen_ica_samples",
     "z_minus_y4_form",
@@ -37,7 +36,6 @@ __all__ = [
     "simple_reconstruction_gradient",
     "IcaSampler",
     "SimpleSampler",
-    "save_samples_csv",
 ]
 
 
@@ -67,26 +65,6 @@ class IcaModel:
     def component_basis(self):
         """The columns of A as an OrthoBasis (rows of the returned basis)."""
         return OrthoBasis(self.A.T)
-
-
-class ZTensor:
-    """The pairing-pattern tensor, evaluated entrywise or as a form."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = d
-
-    def entry(self, i, j, k, l):
-        return float((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k))
-
-    def form_pair(self, u, v):
-        """Z(u,u,v,v) = ||u||^2 ||v||^2 + 2 (u.v)^2."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return float(u @ u) * float(v @ v) + 2.0 * float(u @ v) ** 2
 
 
 def gen_ica_sample(model, rng):
@@ -271,13 +249,3 @@ class SimpleSampler:
             return simple_reconstruction_gradient(w, x)
         return simple_maxeig_gradient(w, x)
 
-
-def save_samples_csv(path, samples):
-    """Dump observations, one y per row, comma separated."""
-    Y = np.asarray(samples, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(1, -1)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"y{k}" for k in range(Y.shape[1])) + "\n")
-        for row in Y:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

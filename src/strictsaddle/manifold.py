@@ -6,6 +6,12 @@ least-squares Lagrange multipliers, the tangent component of the gradient,
 the Lagrangian Hessian, orthonormal tangent frames, and the minimum
 singular value of the constraint-gradient matrix (the robustness measure
 for constraint qualification).
+
+C(w) is block diagonal with columns 2 w_i, so the multipliers and
+sigma_min(C) have exact blockwise closed forms (Absil, Mahony &
+Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-5).
+The generic pseudo-inverse solve survives only as the test oracle in
+:mod:`strictsaddle.analysis`.
 """
 
 from dataclasses import dataclass
@@ -16,10 +22,8 @@ __all__ = [
     "SphereProduct",
     "TangentFrame",
     "SaddleParams",
-    "project",
     "lagrange_multipliers",
     "tangent_gradient",
-    "chi",
     "lagrangian_hessian",
     "tangent_frame",
     "min_tangent_eig",
@@ -28,10 +32,17 @@ __all__ = [
 
 FEASIBLE_TOL = 1e-10
 DEGENERATE_BLOCK_NORM = 1e-12
+# constraint qualification floor on sigma_min(C(w)) for the multipliers
+CQ_SIGMA_MIN = 1e-8
 
 
 class SphereProduct:
     """Product of m unit spheres, embedded blockwise in R^n.
+
+    Every kernel is one array expression over all blocks: per-block sums
+    are ``np.add.reduceat`` at the block starts and per-block scalars are
+    repeated back over the block dimensions, so equal and unequal blocks
+    take the same path.
 
     Parameters
     ----------
@@ -39,16 +50,18 @@ class SphereProduct:
         Dimension of each block; n = sum(block_dims).
     """
 
-    __slots__ = ("block_dims", "offsets", "m", "n")
+    __slots__ = ("block_dims", "offsets", "m", "n", "_starts", "_dims")
 
     def __init__(self, block_dims):
-        dims = [int(b) for b in block_dims]
-        if not dims or any(b < 1 for b in dims):
+        dims = np.array(block_dims, dtype=int)
+        if dims.ndim != 1 or dims.size == 0 or dims.min() < 1:
             raise ValueError(f"invalid block dimensions {block_dims}")
-        self.block_dims = tuple(dims)
-        self.offsets = tuple(int(x) for x in np.cumsum([0] + dims))
-        self.m = len(dims)
+        self.block_dims = tuple(dims.tolist())
+        self.offsets = tuple(np.cumsum([0, *self.block_dims]).tolist())
+        self.m = dims.size
         self.n = self.offsets[-1]
+        self._starts = np.array(self.offsets[:-1])
+        self._dims = dims
 
     @classmethod
     def spheres(cls, m, block_dim):
@@ -60,13 +73,22 @@ class SphereProduct:
         for i in range(self.m):
             yield self.offsets[i], self.offsets[i + 1]
 
+    def _block_sums(self, x):
+        """Per-block sums of a length-n vector."""
+        return np.add.reduceat(x, self._starts)
+
+    def _per_entry(self, x):
+        """Broadcast an array of one value per block to a length-n vector."""
+        return x.repeat(self._dims)
+
     def block_norms(self, w):
         w = np.asarray(w, dtype=float)
-        return np.array([np.linalg.norm(w[a:b]) for a, b in self.blocks()])
+        return np.sqrt(self._block_sums(w * w))
 
     def c(self, w):
         """Constraint values c_i(w) = ||w_i||^2 - 1."""
-        return self.block_norms(w) ** 2 - 1.0
+        w = np.asarray(w, dtype=float)
+        return self._block_sums(w * w) - 1.0
 
     def feasible(self, w, tol=FEASIBLE_TOL):
         return bool(np.max(np.abs(self.c(w))) <= tol)
@@ -75,23 +97,12 @@ class SphereProduct:
         """The n x m matrix C(w) whose i-th column is grad c_i(w) = 2 w_i."""
         w = np.asarray(w, dtype=float)
         C = np.zeros((self.n, self.m))
-        for i, (a, b) in enumerate(self.blocks()):
-            C[a:b, i] = 2.0 * w[a:b]
+        C[np.arange(self.n), self._per_entry(np.arange(self.m))] = 2.0 * w
         return C
-
-    def constraint_hessian(self, i):
-        """Dense Hessian of c_i: 2I on block i, zero elsewhere."""
-        H = np.zeros((self.n, self.n))
-        a, b = self.offsets[i], self.offsets[i + 1]
-        H[a:b, a:b] = 2.0 * np.eye(b - a)
-        return H
 
     def weighted_constraint_hessian(self, lam):
         """sum_i lam_i * hess c_i, a diagonal matrix with 2*lam_i per block."""
-        diag = np.zeros(self.n)
-        for i, (a, b) in enumerate(self.blocks()):
-            diag[a:b] = 2.0 * lam[i]
-        return np.diag(diag)
+        return np.diag(self._per_entry(2.0 * np.asarray(lam, dtype=float)))
 
     def project(self, v):
         """Closest feasible point: each block rescaled to unit norm.
@@ -103,13 +114,12 @@ class SphereProduct:
             unique there and the caller must treat it as a failure.
         """
         v = np.asarray(v, dtype=float)
-        out = np.empty_like(v)
-        for a, b in self.blocks():
-            nrm = np.linalg.norm(v[a:b])
-            if nrm < DEGENERATE_BLOCK_NORM:
-                raise ValueError(f"degenerate projection: block [{a}:{b}] has norm {nrm:.3e}")
-            out[a:b] = v[a:b] / nrm
-        return out
+        nrm = self.block_norms(v)
+        if nrm.min() < DEGENERATE_BLOCK_NORM:
+            i = int(np.argmin(nrm))
+            raise ValueError(f"degenerate projection: block [{self.offsets[i]}:{self.offsets[i + 1]}]"
+                             f" has norm {nrm[i]:.3e}")
+        return v / self._per_entry(nrm)
 
     def random_point(self, rng):
         """Uniform draw from the product of spheres (normalized Gaussians)."""
@@ -119,10 +129,8 @@ class SphereProduct:
     def tangent_project(self, w, v):
         """P_T(w) v at a feasible w: drop each block's radial component."""
         w = np.asarray(w, dtype=float)
-        out = np.array(v, dtype=float)
-        for a, b in self.blocks():
-            out[a:b] -= (out[a:b] @ w[a:b]) * w[a:b]
-        return out
+        v = np.asarray(v, dtype=float)
+        return v - self._per_entry(self._block_sums(v * w)) * w
 
     def normal_project(self, w, v):
         """P_T(w)^c v at a feasible w (complement of tangent_project)."""
@@ -155,16 +163,6 @@ class TangentFrame:
         self.tangent_basis = tangent_basis
         self.normal_basis = normal_basis
 
-    @property
-    def p_tangent(self):
-        b = self.tangent_basis
-        return b @ b.T
-
-    @property
-    def p_normal(self):
-        b = self.normal_basis
-        return b @ b.T
-
     def project_tangent(self, v):
         b = self.tangent_basis
         return b @ (b.T @ v)
@@ -172,11 +170,6 @@ class TangentFrame:
     def project_normal(self, v):
         b = self.normal_basis
         return b @ (b.T @ v)
-
-
-def project(constraints, v):
-    """Module-level alias for :meth:`SphereProduct.project`."""
-    return constraints.project(v)
 
 
 def tangent_frame(constraints, w):
@@ -201,40 +194,45 @@ def tangent_frame(constraints, w):
 
 
 def rlicq_sigma_min(constraints, w):
-    """Smallest singular value of C(w); equals 2 on feasible sphere products."""
-    C = constraints.constraint_gradients(w)
-    return float(np.linalg.svd(C, compute_uv=False)[-1])
+    """Smallest singular value of C(w), in closed form.
+
+    C(w)^T C(w) = diag(4 ||w_i||^2), so sigma_min(C) = 2 min_i ||w_i||
+    exactly; it equals 2 on feasible sphere products.
+    """
+    return 2.0 * float(np.min(constraints.block_norms(w)))
+
+
+def _multipliers(constraints, w, g):
+    """lambda_i = <g_i, w_i> / (2 ||w_i||^2), the exact least-squares
+    solution of C(w) lambda = g for the block-diagonal C(w)."""
+    sigma = rlicq_sigma_min(constraints, w)
+    if sigma < CQ_SIGMA_MIN:
+        raise ValueError(f"constraint qualification failure: sigma_min(C) = {sigma:.3e}")
+    return constraints._block_sums(g * w) / (2.0 * constraints._block_sums(w * w))
 
 
 def lagrange_multipliers(problem, w):
     """Least-squares multipliers lambda* = argmin ||grad f(w) - C(w) lambda||.
 
-    Solved through the pseudo-inverse (lstsq on C); requires C(w) to have
-    full column rank.
+    Closed form per block (see :func:`_multipliers`); requires C(w) to
+    have full column rank, i.e. no block norm below CQ_SIGMA_MIN / 2.
     """
-    C = problem.constraints.constraint_gradients(w)
-    g = problem.gradient(w)
-    sing = np.linalg.svd(C, compute_uv=False)
-    if sing[-1] < 1e-8:
-        raise ValueError(f"constraint qualification failure: sigma_min(C) = {sing[-1]:.3e}")
-    lam, *_ = np.linalg.lstsq(C, g, rcond=None)
-    return lam
+    w = np.asarray(w, dtype=float)
+    return _multipliers(problem.constraints, w, problem.gradient(w))
 
 
 def tangent_gradient(problem, w):
     """Gradient of the Lagrangian at the least-squares multipliers.
 
-    chi(w) = grad f(w) - sum_i lambda*_i grad c_i(w).  For sphere products
-    this equals the tangent-space projection of grad f(w).
+    chi(w) = grad f(w) - sum_i lambda*_i grad c_i(w) = g - 2 lambda_i w_i
+    per block.  For sphere products this equals the tangent-space
+    projection of grad f(w).
     """
-    C = problem.constraints.constraint_gradients(w)
+    w = np.asarray(w, dtype=float)
+    constraints = problem.constraints
     g = problem.gradient(w)
-    lam = lagrange_multipliers(problem, w)
-    return g - C @ lam
-
-
-# The short historical name for the tangent gradient.
-chi = tangent_gradient
+    lam = _multipliers(constraints, w, g)
+    return g - constraints._per_entry(2.0 * lam) * w
 
 
 def lagrangian_hessian(problem, w):

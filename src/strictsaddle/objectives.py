@@ -19,14 +19,10 @@ decomposition basis are provided separately (``*_coords`` functions) and
 cross-checked in tests.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .manifold import SphereProduct
 from .tensor4 import (
-    ComponentMatrix,
-    OrthoBasis,
     Tensor4,
     basis_form_matrix,
     basis_form_scalar,
@@ -42,8 +38,6 @@ from .tensor4 import (
 __all__ = [
     "ConstrainedProblem",
     "QuadraticObjective",
-    "SampledObjective",
-    "SmoothnessBudget",
     "maxeig_objective",
     "reconstruction_objective",
     "correlation_objective",
@@ -325,66 +319,6 @@ class QuadraticObjective:
 def quadratic_objective(w0, g, H, f0=0.0, oracle_bound=None):
     """Factory form of :class:`QuadraticObjective`."""
     return QuadraticObjective(w0, g, H, f0=f0, oracle_bound=oracle_bound)
-
-
-class SampledObjective:
-    """A constrained problem paired with a per-sample gradient oracle.
-
-    Satisfies the stochastic-objective contract: ``value``, ``gradient``,
-    ``stochastic_gradient(w, sample)`` and an ``oracle_bound`` Q with
-    ||SG(w) - grad f(w)|| <= Q.  Q is estimated at construction from
-    ``probes`` draws at random feasible points, times a safety margin;
-    it is conservative evidence, not a proof.
-    """
-
-    def __init__(self, problem, sampler, probes=1000, margin=1.5, seed=1234):
-        self.problem = problem
-        self.sampler = sampler
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(probes):
-            w = problem.random_feasible(rng)
-            g = problem.gradient(w)
-            sg = sampler.gradient(w, sampler.draw(rng))
-            worst = max(worst, float(np.linalg.norm(sg - g)))
-        self.oracle_bound = margin * worst
-
-    @property
-    def dim(self):
-        return self.problem.dim
-
-    @property
-    def constraints(self):
-        return self.problem.constraints
-
-    def value(self, w):
-        return self.problem.value(w)
-
-    def gradient(self, w):
-        return self.problem.gradient(w)
-
-    def hessian(self, w):
-        return self.problem.hessian(w)
-
-    def recon_error(self, w):
-        return self.problem.recon_error(w)
-
-    def stochastic_gradient(self, w, sample):
-        return self.sampler.gradient(w, sample)
-
-
-@dataclass(frozen=True)
-class SmoothnessBudget:
-    """Regularity constants: |f| <= B, beta-smooth gradient, rho-Lipschitz Hessian."""
-
-    B: float
-    beta: float
-    rho: float
-
-    def __post_init__(self):
-        for name in ("B", "beta", "rho"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

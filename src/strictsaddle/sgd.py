@@ -5,7 +5,7 @@ from the unit sphere (scaled by ``noise_scale``); the projected variant
 follows every step with the exact projection onto the sphere-product
 feasible set.  Runs are deterministic given (config, seed): the RNG is
 ``numpy.random.default_rng`` seeded through a ``SeedSequence``, and
-parallel sweeps give trial k the substream ``SeedSequence(seed,
+multi-trial sweeps give trial k the substream ``SeedSequence(seed,
 spawn_key=(k,))``.
 
 Per step the runner draws the oracle sample first and the injected noise
@@ -25,14 +25,12 @@ __all__ = [
     "SgdConfig",
     "RunRecord",
     "lr_schedule",
-    "step_size_for_accuracy",
     "unit_sphere_noise",
     "noisy_sgd",
     "projected_noisy_sgd",
     "run_rng",
     "trial_rng",
     "RecordedPerturbations",
-    "BallPerturbations",
     "write_run_csv",
 ]
 
@@ -44,21 +42,21 @@ SCHEDULES = ("constant", "inverse_t")
 class SgdConfig:
     """Run parameters.
 
-    iterations is the step budget T; kappa is the target accuracy the
-    step size was derived from (metadata only; see
-    :func:`step_size_for_accuracy`); record_every is the trace stride.
+    iterations is the step budget T; record_every is the trace stride.
     """
 
     eta: float = 0.01
     eta_max: float = 0.1
     iterations: int = 10_000
-    kappa: float | None = None
     schedule: str = "constant"
     noise_scale: float = 1.0
     seed: int = 0
     record_every: int = 100
 
     def __post_init__(self):
+        for name in ("eta", "eta_max", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.eta > self.eta_max:
@@ -71,17 +69,6 @@ class SgdConfig:
             raise ValueError("noise_scale must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-
-
-def step_size_for_accuracy(kappa, eta_max, c=1.0):
-    """eta = min(c * kappa^2 / log(1/kappa), eta_max).
-
-    The proportionality constant is not pinned down by the theory; c=1 is
-    a documented default.
-    """
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must lie in (0, 1)")
-    return min(c * kappa**2 / math.log(1.0 / kappa), eta_max)
 
 
 def lr_schedule(config, t):
@@ -154,19 +141,6 @@ class RecordedPerturbations:
 
     def reset(self):
         self._next = 0
-
-
-class BallPerturbations:
-    """Additive perturbations uniform in the radius-Q ball (||xi|| <= Q)."""
-
-    def __init__(self, dim, radius):
-        self.dim = dim
-        self.radius = float(radius)
-
-    def draw(self, rng):
-        direction = unit_sphere_noise(self.dim, rng)
-        r = rng.random() ** (1.0 / self.dim)
-        return self.radius * r * direction
 
 
 def _stochastic_gradient(objective, sampler, w, sample):

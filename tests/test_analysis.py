@@ -5,7 +5,6 @@ import pytest
 
 from strictsaddle.analysis import (
     AxisMatcher,
-    CatalogMatcher,
     CheckResult,
     MinimaCatalog,
     SignedPermutationMatcher,
@@ -113,14 +112,6 @@ class TestMatchers:
         np.testing.assert_array_equal(cand, target.ravel())
         assert dist <= 1e-2
 
-    def test_catalog_matcher(self):
-        catalog = MinimaCatalog()
-        assert CatalogMatcher(catalog).nearest(np.zeros(2)) == (None, np.inf)
-        catalog.add(np.array([1.0, 0.0]), min_eig=2.0)
-        cand, dist = CatalogMatcher(catalog).nearest(np.array([0.9, 0.0]))
-        np.testing.assert_array_equal(cand, [1.0, 0.0])
-        np.testing.assert_allclose(dist, 0.1)
-
 
 # ------------------------------------------------------------------ #
 # Classifier                                                           #
@@ -161,10 +152,13 @@ class TestClassifier:
         is rejected rather than certified."""
         prob, _ = standard_maxeig(3)
         saddle = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        fake = MinimaCatalog()
-        fake.add(saddle, min_eig=-4.0)
+
+        class SaddleMatcher:
+            def nearest(self, w):
+                return saddle, float(np.linalg.norm(w - saddle))
+
         params = SaddleParams(alpha=3.0, gamma=100.0, epsilon=1.0, delta=0.1)
-        report = classify_point(prob, saddle, params, matcher=CatalogMatcher(fake))
+        report = classify_point(prob, saddle, params, matcher=SaddleMatcher())
         assert report.classification == "Unclassified"
 
     def test_report_serializes(self):

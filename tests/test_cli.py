@@ -76,6 +76,9 @@ class TestConfigHandling:
         (["decompose", "--iters", "0"], "iterations"),
         (["decompose", "--sampler", "ica", "--objective", "maxeig"], "correlation"),
         (["escape", "--trials", "0"], "trials"),
+        (["decompose", "--eta", "nan"], "eta must be finite"),
+        (["decompose", "--noise", "inf"], "noise must be finite"),
+        (["escape", "--d", "1"], "d >= 2"),
     ])
     def test_validation_errors_exit_2(self, tmp_path, capsys, argv, needle):
         rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -126,6 +129,13 @@ class TestDecompose:
             assert main(["decompose", "--seed", "3", "--out", str(out), *FAST]) == 0
         assert strip_elapsed(out_a / "seed3.csv") == strip_elapsed(out_b / "seed3.csv")
         assert (out_a / "summary.csv").read_text() == (out_b / "summary.csv").read_text()
+
+    def test_seed_trace_same_alone_or_in_batch(self, tmp_path):
+        """Seed 1 produces the same trace whether it runs alone or after seed 0."""
+        batch, alone = tmp_path / "batch", tmp_path / "alone"
+        assert main(["decompose", "--seed", "0", "--seeds", "2", "--out", str(batch), *FAST]) == 0
+        assert main(["decompose", "--seed", "1", "--out", str(alone), *FAST]) == 0
+        assert strip_elapsed(batch / "seed1.csv") == strip_elapsed(alone / "seed1.csv")
 
     def test_converges_on_easy_problem(self, tmp_path):
         out = tmp_path / "out"

@@ -14,13 +14,11 @@ from strictsaddle.ica import (
     IcaModel,
     IcaSampler,
     SimpleSampler,
-    ZTensor,
     gen_ica_sample,
     gen_ica_samples,
     gen_simple_sample,
     ica_stochastic_gradient,
     minibatch_gradient,
-    save_samples_csv,
     simple_correlation_gradient,
     simple_maxeig_gradient,
     simple_reconstruction_gradient,
@@ -126,20 +124,14 @@ class TestSamples:
 
 
 class TestPairingForm:
-    def test_ztensor_entries(self):
-        Z = ZTensor(3)
-        dense = dense_z(3)
-        for idx in itertools.product(range(3), repeat=4):
-            assert Z.entry(*idx) == dense[idx]
-
     def test_form_pair_matches_dense_contraction(self):
+        """At y = 0 the pairing form reduces to Z(u,u,v,v) / 2."""
         rng = np.random.default_rng(9)
-        Z = ZTensor(4)
         dense = dense_z(4)
         for _ in range(10):
             u, v = rng.standard_normal((2, 4))
             np.testing.assert_allclose(
-                Z.form_pair(u, v), dense_pair_form(dense, u, v), rtol=1e-12
+                2.0 * z_minus_y4_form(np.zeros(4), u, v), dense_pair_form(dense, u, v), rtol=1e-12
             )
 
     def test_z_minus_y4_matches_dense_contraction(self):
@@ -381,13 +373,3 @@ class TestSamplerObjects:
             assert x.shape == (3,)
         with pytest.raises(ValueError):
             SimpleSampler(basis, kind="deflation")
-
-    def test_save_samples_round_trip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        Y = gen_ica_samples(IcaModel.random(3, rng), 4, rng)
-        path = tmp_path / "samples.csv"
-        save_samples_csv(path, Y)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "y0,y1,y2"
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, Y)

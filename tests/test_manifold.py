@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictsaddle.analysis import fd_hessian
 from strictsaddle.manifold import (
+    CQ_SIGMA_MIN,
     SaddleParams,
     SphereProduct,
-    chi,
     lagrange_multipliers,
     lagrangian_hessian,
     min_tangent_eig,
-    project,
     rlicq_sigma_min,
     tangent_frame,
     tangent_gradient,
@@ -53,29 +54,29 @@ class TestProjection:
     def test_single_sphere(self):
         cs = SphereProduct.spheres(1, 3)
         np.testing.assert_array_equal(
-            project(cs, np.array([2.0, 0.0, 0.0])), np.array([1.0, 0.0, 0.0])
+            cs.project(np.array([2.0, 0.0, 0.0])), np.array([1.0, 0.0, 0.0])
         )
 
     def test_two_blocks(self):
         cs = SphereProduct.spheres(2, 2)
-        got = project(cs, np.array([0.0, 3.0, -2.0, 0.0]))
+        got = cs.project(np.array([0.0, 3.0, -2.0, 0.0]))
         np.testing.assert_array_equal(got, np.array([0.0, 1.0, -1.0, 0.0]))
 
     def test_minimizes_distance_over_random_candidates(self):
         cs = SphereProduct.spheres(2, 3)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(6)
-        best = project(cs, v)
+        best = cs.project(v)
         base = np.linalg.norm(best - v)
         candidates = rng.standard_normal((100_000, 6))
         for cand in candidates:
-            w = project(cs, cand)
+            w = cs.project(cand)
             assert np.linalg.norm(w - v) >= base - 1e-12
 
     def test_zero_block_rejected(self):
         cs = SphereProduct.spheres(2, 2)
         with pytest.raises(ValueError, match="block"):
-            project(cs, np.array([1.0, 0.0, 0.0, 0.0]))
+            cs.project(np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_feasibility_and_constraints(self):
         cs = SphereProduct.spheres(2, 3)
@@ -141,12 +142,6 @@ class TestTangentGradient:
         prob, _ = maxeig_problem(4)
         u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(tangent_gradient(prob, u), np.zeros(4), atol=1e-12)
-
-    def test_chi_alias(self):
-        prob, _ = maxeig_problem(3)
-        rng = np.random.default_rng(3)
-        u = prob.random_feasible(rng)
-        np.testing.assert_array_equal(chi(prob, u), tangent_gradient(prob, u))
 
     def test_correlation_entries_are_2_u_psi(self):
         """Blockwise chi equals 2 U_ik psi_ik in decomposition coordinates."""
@@ -267,7 +262,8 @@ class TestTangentFrame:
         rng = np.random.default_rng(11)
         w = cs.random_point(rng)
         frame = tangent_frame(cs, w)
-        P, N = frame.p_tangent, frame.p_normal
+        B, Q = frame.tangent_basis, frame.normal_basis
+        P, N = B @ B.T, Q @ Q.T
         np.testing.assert_allclose(P + N, np.eye(8), atol=1e-12)
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
         np.testing.assert_allclose(N @ N, N, atol=1e-12)
@@ -373,7 +369,7 @@ class TestGeometryBounds:
             for eta in (1e-1, 1e-2, 1e-3):
                 v = rng.standard_normal(6)
                 v /= np.linalg.norm(v)
-                moved = project(cs, w0 + eta * v)
+                moved = cs.project(w0 + eta * v)
                 surrogate = w0 + eta * frame.project_tangent(v)
                 assert np.linalg.norm(moved - surrogate) <= 4.0 * eta**2 + 1e-12
 
@@ -386,3 +382,88 @@ class TestSaddleParams:
             SaddleParams(alpha=0.0, gamma=0.5, epsilon=0.1, delta=0.05)
         with pytest.raises(ValueError):
             SaddleParams(alpha=1.0, gamma=-1.0, epsilon=0.1, delta=0.05)
+
+
+# ------------------------------------------------------------------ #
+# Properties over random block shapes                                  #
+# ------------------------------------------------------------------ #
+
+BLOCK_DIMS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class LinearProblem:
+    """f(w) = g.w: the gradient is g everywhere, so the multipliers are
+    the least-squares coefficients of g on the constraint gradients."""
+
+    def __init__(self, constraints, g):
+        self.constraints = constraints
+        self.g = g
+
+    def gradient(self, w):
+        return self.g
+
+
+def lstsq_multipliers(problem, w):
+    C = problem.constraints.constraint_gradients(w)
+    lam, *_ = np.linalg.lstsq(C, problem.gradient(w), rcond=None)
+    return lam
+
+
+class TestSphereProductProperties:
+    @PROPERTY
+    @given(BLOCK_DIMS, SEEDS)
+    def test_project_is_feasible_and_idempotent(self, dims, seed):
+        cs = SphereProduct(dims)
+        v = np.random.default_rng(seed).standard_normal(cs.n)
+        w = cs.project(v)
+        loop = np.concatenate([v[a:b] / np.linalg.norm(v[a:b]) for a, b in cs.blocks()])
+        np.testing.assert_allclose(w, loop, rtol=0.0, atol=1e-15)
+        assert cs.feasible(w)
+        np.testing.assert_allclose(cs.project(w), w, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rlicq_sigma_min(cs, w), 2.0, atol=1e-12)
+
+    @PROPERTY
+    @given(BLOCK_DIMS, SEEDS)
+    def test_tangent_and_normal_parts_are_orthogonal(self, dims, seed):
+        cs = SphereProduct(dims)
+        rng = np.random.default_rng(seed)
+        w = cs.random_point(rng)
+        v = rng.standard_normal(cs.n)
+        t, n = cs.tangent_project(w, v), cs.normal_project(w, v)
+        loop = np.concatenate([v[a:b] - (v[a:b] @ w[a:b]) * w[a:b] for a, b in cs.blocks()])
+        np.testing.assert_allclose(t, loop, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(t + n, v, atol=1e-14)
+        assert abs(t @ n) <= 1e-12 * (v @ v)
+        assert np.max(np.abs(cs.constraint_gradients(w).T @ t)) <= 1e-12 * np.linalg.norm(v)
+
+    @PROPERTY
+    @given(BLOCK_DIMS, SEEDS)
+    def test_closed_form_multipliers_match_lstsq(self, dims, seed):
+        cs = SphereProduct(dims)
+        rng = np.random.default_rng(seed)
+        # off the manifold too: the closed form holds for any nonzero blocks
+        w = cs.random_point(rng) * np.repeat(rng.uniform(0.5, 2.0, cs.m), dims)
+        problem = LinearProblem(cs, rng.standard_normal(cs.n))
+        lam = lstsq_multipliers(problem, w)
+        np.testing.assert_allclose(lagrange_multipliers(problem, w), lam, rtol=0.0, atol=1e-10)
+        C = cs.constraint_gradients(w)
+        np.testing.assert_allclose(tangent_gradient(problem, w), problem.g - C @ lam, rtol=0.0, atol=1e-10)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1.0])),
+                    min_size=1, max_size=5), SEEDS)
+    def test_multipliers_raise_exactly_below_threshold(self, blocks, seed):
+        dims = [b for b, _ in blocks]
+        scales = np.array([s for _, s in blocks])
+        cs = SphereProduct(dims)
+        rng = np.random.default_rng(seed)
+        w = cs.random_point(rng) * np.repeat(scales, dims)
+        problem = LinearProblem(cs, rng.standard_normal(cs.n))
+        norms = [np.linalg.norm(w[a:b]) for a, b in cs.blocks()]
+        if 2.0 * min(norms) < CQ_SIGMA_MIN:
+            with pytest.raises(ValueError, match="constraint qualification"):
+                lagrange_multipliers(problem, w)
+        else:
+            assert np.all(np.isfinite(lagrange_multipliers(problem, w)))

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from strictsaddle.analysis import fd_gradient
-from strictsaddle.ica import SimpleSampler
 from strictsaddle.objectives import (
-    SampledObjective,
-    SmoothnessBudget,
     correlation_objective,
     correlation_value_coords,
     maxeig_objective,
@@ -215,38 +212,3 @@ class TestQuadratic:
         w = rng.standard_normal(4)
         d = w - w0
         np.testing.assert_allclose(obj.value(w), 2.5 + g @ d + 0.5 * d @ H @ d, rtol=1e-12)
-
-
-# ------------------------------------------------------------------ #
-# sampled-objective contract                                           #
-# ------------------------------------------------------------------ #
-
-
-class TestSampledObjective:
-    def test_oracle_bound_covers_fresh_draws(self):
-        T, basis, rng = random_problemset(3, 17)
-        prob = correlation_objective(T, halved=True)
-        sampler = SimpleSampler(basis)
-        obj = SampledObjective(prob, sampler, probes=500)
-        assert obj.oracle_bound > 0.0
-        for _ in range(200):
-            w = prob.random_feasible(rng)
-            sg = obj.stochastic_gradient(w, sampler.draw(rng))
-            dev = np.linalg.norm(sg - obj.gradient(w))
-            assert dev <= obj.oracle_bound
-
-    def test_delegates_to_problem(self):
-        T, basis, rng = random_problemset(3, 18)
-        prob = correlation_objective(T, halved=True)
-        obj = SampledObjective(prob, SimpleSampler(basis), probes=10)
-        w = prob.random_feasible(rng)
-        assert obj.value(w) == prob.value(w)
-        assert obj.dim == prob.dim
-        np.testing.assert_array_equal(obj.gradient(w), prob.gradient(w))
-
-
-class TestSmoothnessBudget:
-    def test_rejects_negative_constants(self):
-        with pytest.raises(ValueError):
-            SmoothnessBudget(B=-1.0, beta=1.0, rho=1.0)
-        assert SmoothnessBudget(B=1.0, beta=2.0, rho=3.0).beta == 2.0
