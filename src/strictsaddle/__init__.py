@@ -32,7 +32,7 @@ from .objectives import (
     quadratic_objective,
     reconstruction_objective,
 )
-from .sgd import RunRecord, SgdConfig, noisy_sgd, projected_noisy_sgd
+from .sgd import RunRecord, SgdConfig, noisy_sgd, projected_noisy_sgd, projected_trials
 from .tensor4 import ComponentMatrix, OrthoBasis, Tensor4, make_orthogonal_tensor
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "SgdConfig",
     "noisy_sgd",
     "projected_noisy_sgd",
+    "projected_trials",
     "ComponentMatrix",
     "OrthoBasis",
     "Tensor4",

@@ -19,9 +19,9 @@ from . import ica, manifold, objectives, tensor4
 from .sgd import (
     RecordedPerturbations,
     SgdConfig,
-    lr_schedule,
     noisy_sgd,
-    projected_noisy_sgd,
+    projected_trials,
+    row_norms,
     trial_rng,
     unit_sphere_noise,
 )
@@ -270,35 +270,48 @@ class MinimaCatalog:
 
 
 def polish(problem, w, eta=0.02, iterations=500, tol=1e-11):
-    """Noise-free projected gradient descent to sharpen an endpoint."""
-    w = np.array(w, dtype=float)
-    constraints = problem.constraints
+    """Noise-free projected gradient descent to sharpen endpoints.
+
+    ``w`` is one point or a (K, n) stack.  Before every step each row
+    checks ||chi|| <= tol and stops once it holds, so every row ends where
+    it would when polished alone.
+    """
+    W = np.array(w, dtype=float)
+    rows = W.reshape(-1, W.shape[-1])
+    active = np.arange(rows.shape[0])
     for _ in range(iterations):
-        chi = manifold.tangent_gradient(problem, w)
-        if np.linalg.norm(chi) <= tol:
+        V = rows[active]
+        moving = ~(row_norms(manifold.tangent_gradient(problem, V)) <= tol)
+        active, V = active[moving], V[moving]
+        if not active.size:
             break
-        w = constraints.project(w - eta * problem.gradient(w))
-    return w
+        rows[active] = problem.constraints.project(V - eta * problem.gradient(V))
+    return W
 
 
 def enumerate_minima(problem, n_starts, config, sampler=None, params=None, matcher=None,
                      dedup=1e-3, polish_eta=0.02, polish_iters=500, chi_tol=1e-8):
     """Multi-start projected noisy SGD, polish, classify, and catalog.
 
-    Start k uses the RNG substream ``trial_rng(config.seed, k)``.  After
-    the noisy phase each endpoint is polished by exact projected descent.
-    With ``params`` and ``matcher`` given, an endpoint enters the catalog
-    only when classified NearLocalMinimum; otherwise it self-certifies
-    by second order (||chi|| <= chi_tol and positive tangent curvature).
+    Start k uses the RNG substream ``trial_rng(config.seed, k)``; the
+    starts run as one stack of trials.  After the noisy phase the
+    endpoints are polished by exact projected descent and catalogued in
+    start order.  With ``params`` and ``matcher`` given, an endpoint
+    enters the catalog only when classified NearLocalMinimum; otherwise it
+    self-certifies by second order (||chi|| <= chi_tol and positive
+    tangent curvature).
     """
     catalog = MinimaCatalog(dedup=dedup)
-    for k in range(n_starts):
+
+    def start(k):
         rng = trial_rng(config.seed, k)
-        w0 = problem.random_feasible(rng)
-        record = projected_noisy_sgd(problem, sampler, w0, config, rng=rng)
-        if record.diverged:
-            continue
-        w = polish(problem, record.final_point, eta=polish_eta, iterations=polish_iters)
+        return problem.random_feasible(rng), rng
+
+    records = projected_trials(problem, sampler, n_starts, start, config)
+    ends = [record.final_point for record in records if not record.diverged]
+    if not ends:
+        return catalog
+    for w in polish(problem, np.array(ends), eta=polish_eta, iterations=polish_iters):
         if params is not None and matcher is not None:
             report = classify_point(problem, w, params, matcher=matcher)
             if report.classification != "NearLocalMinimum":
@@ -360,39 +373,19 @@ def escape_statistics(problem, saddle_point, n_trials, config, sampler=None, thr
     A trial escapes when f drops below f(saddle) - threshold within the
     step budget; it then stops early, so ``median_steps`` is the median
     first-passage time over escaping trials.  Default threshold is
-    0.1 * |f(saddle)| floored at 1e-3.
+    0.1 * |f(saddle)| floored at 1e-3.  Trial k uses the substream
+    ``trial_rng(config.seed, k)``; the trials run as one stack.
     """
     w_star = np.asarray(saddle_point, dtype=float)
     f0 = problem.value(w_star)
     if threshold is None:
         threshold = max(0.1 * abs(f0), 1e-3)
     target = f0 - threshold
-    constraints = problem.constraints
 
-    first_passage = []
-    decreases = []
-    for k in range(n_trials):
-        rng = trial_rng(config.seed, k)
-        w = w_star.copy()
-        passed = None
-        f = f0
-        # tight loop, duplicated from the runner for early exit on passage
-        for t in range(config.iterations):
-            eta_t = lr_schedule(config, t)
-            sample = sampler.draw(rng) if sampler is not None else None
-            if sampler is None:
-                sg = problem.gradient(w)
-            else:
-                sg = sampler.gradient(w, sample)
-            if config.noise_scale > 0:
-                sg = sg + config.noise_scale * unit_sphere_noise(w.size, rng)
-            w = constraints.project(w - eta_t * sg)
-            f = problem.value(w)
-            if f <= target:
-                passed = t + 1
-                break
-        first_passage.append(passed)
-        decreases.append(f0 - f)
+    records = projected_trials(problem, sampler, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
+                               config, stop=lambda W: problem.value(W) <= target)
+    first_passage = [r.n_steps if r.final_f <= target else None for r in records]
+    decreases = [f0 - r.final_f for r in records]
 
     escaped = [s for s in first_passage if s is not None]
     return {

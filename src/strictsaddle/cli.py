@@ -193,6 +193,17 @@ def build_config(args, base=None):
     return config
 
 
+# Smallest d each command can run at; checked before any output directory
+# exists, so a rejected run leaves nothing behind.
+MIN_D = {"escape": 2, "verify": 2}
+
+
+def check_command_limits(config, command):
+    need = MIN_D.get(command, 1)
+    if config.d < need:
+        raise CliError(f"{command} requires d >= {need}")
+
+
 def resolve_out_dir(config, command):
     if config.out:
         return config.out
@@ -376,8 +387,6 @@ def cmd_verify(config, out_dir):
 
 def cmd_escape(config, out_dir):
     """Escape statistics from the two-component maxeig saddle."""
-    if config.d < 2:
-        raise CliError("escape requires d >= 2")
     rng = run_rng(config.seed)
     basis = tensor4.OrthoBasis.random(config.d, rng)
     T = tensor4.make_orthogonal_tensor(basis)
@@ -467,6 +476,7 @@ def main(argv=None):
         if args.command == "ica":
             base = ExperimentConfig(record_every=ICA_RECORD_EVERY)
         config = build_config(args, base)
+        check_command_limits(config, args.command)
         if args.command == "verify" and not (config.out or args.out):
             out_dir = None
         else:

@@ -42,7 +42,9 @@ class SphereProduct:
     Every kernel is one array expression over all blocks: per-block sums
     are ``np.add.reduceat`` at the block starts and per-block scalars are
     repeated back over the block dimensions, so equal and unequal blocks
-    take the same path.
+    take the same path.  The kernels act on the last axis, so a (..., n)
+    stack of points is handled row by row in one call; a row's result
+    does not depend on the other rows.
 
     Parameters
     ----------
@@ -74,12 +76,12 @@ class SphereProduct:
             yield self.offsets[i], self.offsets[i + 1]
 
     def _block_sums(self, x):
-        """Per-block sums of a length-n vector."""
-        return np.add.reduceat(x, self._starts)
+        """Per-block sums along the last axis: (..., n) -> (..., m)."""
+        return np.add.reduceat(x, self._starts, axis=-1)
 
     def _per_entry(self, x):
-        """Broadcast an array of one value per block to a length-n vector."""
-        return x.repeat(self._dims)
+        """Repeat one value per block over its entries: (..., m) -> (..., n)."""
+        return x.repeat(self._dims, axis=-1)
 
     def block_norms(self, w):
         w = np.asarray(w, dtype=float)
@@ -115,10 +117,11 @@ class SphereProduct:
         """
         v = np.asarray(v, dtype=float)
         nrm = self.block_norms(v)
-        if nrm.min() < DEGENERATE_BLOCK_NORM:
-            i = int(np.argmin(nrm))
+        # min() is nan when any row is nan; the per-entry test then decides
+        if not nrm.min() >= DEGENERATE_BLOCK_NORM and (nrm < DEGENERATE_BLOCK_NORM).any():
+            i = int(np.nanargmin(nrm)) % self.m
             raise ValueError(f"degenerate projection: block [{self.offsets[i]}:{self.offsets[i + 1]}]"
-                             f" has norm {nrm[i]:.3e}")
+                             f" has norm {np.nanmin(nrm):.3e}")
         return v / self._per_entry(nrm)
 
     def random_point(self, rng):
@@ -204,7 +207,9 @@ def rlicq_sigma_min(constraints, w):
 
 def _multipliers(constraints, w, g):
     """lambda_i = <g_i, w_i> / (2 ||w_i||^2), the exact least-squares
-    solution of C(w) lambda = g for the block-diagonal C(w)."""
+    solution of C(w) lambda = g for the block-diagonal C(w); per row of a
+    (..., n) stack, checked against the constraint qualification floor
+    on every row."""
     sigma = rlicq_sigma_min(constraints, w)
     if sigma < CQ_SIGMA_MIN:
         raise ValueError(f"constraint qualification failure: sigma_min(C) = {sigma:.3e}")
@@ -226,7 +231,7 @@ def tangent_gradient(problem, w):
 
     chi(w) = grad f(w) - sum_i lambda*_i grad c_i(w) = g - 2 lambda_i w_i
     per block.  For sphere products this equals the tangent-space
-    projection of grad f(w).
+    projection of grad f(w).  Takes one point or a (..., n) stack.
     """
     w = np.asarray(w, dtype=float)
     constraints = problem.constraints

@@ -14,8 +14,10 @@ Three equality-constrained problems over products of unit spheres:
   the per-sample gradient oracles in :mod:`strictsaddle.ica` estimate.
 
 Each problem exposes analytic value/gradient/Hessian in ambient
-coordinates through tensor contractions; the closed forms in the
-decomposition basis are provided separately (``*_coords`` functions) and
+coordinates.  Value and gradient accept a (..., n) stack of points; with
+the decomposition basis known they work in the coordinates X = U A^T,
+otherwise they contract the dense tensor.  The coordinate closed forms
+of the certification quantities (``*_coords`` functions) are
 cross-checked in tests.
 """
 
@@ -25,12 +27,8 @@ from .manifold import SphereProduct
 from .tensor4 import (
     Tensor4,
     basis_form_matrix,
-    basis_form_scalar,
-    basis_form_vector,
     form_matrix,
     form_pair_matrix,
-    form_scalar,
-    form_vector,
     reconstruction_error,
     reconstruction_error_from_basis,
 )
@@ -57,6 +55,11 @@ __all__ = [
 class ConstrainedProblem:
     """Equality-constrained objective with analytic derivatives.
 
+    ``value`` and ``gradient`` take one point (n,) or a stack (..., n) and
+    act on each row alone, so a row's result does not depend on the rest
+    of the stack; ``value`` returns a float for one point.  ``hessian``
+    takes one point.
+
     Attributes
     ----------
     name : str
@@ -78,7 +81,9 @@ class ConstrainedProblem:
         return self.constraints.n
 
     def value(self, w):
-        return float(self._value(np.asarray(w, dtype=float)))
+        w = np.asarray(w, dtype=float)
+        f = self._value(w)
+        return float(f) if w.ndim == 1 else f
 
     def gradient(self, w):
         return self._gradient(np.asarray(w, dtype=float))
@@ -99,16 +104,81 @@ class ConstrainedProblem:
         return f"ConstrainedProblem({self.name!r}, dim={self.dim})"
 
 
+# Stack kernels for value and gradient.  Every contraction is an einsum or
+# a last-axis reduction, never BLAS matmul: gemm and gemv round a row
+# differently, and gemm's rounding depends on the stack height, so only
+# these keep each row's result independent of the rows around it.
+
+
+def _rows(w, d):
+    """View a (..., d*d) stack as (..., d, d) component rows."""
+    return w.reshape(*w.shape[:-1], d, d)
+
+
+class _BasisForms:
+    """T(.) in coordinates X = U A^T of the decomposition basis (rows a_j)."""
+
+    def __init__(self, basis):
+        self.a = basis.vectors
+
+    def _coords(self, u):
+        return np.einsum("...k,jk->...j", u, self.a)
+
+    def quartic(self, u):
+        """T(u,u,u,u) = sum_j x_j^4 per row u."""
+        x2 = self._coords(u) ** 2
+        return np.einsum("...j,...j->...", x2, x2)
+
+    def cubic(self, u):
+        """T(I,u,u,u) = sum_j x_j^3 a_j per row u."""
+        x = self._coords(u)
+        return np.einsum("...j,jk->...k", x * x * x, self.a)
+
+    def _cross_weights(self, U):
+        x = self._coords(U)
+        x2 = x * x
+        return x, x2, np.einsum("...ij->...j", x2)[..., None, :] - x2
+
+    def cross_value(self, U):
+        """sum_i sum_{l != i} T(u_i,u_i,u_l,u_l) = sum_ij X_ij^2 (S_j - X_ij^2)."""
+        _, x2, rest = self._cross_weights(U)
+        return np.einsum("...ij,...ij->...", x2, rest)
+
+    def cross_vectors(self, U):
+        """Rows sum_{l != i} T(I,u_i,u_l,u_l) = ((S - X^2) o X) A."""
+        x, _, rest = self._cross_weights(U)
+        return np.einsum("...ij,jk->...ik", rest * x, self.a)
+
+
+class _DenseForms:
+    """T(.) by contracting the dense entries one slot at a time."""
+
+    def __init__(self, T):
+        self.t = T.entries
+
+    def cubic(self, u):
+        y = np.einsum("pqrs,...s->...pqr", self.t, u)
+        y = np.einsum("...pqr,...r->...pq", y, u)
+        return np.einsum("...pq,...q->...p", y, u)
+
+    def quartic(self, u):
+        return np.einsum("...p,...p->...", self.cubic(u), u)
+
+    def cross_vectors(self, U):
+        """sum_l T(I,u_i,u_l,u_l) - T(I,u_i,u_i,u_i), through T(I,I,U^T U)."""
+        outer = np.einsum("...lr,...ls->...rs", U, U)
+        m = np.einsum("pqrs,...rs->...pq", self.t, outer)
+        return np.einsum("...pq,...iq->...ip", m, U) - self.cubic(U)
+
+    def cross_value(self, U):
+        return np.einsum("...ip,...ip->...", U, self.cross_vectors(U))
+
+
 def _tensor_ops(T, basis):
-    """Contraction callables, preferring the O(d^2) basis fast path."""
+    """Stack forms for value/gradient plus the per-point Hessian contractions,
+    preferring the basis fast path."""
     if basis is not None:
         a = basis.vectors
-
-        def t_scalar(u, v, w, z):
-            return basis_form_scalar(basis, u, v, w, z)
-
-        def t_vector(u):
-            return basis_form_vector(basis, u)
 
         def t_matrix(u):
             return basis_form_matrix(basis, u)
@@ -116,13 +186,7 @@ def _tensor_ops(T, basis):
         def t_pair_matrix(u, v):
             return (a.T * ((a @ u) * (a @ v))) @ a
 
-        return t_scalar, t_vector, t_matrix, t_pair_matrix
-
-    def t_scalar(u, v, w, z):
-        return form_scalar(T, u, v, w, z)
-
-    def t_vector(u):
-        return form_vector(T, u)
+        return _BasisForms(basis), t_matrix, t_pair_matrix
 
     def t_matrix(u):
         return form_matrix(T, u)
@@ -130,7 +194,7 @@ def _tensor_ops(T, basis):
     def t_pair_matrix(u, v):
         return form_pair_matrix(T, u, v)
 
-    return t_scalar, t_vector, t_matrix, t_pair_matrix
+    return _DenseForms(T), t_matrix, t_pair_matrix
 
 
 def _validate_tensor(T):
@@ -147,14 +211,14 @@ def maxeig_objective(T, basis=None):
     gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).
     """
     T = _validate_tensor(T)
-    t_scalar, t_vector, t_matrix, _ = _tensor_ops(T, basis)
+    forms, t_matrix, _ = _tensor_ops(T, basis)
     constraints = SphereProduct([T.d])
 
     def value(u):
-        return -t_scalar(u, u, u, u)
+        return -forms.quartic(u)
 
     def gradient(u):
-        return -4.0 * t_vector(u)
+        return -4.0 * forms.cubic(u)
 
     def hessian(u):
         return -12.0 * t_matrix(u)
@@ -169,24 +233,23 @@ def reconstruction_objective(T, basis=None):
     so no dense d^4 residual is ever formed.
     """
     T = _validate_tensor(T)
-    t_scalar, t_vector, t_matrix, _ = _tensor_ops(T, basis)
+    forms, t_matrix, _ = _tensor_ops(T, basis)
     d = T.d
     constraints = SphereProduct.spheres(d, d)
     tnorm2 = T.norm() ** 2
 
+    def gram(U):
+        return np.einsum("...ik,...lk->...il", U, U)
+
     def value(w):
-        U = w.reshape(d, d)
-        cross = sum(t_scalar(U[i], U[i], U[i], U[i]) for i in range(d))
-        gram = U @ U.T
-        return tnorm2 - 2.0 * cross + float(np.sum(gram**4))
+        U = _rows(w, d)
+        g2 = gram(U) ** 2
+        return tnorm2 - 2.0 * forms.quartic(U).sum(axis=-1) + np.einsum("...il,...il->...", g2, g2)
 
     def gradient(w):
-        U = w.reshape(d, d)
-        gram = U @ U.T
-        out = np.empty_like(U)
-        for i in range(d):
-            out[i] = -8.0 * t_vector(U[i]) + 8.0 * (gram[i] ** 3) @ U
-        return out.reshape(-1)
+        U = _rows(w, d)
+        out = -8.0 * forms.cubic(U) + 8.0 * np.einsum("...il,...lk->...ik", gram(U) ** 3, U)
+        return out.reshape(w.shape)
 
     def hessian(w):
         U = w.reshape(d, d)
@@ -227,31 +290,21 @@ def correlation_objective(T, basis=None, halved=False):
     oracle estimates without bias.
     """
     T = _validate_tensor(T)
-    _, _, t_matrix, t_pair_matrix = _tensor_ops(T, basis)
+    forms, t_matrix, t_pair_matrix = _tensor_ops(T, basis)
     d = T.d
     constraints = SphereProduct.spheres(d, d)
     scale = 0.5 if halved else 1.0
 
-    def block_matrices(U):
-        Ms = [t_matrix(U[i]) for i in range(d)]
-        return Ms, sum(Ms)
-
     def value(w):
-        U = w.reshape(d, d)
-        Ms, M_tot = block_matrices(U)
-        return scale * sum(U[i] @ (M_tot - Ms[i]) @ U[i] for i in range(d))
+        return scale * forms.cross_value(_rows(w, d))
 
     def gradient(w):
-        U = w.reshape(d, d)
-        Ms, M_tot = block_matrices(U)
-        out = np.empty_like(U)
-        for i in range(d):
-            out[i] = scale * 4.0 * (M_tot - Ms[i]) @ U[i]
-        return out.reshape(-1)
+        return (scale * 4.0 * forms.cross_vectors(_rows(w, d))).reshape(w.shape)
 
     def hessian(w):
         U = w.reshape(d, d)
-        Ms, M_tot = block_matrices(U)
+        Ms = [t_matrix(U[i]) for i in range(d)]
+        M_tot = sum(Ms)
         H = np.zeros((d * d, d * d))
         for i in range(d):
             si = slice(i * d, (i + 1) * d)
@@ -300,12 +353,15 @@ class QuadraticObjective:
         return self.w0.size
 
     def value(self, w):
+        """f at one point (float) or at each row of a (..., n) stack."""
         delta = np.asarray(w, dtype=float) - self.w0
-        return self.f0 + float(self.g @ delta) + 0.5 * float(delta @ self.H @ delta)
+        hd = np.einsum("ij,...j->...i", self.H, delta)
+        f = self.f0 + np.einsum("i,...i->...", self.g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
+        return float(f) if delta.ndim == 1 else f
 
     def gradient(self, w):
         delta = np.asarray(w, dtype=float) - self.w0
-        return self.g + self.H @ delta
+        return self.g + np.einsum("ij,...j->...i", self.H, delta)
 
     def hessian(self, w):
         return self.H

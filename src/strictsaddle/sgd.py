@@ -11,6 +11,11 @@ spawn_key=(k,))``.
 Per step the runner draws the oracle sample first and the injected noise
 second; schedules only change the step length, so matched seeds see
 identical random streams under different schedules.
+
+There is one run loop.  It advances a (K, n) stack of trials, each with
+its own generator; a single run is the K=1 case.  Every kernel on the
+stack is an einsum or a last-axis reduction, so trial k's record is bit
+for bit the same alone or in a stack of any height.
 """
 
 import math
@@ -28,6 +33,8 @@ __all__ = [
     "unit_sphere_noise",
     "noisy_sgd",
     "projected_noisy_sgd",
+    "projected_trials",
+    "row_norms",
     "run_rng",
     "trial_rng",
     "RecordedPerturbations",
@@ -36,6 +43,11 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 SCHEDULES = ("constant", "inverse_t")
+NOISE_NORM_FLOOR = 1e-12
+# Trials advanced together in one stack.  Bounds the stack's memory and the
+# number of live generators for any trial count; a row's result does not
+# depend on it.
+STACK_ROWS = 256
 
 
 @dataclass
@@ -78,15 +90,38 @@ def lr_schedule(config, t):
     return config.eta / (t + 1)
 
 
+def row_norms(x, keepdims=False):
+    """Euclidean norm of each row along the last axis.
+
+    A last-axis reduction, so a row's norm does not depend on the rows
+    stacked with it (BLAS-backed norms do not guarantee that).
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
+def _sphere_rows(out, rngs):
+    """Uniform unit vectors, row k drawn from ``rngs[k]``.
+
+    Each row is an isotropic Gaussian draw written into row k of the
+    buffer ``out``, then normalized; a row whose norm is at most 1e-12 is
+    redrawn from its own generator.
+    """
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=out[k])
+    norms = row_norms(out, keepdims=True)
+    if not norms.min() > NOISE_NORM_FLOOR:
+        for k in np.flatnonzero(norms <= NOISE_NORM_FLOOR):
+            while norms[k, 0] <= NOISE_NORM_FLOOR:
+                rngs[k].standard_normal(out=out[k])
+                norms[k] = row_norms(out[k])
+    return out / norms
+
+
 def unit_sphere_noise(dim, rng):
     """Uniform unit vector via a normalized isotropic Gaussian draw."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    while True:
-        g = rng.standard_normal(dim)
-        nrm = np.linalg.norm(g)
-        if nrm > 1e-12:
-            return g / nrm
+    return _sphere_rows(np.empty((1, dim)), [rng])[0]
 
 
 def run_rng(seed):
@@ -143,91 +178,137 @@ class RecordedPerturbations:
         self._next = 0
 
 
-def _stochastic_gradient(objective, sampler, w, sample):
-    if sampler is None:
-        return objective.gradient(w)
-    if hasattr(sampler, "gradient"):
-        return sampler.gradient(w, sample)
-    return objective.stochastic_gradient(w, sample)
-
-
-def _check_noise_bound(objective, w, sg, noise, noise_scale):
-    """||SG - grad f + n|| <= Q + noise_scale, enforced on recorded steps."""
+def _check_noise_bound(objective, W, sg, noise, noise_scale):
+    """||SG - grad f + n|| <= Q + noise_scale on every row, enforced on recorded steps."""
     q = getattr(objective, "oracle_bound", None)
     if q is None:
         return
-    xi = sg - objective.gradient(w)
+    xi = sg - objective.gradient(W)
     if noise is not None:
         xi = xi + noise
     bound = q + noise_scale + 1e-9
-    nrm = float(np.linalg.norm(xi))
+    nrm = float(np.max(row_norms(xi)))
     if nrm > bound:
         raise RuntimeError(f"perturbation bound violated: ||xi||={nrm:.6g} > Q+noise={bound:.6g}")
 
 
-def _run_loop(objective, sampler, w0, config, rng, project, grad_norm_fn, recon_fn):
-    w = np.array(w0, dtype=float)
-    dim = w.size
+def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, stop=None):
+    """Advance the trials ``starts = [(w0, rng), ...]`` as one (K, n) stack.
+
+    Each step visits the active trials in order; trial k draws its oracle
+    sample and then its noise from its own generator, so its stream is the
+    one it sees when run alone.  All kernels act row by row (einsum and
+    last-axis reductions), so every row's result is independent of K and
+    of which other trials are still active.  A trial leaves the stack when
+    it diverges or, after a step, when ``stop(W)`` is True for its row.
+
+    ``grad_norms`` and ``recons`` map a stack to one value per row; they
+    run on recorded steps only.  Returns one RunRecord per trial, in order.
+    """
+    W = np.array([w0 for w0, _ in starts], dtype=float)
+    rngs = [rng for _, rng in starts]
+    ids = np.arange(len(starts))  # trial index of each active row
+    traces = [[] for _ in starts]
+    records = [None] * len(starts)
+    noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
+    if sampler is not None:
+        oracle = sampler.gradient if hasattr(sampler, "gradient") else objective.stochastic_gradient
     start = time.perf_counter()
 
-    iters, fs, gnorms, recons, elapsed = [], [], [], [], []
-    diverged = False
-    message = ""
+    def record(t, rows):
+        Wr = W[rows]
+        fs = objective.value(Wr)
+        columns = (fs.tolist(), grad_norms(Wr).tolist(), recons(Wr))
+        ms = (time.perf_counter() - start) * 1e3
+        for k, f, g, r in zip(ids[rows].tolist(), *columns):
+            traces[k].append((t, f, g, r, ms))
+        return fs
 
-    def record(t):
-        f = objective.value(w)
-        iters.append(t)
-        fs.append(f)
-        gnorms.append(grad_norm_fn(w))
-        recons.append(recon_fn(w))
-        elapsed.append((time.perf_counter() - start) * 1e3)
-        return f
+    def leave(rows, n_steps, message=None):
+        """Close the records of the selected rows and drop them from the stack."""
+        nonlocal W, ids, rngs, noise_buf
+        wall = (time.perf_counter() - start) * 1e3
+        for i in np.flatnonzero(rows):
+            k = ids[i]
+            # every trial is recorded at t=0, so its trace is never empty
+            iters, fs, gnorms, recon, elapsed = zip(*traces[k])
+            records[k] = RunRecord(
+                iters=np.array(iters, dtype=int),
+                f_values=np.array(fs, dtype=float),
+                grad_norms=np.array(gnorms, dtype=float),
+                recon_errors=np.array(recon, dtype=float),
+                elapsed_ms=np.array(elapsed, dtype=float),
+                final_point=W[i].copy(),
+                final_f=fs[-1],
+                n_steps=n_steps,
+                diverged=message is not None,
+                message="" if message is None else message(i),
+                wall_time_ms=wall,
+            )
+        keep = ~rows
+        W, ids = W[keep], ids[keep]
+        rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+        if noise_buf is not None:
+            noise_buf = noise_buf[: ids.size]
 
     t = 0
-    while t < config.iterations:
+    while t < config.iterations and ids.size:
         on_record = t % config.record_every == 0
         if on_record:
-            f = record(t)
-            if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
-                diverged, message = True, f"objective diverged at step {t}: f={f!r}"
-                break
+            fs = record(t, slice(None))
+            bad = ~(np.abs(fs) <= DIVERGENCE_LIMIT)
+            if bad.any():
+                leave(bad, t, lambda i, fs=fs: f"objective diverged at step {t}: f={float(fs[i])!r}")
+                if not ids.size:
+                    break
         eta_t = lr_schedule(config, t)
-        sample = sampler.draw(rng) if sampler is not None else None
-        sg = _stochastic_gradient(objective, sampler, w, sample)
+        if sampler is None:
+            sg = objective.gradient(W)
+        else:
+            sg = np.empty_like(W)
+            for k, rng in enumerate(rngs):
+                sg[k] = oracle(W[k], sampler.draw(rng))
         noise = None
-        if config.noise_scale > 0:
-            noise = config.noise_scale * unit_sphere_noise(dim, rng)
+        if noise_buf is not None:
+            noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
         if on_record:
-            _check_noise_bound(objective, w, sg, noise, config.noise_scale)
+            _check_noise_bound(objective, W, sg, noise, config.noise_scale)
         step = sg if noise is None else sg + noise
-        w = w - eta_t * step
+        W = W - eta_t * step
         if project is not None:
-            w = project(w)
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > DIVERGENCE_LIMIT:
-            diverged, message = True, f"iterate diverged at step {t}"
-            break
+            W = project(W)
+        # the stack's total bounds every row's squared norm (and is nan or
+        # inf when a row is), so rows are only looked at when it is too big
+        if not np.einsum("ij,ij->", W, W) <= DIVERGENCE_LIMIT**2:
+            bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
+            if bad.any():
+                leave(bad, t, lambda i: f"iterate diverged at step {t}")
         t += 1
+        if stop is not None and ids.size:
+            hit = np.asarray(stop(W), dtype=bool)
+            if hit.any():
+                record(t, hit)
+                leave(hit, t)
 
-    if not diverged:
-        record(config.iterations)
-        final_f = fs[-1]
-    else:
-        final_f = fs[-1] if fs else float("nan")
+    if ids.size:
+        record(config.iterations, slice(None))
+        leave(np.ones(ids.size, dtype=bool), t)
+    return records
 
-    wall = (time.perf_counter() - start) * 1e3
-    return RunRecord(
-        iters=np.array(iters, dtype=int),
-        f_values=np.array(fs),
-        grad_norms=np.array(gnorms),
-        recon_errors=np.array(recons),
-        elapsed_ms=np.array(elapsed),
-        final_point=w,
-        final_f=final_f,
-        n_steps=t,
-        diverged=diverged,
-        message=message,
-        wall_time_ms=wall,
-    )
+
+def _recons(objective):
+    """Per-row normalized reconstruction error of a stack (nan when undefined)."""
+    if not hasattr(objective, "recon_error"):
+        return lambda W: [float("nan")] * len(W)
+
+    def recons(W):
+        out = []
+        for w in W:
+            r = objective.recon_error(w)
+            out.append(float("nan") if r is None else r)
+        return out
+
+    return recons
 
 
 def noisy_sgd(objective, sampler, w0, config, rng=None):
@@ -235,39 +316,51 @@ def noisy_sgd(objective, sampler, w0, config, rng=None):
     if rng is None:
         rng = run_rng(config.seed)
 
-    def grad_norm(w):
-        return float(np.linalg.norm(objective.gradient(w)))
+    def grad_norms(W):
+        return row_norms(objective.gradient(W))
 
-    def recon(w):
-        r = objective.recon_error(w) if hasattr(objective, "recon_error") else None
-        return float("nan") if r is None else r
+    return _run_loop(objective, sampler, [(w0, rng)], config, None, grad_norms, _recons(objective))[0]
 
-    return _run_loop(objective, sampler, w0, config, rng, None, grad_norm, recon)
+
+def projected_trials(problem, sampler, n_trials, start, config, stop=None):
+    """Projected noisy SGD for trials 0..n_trials-1, advanced as stacks.
+
+    ``start(k)`` returns trial k's feasible starting point and its own
+    generator.  ``stop``, when given, maps the (K, n) stack to one bool
+    per row after every step; a row that reads True ends there, with its
+    current point as the final one.  Trials run in blocks of STACK_ROWS
+    rows, so memory and live generators stay bounded; trial k's record is
+    the same whatever the block and whatever trials run beside it.
+
+    Every recorded iterate is feasibility-checked to 1e-10.  Returns one
+    RunRecord per trial, in trial order.
+    """
+    constraints = problem.constraints
+
+    def grad_norms(W):
+        if np.max(np.abs(constraints.c(W))) > manifold.FEASIBLE_TOL:
+            raise RuntimeError("iterate left the feasible set beyond tolerance")
+        return row_norms(manifold.tangent_gradient(problem, W))
+
+    recons = _recons(problem)
+    records = []
+    for lo in range(0, n_trials, STACK_ROWS):
+        starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
+        if not all(constraints.feasible(w0) for w0, _ in starts):
+            raise ValueError("projected run requires a feasible starting point")
+        records += _run_loop(problem, sampler, starts, config, constraints.project, grad_norms, recons, stop)
+    return records
 
 
 def projected_noisy_sgd(problem, sampler, w0, config, rng=None):
     """Constrained runner: every step is re-projected onto the feasible set.
 
     Requires a feasible start; every recorded iterate is feasibility-checked
-    to 1e-10.
+    to 1e-10.  One trial of :func:`projected_trials`.
     """
     if rng is None:
         rng = run_rng(config.seed)
-    constraints = problem.constraints
-    if not constraints.feasible(w0):
-        raise ValueError("projected run requires a feasible starting point")
-
-    def grad_norm(w):
-        if np.max(np.abs(constraints.c(w))) > manifold.FEASIBLE_TOL:
-            raise RuntimeError("iterate left the feasible set beyond tolerance")
-        return float(np.linalg.norm(manifold.tangent_gradient(problem, w)))
-
-    def recon(w):
-        r = problem.recon_error(w) if hasattr(problem, "recon_error") else None
-        return float("nan") if r is None else r
-
-    return _run_loop(objective=problem, sampler=sampler, w0=w0, config=config, rng=rng,
-                     project=constraints.project, grad_norm_fn=grad_norm, recon_fn=recon)
+    return projected_trials(problem, sampler, 1, lambda k: (w0, rng), config)[0]
 
 
 def write_run_csv(record, path):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import strictsaddle
 from strictsaddle import cli, ica
 from strictsaddle.cli import ICA_RECORD_EVERY, main, parse_config_file, trailing_window_stats
 
@@ -79,11 +82,22 @@ class TestConfigHandling:
         (["decompose", "--eta", "nan"], "eta must be finite"),
         (["decompose", "--noise", "inf"], "noise must be finite"),
         (["escape", "--d", "1"], "d >= 2"),
+        (["verify", "--d", "1"], "d >= 2"),
     ])
     def test_validation_errors_exit_2(self, tmp_path, capsys, argv, needle):
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_run_leaves_no_directory(self, tmp_path, capsys):
+        """A command-specific limit fails before the output directory is
+        made, so the corrected rerun needs no --overwrite."""
+        out = str(tmp_path / "out")
+        assert main(["escape", "--d", "1", "--out", out]) == 2
+        assert not os.path.exists(out)
+        assert main(["escape", "--d", "3", "--trials", "2", "--iters", "50", "--out", out]) == 0
+        assert "overwrite" not in capsys.readouterr().err
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -216,6 +230,17 @@ class TestEscapeCommand:
             float(dec)
         assert read_manifest(out)["outputs"] == ["escape.csv"]
 
+    def test_trial_same_alone_or_in_batch(self, tmp_path):
+        """Row 0 of a five-trial run equals the one row of a one-trial run."""
+        rows = {}
+        for trials in ("5", "1"):
+            out = tmp_path / f"t{trials}"
+            assert main(["escape", "--d", "6", "--trials", trials, "--iters", "2000",
+                         "--seed", "3", "--out", str(out)]) == 0
+            rows[trials] = (out / "escape.csv").read_text().strip().split("\n")
+        assert len(rows["5"]) == 6 and len(rows["1"]) == 2
+        assert rows["5"][1] == rows["1"][1]
+
     def test_noise_free_runs_never_escape(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["escape", "--d", "4", "--trials", "3", "--iters", "200",
@@ -237,3 +262,14 @@ class TestMinimaCommand:
         assert 1 <= len(lines) - 1 <= 8
         hits = sum(int(row.split(",")[1]) for row in lines[1:])
         assert hits <= 30
+
+
+class TestModuleEntryPoint:
+    def test_python_m_strictsaddle_version(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(strictsaddle.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "strictsaddle", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == f"strictsaddle {strictsaddle.__version__}"

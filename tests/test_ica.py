@@ -215,22 +215,30 @@ class TestIcaGradient:
 
     def test_cubic_cost_scaling(self):
         """Doubling d multiplies the single-sample cost by about 8 once the
-        cubic term dominates the fixed call overhead."""
+        cubic term dominates the fixed call overhead.
 
-        def cost(d, reps):
+        The two sizes are timed round by round, interleaved, and each
+        takes its minimum over the same rounds, so a slow spell of the
+        host falls on both sizes rather than on one."""
+
+        def inputs(d):
             rng = np.random.default_rng(15)
             model = IcaModel.random(d, rng)
             U = np.linalg.qr(rng.standard_normal((d, d)))[0]
-            y = gen_ica_sample(model, rng)
-            best = float("inf")
-            for _ in range(5):
-                t0 = time.perf_counter()
-                for _ in range(reps):
-                    ica_stochastic_gradient(U, y)
-                best = min(best, (time.perf_counter() - t0) / reps)
-            return best
+            return U, gen_ica_sample(model, rng)
 
-        ratio = cost(512, reps=10) / cost(256, reps=20)
+        def per_call(args, reps):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                ica_stochastic_gradient(*args)
+            return (time.perf_counter() - t0) / reps
+
+        large, small = inputs(512), inputs(256)
+        best_large = best_small = float("inf")
+        for _ in range(5):
+            best_large = min(best_large, per_call(large, reps=10))
+            best_small = min(best_small, per_call(small, reps=20))
+        ratio = best_large / best_small
         assert 4.0 <= ratio <= 12.0
 
 

@@ -467,3 +467,20 @@ class TestSphereProductProperties:
                 lagrange_multipliers(problem, w)
         else:
             assert np.all(np.isfinite(lagrange_multipliers(problem, w)))
+
+    @PROPERTY
+    @given(BLOCK_DIMS, st.integers(1, 8), SEEDS)
+    def test_stack_kernels_equal_row_calls(self, dims, k, seed):
+        """Each row of a (K, n) call equals the call on that row alone, bit for bit."""
+        cs = SphereProduct(dims)
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((k, cs.n))
+        W = cs.project(V)
+        problem = LinearProblem(cs, rng.standard_normal(cs.n))
+        stacked = (cs.block_norms(V), cs.c(V), W, cs.tangent_project(W, V),
+                   lagrange_multipliers(problem, W), tangent_gradient(problem, W))
+        for i in range(k):
+            rows = (cs.block_norms(V[i]), cs.c(V[i]), cs.project(V[i]), cs.tangent_project(W[i], V[i]),
+                    lagrange_multipliers(problem, W[i]), tangent_gradient(problem, W[i]))
+            for got, want in zip(stacked, rows):
+                np.testing.assert_array_equal(got[i], want)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictsaddle.analysis import fd_gradient
 from strictsaddle.objectives import (
@@ -212,3 +214,46 @@ class TestQuadratic:
         w = rng.standard_normal(4)
         d = w - w0
         np.testing.assert_allclose(obj.value(w), 2.5 + g @ d + 0.5 * d @ H @ d, rtol=1e-12)
+
+
+# ------------------------------------------------------------------ #
+# Stacks of points                                                     #
+# ------------------------------------------------------------------ #
+
+BUILDERS = {
+    "maxeig": maxeig_objective,
+    "reconstruction": reconstruction_objective,
+    "correlation": lambda T, basis=None: correlation_objective(T, basis=basis, halved=True),
+}
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(BUILDERS)), st.booleans(), st.integers(1, 4), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_stack_rows_equal_row_calls_and_fd(self, kind, dense, d, k, seed):
+        """value/gradient of a (K, n) stack equal the per-row calls bit for
+        bit, on the basis and the dense path, and each row's gradient
+        matches finite differences at the tolerances used above."""
+        T, basis, rng = random_problemset(d, seed)
+        prob = BUILDERS[kind](T, basis=None if dense else basis)
+        W = np.array([prob.random_feasible(rng) for _ in range(k)])
+        values, grads = prob.value(W), prob.gradient(W)
+        assert values.shape == (k,) and grads.shape == W.shape
+        for i in range(k):
+            assert prob.value(W[i]) == values[i]
+            np.testing.assert_array_equal(prob.gradient(W[i]), grads[i])
+            fd = fd_gradient(prob.value, W[i])
+            assert np.linalg.norm(grads[i] - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_quadratic_stack_rows_equal_row_calls(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        obj = quadratic_objective(rng.standard_normal(n), rng.standard_normal(n), A + A.T, f0=0.5)
+        W = rng.standard_normal((k, n))
+        values, grads = obj.value(W), obj.gradient(W)
+        for i in range(k):
+            assert obj.value(W[i]) == values[i]
+            np.testing.assert_array_equal(obj.gradient(W[i]), grads[i])

@@ -1,16 +1,28 @@
 """Tests for the two SGD runners, schedules, noise, and trace records."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strictsaddle import sgd
+from strictsaddle.ica import SimpleSampler
 from strictsaddle.manifold import tangent_gradient
-from strictsaddle.objectives import correlation_objective, maxeig_objective, quadratic_objective
+from strictsaddle.objectives import (
+    correlation_objective,
+    maxeig_objective,
+    quadratic_objective,
+    reconstruction_objective,
+)
 from strictsaddle.sgd import (
     RecordedPerturbations,
     SgdConfig,
     lr_schedule,
     noisy_sgd,
     projected_noisy_sgd,
+    projected_trials,
     run_rng,
     trial_rng,
     unit_sphere_noise,
@@ -86,6 +98,22 @@ class TestNoise:
         for _ in range(n):
             total += unit_sphere_noise(3, rng)
         assert np.max(np.abs(total / n)) <= 0.01
+
+    def test_degenerate_draw_is_redrawn(self):
+        """A draw of norm <= 1e-12 is replaced by the generator's next draw."""
+
+        class ZeroFirst:
+            def __init__(self):
+                self.calls = 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                out[:] = 0.0 if self.calls == 1 else np.arange(1.0, out.size + 1.0)
+
+        rng = ZeroFirst()
+        v = unit_sphere_noise(3, rng)
+        assert rng.calls == 2
+        np.testing.assert_allclose(v, np.arange(1.0, 4.0) / np.sqrt(14.0), rtol=1e-15)
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -221,6 +249,80 @@ class TestProjectedSgd:
             rec = projected_noisy_sgd(prob, None, w0, config, rng=trial_rng(0, k))
             total += f0 - rec.final_f
         assert total / n > 0.0
+
+
+# ------------------------------------------------------------------ #
+# Stacked trials                                                       #
+# ------------------------------------------------------------------ #
+
+PROBLEMS = {
+    "maxeig": lambda T, basis: maxeig_objective(T, basis=basis),
+    "reconstruction": lambda T, basis: reconstruction_objective(T, basis=basis),
+    "correlation": lambda T, basis: correlation_objective(T, basis=basis, halved=True),
+}
+
+
+def assert_same_run(got, want):
+    """Equal records, bit for bit, apart from the wall-clock fields."""
+    for name in ("iters", "f_values", "grad_norms", "recon_errors", "final_point"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.final_f, want.final_f)
+    assert (got.n_steps, got.diverged, got.message) == (want.n_steps, want.diverged, want.message)
+
+
+class TestStackedTrials:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), dense=st.booleans(), sampled=st.booleans(),
+           d=st.integers(2, 3), k=st.integers(1, 8), block=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]),
+           stopping=st.booleans(), iters=st.integers(1, 80), stride=st.integers(1, 30))
+    def test_row_equals_single_trial(self, kind, dense, sampled, d, k, block, seed, noise,
+                                     stopping, iters, stride):
+        """Trial k of a stack (in blocks of any height) equals its run alone."""
+        basis = OrthoBasis.random(d, np.random.default_rng(seed))
+        prob = PROBLEMS[kind](make_orthogonal_tensor(basis), None if dense else basis)
+        sampler = SimpleSampler(basis, kind=kind) if sampled else None
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
+
+        def start(j):
+            rng = trial_rng(seed, j)
+            return prob.random_feasible(rng), rng
+
+        # stop once f falls below the median start value: some rows stop, some run on
+        target = float(np.median([prob.value(start(j)[0]) for j in range(k)]))
+        stop = (lambda W: prob.value(W) <= target) if stopping else None
+        with mock.patch.object(sgd, "STACK_ROWS", block):
+            stacked = projected_trials(prob, sampler, k, start, config, stop=stop)
+        assert len(stacked) == k
+        for j in range(k):
+            alone = projected_trials(prob, sampler, 1, lambda _: start(j), config, stop=stop)[0]
+            assert_same_run(stacked[j], alone)
+            if not stopping:
+                w0, rng = start(j)
+                assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
+
+    def test_stop_predicate_ends_a_row_at_its_step(self):
+        prob = standard_maxeig(4)
+        saddle = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+        target = prob.value(saddle) - 0.05
+        config = SgdConfig(eta=0.02, iterations=3000, noise_scale=1.0, seed=4, record_every=500)
+        records = projected_trials(prob, None, 6, lambda j: (saddle, trial_rng(4, j)), config,
+                                   stop=lambda W: prob.value(W) <= target)
+        for rec in records:
+            assert rec.final_f <= target < rec.f_values[-2]
+            assert rec.iters[-1] == rec.n_steps < 3000
+            assert prob.value(rec.final_point) == rec.final_f
+
+    def test_diverged_row_leaves_others_running(self):
+        """A row that diverges is closed at its step; the others finish."""
+        obj = quadratic_objective(np.zeros(2), np.zeros(2), -np.eye(2))
+        config = SgdConfig(eta=0.05, iterations=800, noise_scale=0.0, record_every=100)
+        starts = [(np.array([1.0, 1.0]), run_rng(0)), (np.zeros(2), run_rng(1))]
+        grow, rest = sgd._run_loop(obj, None, starts, config, None,
+                                   lambda W: sgd.row_norms(obj.gradient(W)), lambda W: [np.nan] * len(W))
+        assert grow.diverged and "diverged" in grow.message and grow.n_steps < 800
+        assert not rest.diverged and rest.n_steps == 800
+        np.testing.assert_array_equal(rest.final_point, np.zeros(2))
 
 
 # ------------------------------------------------------------------ #
