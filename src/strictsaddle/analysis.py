@@ -374,7 +374,12 @@ def escape_statistics(problem, saddle_point, n_trials, config, sampler=None, thr
     step budget; it then stops early, so ``median_steps`` is the median
     first-passage time over escaping trials.  Default threshold is
     0.1 * |f(saddle)| floored at 1e-3.  Trial k uses the substream
-    ``trial_rng(config.seed, k)``; the trials run as one stack.
+    ``trial_rng(config.seed, k)``; the trials run as one stack through
+    :func:`sgd.projected_trials`, so its checks apply: the saddle must be
+    feasible to 1e-10 (ValueError otherwise), and a recorded iterate off
+    the feasible set or a perturbation over the oracle bound raises
+    RuntimeError.  Escape and f decrease are read from f at each trial's
+    final point.
     """
     w_star = np.asarray(saddle_point, dtype=float)
     f0 = problem.value(w_star)
@@ -384,8 +389,9 @@ def escape_statistics(problem, saddle_point, n_trials, config, sampler=None, thr
 
     records = projected_trials(problem, sampler, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
                                config, stop=lambda W: problem.value(W) <= target)
-    first_passage = [r.n_steps if r.final_f <= target else None for r in records]
-    decreases = [f0 - r.final_f for r in records]
+    f_final = problem.value(np.array([r.final_point for r in records]))
+    first_passage = [r.n_steps if f <= target else None for r, f in zip(records, f_final.tolist())]
+    decreases = (f0 - f_final).tolist()
 
     escaped = [s for s in first_passage if s is not None]
     return {

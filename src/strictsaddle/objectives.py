@@ -16,7 +16,8 @@ Three equality-constrained problems over products of unit spheres:
 Each problem exposes analytic value/gradient/Hessian in ambient
 coordinates.  Value and gradient accept a (..., n) stack of points; with
 the decomposition basis known they work in the coordinates X = U A^T,
-otherwise they contract the dense tensor.  The coordinate closed forms
+otherwise they contract the dense tensor (the forms of
+:mod:`strictsaddle.tensor4`).  The coordinate closed forms
 of the certification quantities (``*_coords`` functions) are
 cross-checked in tests.
 """
@@ -26,9 +27,14 @@ import numpy as np
 from .manifold import SphereProduct
 from .tensor4 import (
     Tensor4,
+    basis_coords,
     basis_form_matrix,
+    basis_form_scalar,
+    basis_form_vector,
     form_matrix,
     form_pair_matrix,
+    form_scalar,
+    form_vector,
     reconstruction_error,
     reconstruction_error_from_basis,
 )
@@ -104,10 +110,12 @@ class ConstrainedProblem:
         return f"ConstrainedProblem({self.name!r}, dim={self.dim})"
 
 
-# Stack kernels for value and gradient.  Every contraction is an einsum or
-# a last-axis reduction, never BLAS matmul: gemm and gemv round a row
-# differently, and gemm's rounding depends on the stack height, so only
-# these keep each row's result independent of the rows around it.
+# Value and gradient take (..., n) stacks.  The forms come from tensor4;
+# the cross terms of the correlation problem are contracted here.  Every
+# stack contraction is an einsum or a last-axis reduction, never BLAS
+# matmul: gemm and gemv round a row differently, and gemm's rounding
+# depends on the stack height, so only these keep each row's result
+# independent of the rows around it.  Hessian forms take one point.
 
 
 def _rows(w, d):
@@ -116,26 +124,26 @@ def _rows(w, d):
 
 
 class _BasisForms:
-    """T(.) in coordinates X = U A^T of the decomposition basis (rows a_j)."""
+    """T(.) through the decomposition basis (rows a_j), in coordinates X = U A^T."""
 
     def __init__(self, basis):
-        self.a = basis.vectors
-
-    def _coords(self, u):
-        return np.einsum("...k,jk->...j", u, self.a)
+        self.basis = basis
 
     def quartic(self, u):
-        """T(u,u,u,u) = sum_j x_j^4 per row u."""
-        x2 = self._coords(u) ** 2
-        return np.einsum("...j,...j->...", x2, x2)
+        return basis_form_scalar(self.basis, u, u, u, u)
 
     def cubic(self, u):
-        """T(I,u,u,u) = sum_j x_j^3 a_j per row u."""
-        x = self._coords(u)
-        return np.einsum("...j,jk->...k", x * x * x, self.a)
+        return basis_form_vector(self.basis, u)
+
+    def matrix(self, u):
+        return basis_form_matrix(self.basis, u)
+
+    def pair_matrix(self, u, v):
+        a = self.basis.vectors
+        return (a.T * ((a @ u) * (a @ v))) @ a
 
     def _cross_weights(self, U):
-        x = self._coords(U)
+        x = basis_coords(self.basis, U)
         x2 = x * x
         return x, x2, np.einsum("...ij->...j", x2)[..., None, :] - x2
 
@@ -147,54 +155,40 @@ class _BasisForms:
     def cross_vectors(self, U):
         """Rows sum_{l != i} T(I,u_i,u_l,u_l) = ((S - X^2) o X) A."""
         x, _, rest = self._cross_weights(U)
-        return np.einsum("...ij,jk->...ik", rest * x, self.a)
+        return np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)
 
 
 class _DenseForms:
-    """T(.) by contracting the dense entries one slot at a time."""
+    """T(.) by contracting the dense entries."""
 
     def __init__(self, T):
-        self.t = T.entries
-
-    def cubic(self, u):
-        y = np.einsum("pqrs,...s->...pqr", self.t, u)
-        y = np.einsum("...pqr,...r->...pq", y, u)
-        return np.einsum("...pq,...q->...p", y, u)
+        self.T = T
 
     def quartic(self, u):
-        return np.einsum("...p,...p->...", self.cubic(u), u)
+        return form_scalar(self.T, u, u, u, u)
+
+    def cubic(self, u):
+        return form_vector(self.T, u)
+
+    def matrix(self, u):
+        return form_matrix(self.T, u)
+
+    def pair_matrix(self, u, v):
+        return form_pair_matrix(self.T, u, v)
 
     def cross_vectors(self, U):
         """sum_l T(I,u_i,u_l,u_l) - T(I,u_i,u_i,u_i), through T(I,I,U^T U)."""
         outer = np.einsum("...lr,...ls->...rs", U, U)
-        m = np.einsum("pqrs,...rs->...pq", self.t, outer)
+        m = np.einsum("pqrs,...rs->...pq", self.T.entries, outer)
         return np.einsum("...pq,...iq->...ip", m, U) - self.cubic(U)
 
     def cross_value(self, U):
         return np.einsum("...ip,...ip->...", U, self.cross_vectors(U))
 
 
-def _tensor_ops(T, basis):
-    """Stack forms for value/gradient plus the per-point Hessian contractions,
-    preferring the basis fast path."""
-    if basis is not None:
-        a = basis.vectors
-
-        def t_matrix(u):
-            return basis_form_matrix(basis, u)
-
-        def t_pair_matrix(u, v):
-            return (a.T * ((a @ u) * (a @ v))) @ a
-
-        return _BasisForms(basis), t_matrix, t_pair_matrix
-
-    def t_matrix(u):
-        return form_matrix(T, u)
-
-    def t_pair_matrix(u, v):
-        return form_pair_matrix(T, u, v)
-
-    return _DenseForms(T), t_matrix, t_pair_matrix
+def _forms(T, basis):
+    """The tensor's forms, preferring the basis fast path."""
+    return _DenseForms(T) if basis is None else _BasisForms(basis)
 
 
 def _validate_tensor(T):
@@ -211,7 +205,7 @@ def maxeig_objective(T, basis=None):
     gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).
     """
     T = _validate_tensor(T)
-    forms, t_matrix, _ = _tensor_ops(T, basis)
+    forms = _forms(T, basis)
     constraints = SphereProduct([T.d])
 
     def value(u):
@@ -221,7 +215,7 @@ def maxeig_objective(T, basis=None):
         return -4.0 * forms.cubic(u)
 
     def hessian(u):
-        return -12.0 * t_matrix(u)
+        return -12.0 * forms.matrix(u)
 
     return ConstrainedProblem("maxeig", constraints, value, gradient, hessian)
 
@@ -233,7 +227,7 @@ def reconstruction_objective(T, basis=None):
     so no dense d^4 residual is ever formed.
     """
     T = _validate_tensor(T)
-    forms, t_matrix, _ = _tensor_ops(T, basis)
+    forms = _forms(T, basis)
     d = T.d
     constraints = SphereProduct.spheres(d, d)
     tnorm2 = T.norm() ** 2
@@ -257,7 +251,7 @@ def reconstruction_objective(T, basis=None):
         H = np.zeros((d * d, d * d))
         for i in range(d):
             si = slice(i * d, (i + 1) * d)
-            diag = -24.0 * t_matrix(U[i])
+            diag = -24.0 * forms.matrix(U[i])
             for l in range(d):
                 if l == i:
                     continue
@@ -290,7 +284,7 @@ def correlation_objective(T, basis=None, halved=False):
     oracle estimates without bias.
     """
     T = _validate_tensor(T)
-    forms, t_matrix, t_pair_matrix = _tensor_ops(T, basis)
+    forms = _forms(T, basis)
     d = T.d
     constraints = SphereProduct.spheres(d, d)
     scale = 0.5 if halved else 1.0
@@ -303,7 +297,7 @@ def correlation_objective(T, basis=None, halved=False):
 
     def hessian(w):
         U = w.reshape(d, d)
-        Ms = [t_matrix(U[i]) for i in range(d)]
+        Ms = [forms.matrix(U[i]) for i in range(d)]
         M_tot = sum(Ms)
         H = np.zeros((d * d, d * d))
         for i in range(d):
@@ -311,7 +305,7 @@ def correlation_objective(T, basis=None, halved=False):
             H[si, si] = scale * 4.0 * (M_tot - Ms[i])
             for j in range(i + 1, d):
                 sj = slice(j * d, (j + 1) * d)
-                block = scale * 8.0 * t_pair_matrix(U[i], U[j])
+                block = scale * 8.0 * forms.pair_matrix(U[i], U[j])
                 H[si, sj] = block
                 H[sj, si] = block.T
         return H

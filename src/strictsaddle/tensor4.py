@@ -8,7 +8,8 @@ tensors of interest here have an orthogonal decomposition
 with orthonormal a_1..a_d, and are fully symmetric under all 24 index
 permutations.  Multilinear forms T(u,v,w,z), T(I,u,u,u) and T(I,I,u,u) are
 provided both as dense contractions (the oracle path) and as O(d^2)
-closed forms that use the known decomposition basis.
+closed forms that use the known decomposition basis.  The scalar and
+vector forms also take (..., d) stacks of vectors, one result per row.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "form_matrix",
     "form_pair_vector",
     "form_pair_matrix",
+    "basis_coords",
     "basis_form_scalar",
     "basis_form_vector",
     "basis_form_matrix",
@@ -191,21 +193,47 @@ def _as_tensor_entries(T):
     return T.entries if isinstance(T, Tensor4) else np.asarray(T, dtype=float)
 
 
+def _check_last_axis(t, **vecs):
+    """Each vector must be (d,) or a (..., d) stack."""
+    for name, vec in vecs.items():
+        if np.shape(vec)[-1:] != (t.shape[0],):
+            raise ValueError(f"vector {name} has shape {np.shape(vec)}, expected (..., {t.shape[0]})")
+
+
+def _outer_flat(u, v):
+    """Row-wise outer products u (x) v, flattened to (..., d*d)."""
+    uv = np.asarray(u, dtype=float)[..., :, None] * np.asarray(v, dtype=float)[..., None, :]
+    return uv.reshape(*uv.shape[:-2], -1)
+
+
+def _scalar(s):
+    return float(s) if np.ndim(s) == 0 else s
+
+
+# The forms below that take (..., d) stacks contract with einsum only, never
+# BLAS, so each row's result does not depend on the rows stacked with it;
+# the dense ones contract through u (x) v, so no d^3 temporary is formed.
+
+
 def form_scalar(T, u, v, w, z):
-    """Full contraction T(u, v, w, z) = sum T[p,q,r,s] u_p v_q w_r z_s."""
+    """Full contraction T(u, v, w, z) = sum T[p,q,r,s] u_p v_q w_r z_s.
+
+    Vectors (d,) give a float; (..., d) stacks give one value per row.
+    """
     t = _as_tensor_entries(T)
-    for name, vec in (("u", u), ("v", v), ("w", w), ("z", z)):
-        if np.shape(vec) != (t.shape[0],):
-            raise ValueError(f"vector {name} has shape {np.shape(vec)}, expected ({t.shape[0]},)")
-    return float(np.einsum("pqrs,p,q,r,s->", t, u, v, w, z, optimize=True))
+    _check_last_axis(t, u=u, v=v, w=w, z=z)
+    d = t.shape[0]
+    m = np.einsum("mn,...n->...m", t.reshape(d * d, d * d), _outer_flat(w, z))
+    return _scalar(np.einsum("...m,...m->...", _outer_flat(u, v), m))
 
 
 def form_vector(T, u):
-    """One free slot: the vector T(I, u, u, u)."""
+    """One free slot: the vector T(I, u, u, u), per row of a (..., d) stack."""
     t = _as_tensor_entries(T)
-    if np.shape(u) != (t.shape[0],):
-        raise ValueError(f"vector has shape {np.shape(u)}, expected ({t.shape[0]},)")
-    return np.einsum("pqrs,q,r,s->p", t, u, u, u, optimize=True)
+    _check_last_axis(t, u=u)
+    d = t.shape[0]
+    y = np.einsum("pqm,...m->...pq", t.reshape(d, d, d * d), _outer_flat(u, u))
+    return np.einsum("...pq,...q->...p", y, u)
 
 
 def form_matrix(T, u):
@@ -228,17 +256,30 @@ def form_pair_matrix(T, a, b):
     return np.einsum("pqrs,q,r->ps", t, a, b, optimize=True)
 
 
+def basis_coords(basis, u):
+    """Coordinates x_i = a_i.u of a vector or of each row of a (..., d) stack."""
+    return np.einsum("...k,jk->...j", u, basis.vectors)
+
+
 def basis_form_scalar(basis, u, v, w, z):
-    """Decomposition-aware T(u,v,w,z) = sum_i (a_i.u)(a_i.v)(a_i.w)(a_i.z)."""
-    a = basis.vectors
-    return float(np.sum((a @ u) * (a @ v) * (a @ w) * (a @ z)))
+    """Decomposition-aware T(u,v,w,z) = sum_i (a_i.u)(a_i.v)(a_i.w)(a_i.z).
+
+    Vectors (d,) give a float; (..., d) stacks give one value per row.  An
+    argument passed in several slots is mapped to coordinates once, so
+    T(u,u,u,u) costs one coordinate map.
+    """
+    coords = {}
+    for vec in (u, v, w, z):
+        if id(vec) not in coords:
+            coords[id(vec)] = basis_coords(basis, vec)
+    xu, xv, xw, xz = (coords[id(vec)] for vec in (u, v, w, z))
+    return _scalar(np.einsum("...j,...j->...", xu * xv, xw * xz))
 
 
 def basis_form_vector(basis, u):
-    """Decomposition-aware T(I,u,u,u) = sum_i (a_i.u)^3 a_i."""
-    a = basis.vectors
-    c = a @ u
-    return a.T @ (c**3)
+    """Decomposition-aware T(I,u,u,u) = sum_i (a_i.u)^3 a_i, per row of a (..., d) stack."""
+    x = basis_coords(basis, u)
+    return np.einsum("...j,jk->...k", x * x * x, basis.vectors)
 
 
 def basis_form_matrix(basis, u):

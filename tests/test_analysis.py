@@ -27,7 +27,7 @@ from strictsaddle.analysis import (
 from strictsaddle.ica import ica_stochastic_gradient
 from strictsaddle.manifold import SaddleParams, SphereProduct, tangent_gradient
 from strictsaddle.objectives import correlation_objective, maxeig_objective
-from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd
+from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
 from strictsaddle.objectives import quadratic_objective
 from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
 
@@ -338,6 +338,31 @@ class TestEscape:
         assert stats_two["escape_fraction"] == 1.0
         assert stats_flat["escape_fraction"] == 1.0
         assert stats_two["median_steps"] <= stats_flat["median_steps"]
+
+    def test_infeasible_saddle_rejected(self):
+        prob, _ = standard_maxeig(6)
+        off = np.zeros(6)
+        off[:2] = 1.0 / np.sqrt(2.0) + 1e-6
+        config = SgdConfig(eta=0.01, iterations=10, noise_scale=1.0, seed=0, record_every=10)
+        with pytest.raises(ValueError, match="feasible starting point"):
+            escape_statistics(prob, off, 3, config)
+
+    def test_escape_read_from_final_point(self):
+        """Trial k's steps and f decrease are those of trial k run alone with
+        the same stop, read from f at its final point."""
+        prob, _ = standard_maxeig(6)
+        saddle = np.zeros(6)
+        saddle[:2] = 1.0 / np.sqrt(2.0)
+        config = SgdConfig(eta=0.01, iterations=100, noise_scale=1.0, seed=3, record_every=50)
+        stats = escape_statistics(prob, saddle, 8, config, threshold=0.05)
+        f0 = prob.value(saddle)
+        for k in range(8):
+            rec = projected_trials(prob, None, 1, lambda _: (saddle, trial_rng(3, k)), config,
+                                   stop=lambda W: prob.value(W) <= f0 - 0.05)[0]
+            f = prob.value(rec.final_point)
+            assert stats["per_trial_steps"][k] == (rec.n_steps if f <= f0 - 0.05 else None)
+            assert stats["per_trial_decrease"][k] == f0 - f
+        assert 0.0 < stats["escape_fraction"] < 1.0
 
 
 # ------------------------------------------------------------------ #

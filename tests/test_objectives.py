@@ -1,5 +1,7 @@
 """Tests for the three tensor objectives and the quadratic surrogate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,23 @@ class TestStacks:
             np.testing.assert_array_equal(prob.gradient(W[i]), grads[i])
             fd = fd_gradient(prob.value, W[i])
             assert np.linalg.norm(grads[i] - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
+
+    @pytest.mark.parametrize("build", [reconstruction_objective, correlation_objective])
+    def test_dense_stack_memory_is_cubic_per_point(self, build):
+        """On the dense path a stack of K points at d=32 needs at most 4 d^3
+        floats of temporaries per point (one d^4 temporary would be 32)."""
+        d, k = 32, 4
+        T, _, rng = random_problemset(d, 5)
+        prob = build(T)
+        W = np.array([prob.random_feasible(rng) for _ in range(k)])
+        tracemalloc.start()
+        try:
+            values, grads = prob.value(W), prob.gradient(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (k,) and grads.shape == W.shape
+        assert peak <= 4 * k * d**3 * 8
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -257,6 +257,41 @@ class TestBasisFastPaths:
             )
 
 
+class TestStackedForms:
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_stack_rows_equal_row_calls(self, d):
+        """The scalar and vector forms on a (K, d) stack equal the per-row
+        calls bit for bit, on the dense and the basis path."""
+        T, basis = random_tensor_and_basis(d, seed=41 + d)
+        rng = np.random.default_rng(42)
+        U, V, W, Z = rng.standard_normal((4, 7, d))
+        scalars = (
+            (form_scalar(T, U, V, W, Z), lambda i: form_scalar(T, U[i], V[i], W[i], Z[i])),
+            (form_scalar(T, U, U, U, U), lambda i: form_scalar(T, U[i], U[i], U[i], U[i])),
+            (basis_form_scalar(basis, U, V, W, Z), lambda i: basis_form_scalar(basis, U[i], V[i], W[i], Z[i])),
+            (basis_form_scalar(basis, U, U, U, U), lambda i: basis_form_scalar(basis, U[i], U[i], U[i], U[i])),
+        )
+        for stacked, row in scalars:
+            assert stacked.shape == (7,)
+            for i in range(7):
+                assert isinstance(row(i), float) and row(i) == stacked[i]
+        for fn, arg in ((form_vector, T), (basis_form_vector, basis)):
+            stacked = fn(arg, U)
+            for i in range(7):
+                np.testing.assert_array_equal(fn(arg, U[i]), stacked[i])
+
+    def test_stacked_forms_match_brute_force(self):
+        T, basis = random_tensor_and_basis(3, seed=43)
+        U = np.random.default_rng(44).standard_normal((2, 5, 3))
+        s = form_scalar(T, U, U, U, U)
+        v = basis_form_vector(basis, U)
+        assert s.shape == (2, 5) and v.shape == (2, 5, 3)
+        for i, j in itertools.product(range(2), range(5)):
+            u = U[i, j]
+            np.testing.assert_allclose(s[i, j], loop_form_scalar(T, u, u, u, u), rtol=1e-12)
+            np.testing.assert_allclose(v[i, j], loop_form_vector(T, u), rtol=1e-10, atol=1e-12)
+
+
 # ------------------------------------------------------------------ #
 # Reconstruction error                                                #
 # ------------------------------------------------------------------ #
