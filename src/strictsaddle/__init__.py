@@ -33,7 +33,7 @@ from .objectives import (
     reconstruction_objective,
 )
 from .sgd import RunRecord, SgdConfig, noisy_sgd, projected_noisy_sgd, projected_trials
-from .tensor4 import ComponentMatrix, OrthoBasis, Tensor4, make_orthogonal_tensor
+from .tensor4 import OrthoBasis, Tensor4, make_orthogonal_tensor
 
 __all__ = [
     "__version__",
@@ -74,7 +74,6 @@ __all__ = [
     "noisy_sgd",
     "projected_noisy_sgd",
     "projected_trials",
-    "ComponentMatrix",
     "OrthoBasis",
     "Tensor4",
     "make_orthogonal_tensor",

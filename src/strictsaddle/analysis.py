@@ -541,8 +541,7 @@ def ica_unbiasedness_check(d, n_points, rng, gradient_fn=None):
     if gradient_fn is None:
         gradient_fn = ica.ica_stochastic_gradient
     model = ica.IcaModel.random(d, rng)
-    basis = model.component_basis()
-    problem = objectives.correlation_objective(tensor4.make_orthogonal_tensor(basis), basis=basis, halved=True)
+    problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
     signs = exhaustive_sign_vectors(d)
     ys = signs @ model.A.T
     worst = 0.0
@@ -556,7 +555,7 @@ def ica_unbiasedness_check(d, n_points, rng, gradient_fn=None):
 def simple_sampler_check(d, n_points, rng):
     """Exact mean of the atomic sampler gradient vs the analytic one."""
     basis = tensor4.OrthoBasis.random(d, rng)
-    problem = objectives.correlation_objective(tensor4.make_orthogonal_tensor(basis), basis=basis, halved=True)
+    problem = objectives.correlation_objective(basis=basis, halved=True)
     atoms = d**0.25 * basis.vectors
     worst = 0.0
     for _ in range(n_points):
@@ -620,11 +619,10 @@ def run_checks(d=4, seed=0, ica_gradient=None):
     results = []
 
     basis = tensor4.OrthoBasis.random(d, rng)
-    T = tensor4.make_orthogonal_tensor(basis)
     problems = [
-        objectives.maxeig_objective(T, basis=basis),
-        objectives.reconstruction_objective(T, basis=basis),
-        objectives.correlation_objective(T, basis=basis, halved=True),
+        objectives.maxeig_objective(basis=basis),
+        objectives.reconstruction_objective(basis=basis),
+        objectives.correlation_objective(basis=basis, halved=True),
     ]
     for problem in problems:
         chi_err, m_err = derivative_check(problem, 5, rng)
@@ -657,8 +655,7 @@ def run_checks(d=4, seed=0, ica_gradient=None):
     results.append(CheckResult("simple-sampler-unbiased", err <= 1e-12, err, 1e-12))
 
     census_basis = tensor4.OrthoBasis.standard(2)
-    census = objectives.correlation_objective(tensor4.make_orthogonal_tensor(census_basis),
-                                              basis=census_basis, halved=True)
+    census = objectives.correlation_objective(basis=census_basis, halved=True)
     config = SgdConfig(eta=0.05, iterations=1200, noise_scale=0.5, seed=seed, record_every=1200)
     catalog = enumerate_minima(census, 60, config)
     matcher = SignedPermutationMatcher(census_basis)

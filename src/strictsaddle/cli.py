@@ -257,12 +257,11 @@ class RunManifest:
 
 
 def build_problem(config, basis):
-    T = tensor4.make_orthogonal_tensor(basis)
     if config.objective == "maxeig":
-        return objectives.maxeig_objective(T, basis=basis)
+        return objectives.maxeig_objective(basis=basis)
     if config.objective == "reconstruction":
-        return objectives.reconstruction_objective(T, basis=basis)
-    return objectives.correlation_objective(T, basis=basis, halved=True)
+        return objectives.reconstruction_objective(basis=basis)
+    return objectives.correlation_objective(basis=basis, halved=True)
 
 
 def build_sampler(config, basis):
@@ -330,9 +329,7 @@ def cmd_ica(config, out_dir):
     def run_one(seed):
         rng = run_rng(seed)
         model = ica.IcaModel.random(config.d, rng)
-        basis = model.component_basis()
-        T = tensor4.make_orthogonal_tensor(basis)
-        problem = objectives.correlation_objective(T, basis=basis, halved=True)
+        problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
         sampler = ica.IcaSampler(model, batch_size=config.batch)
         w0 = problem.random_feasible(rng)
         rec_const = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed, "constant"), rng=rng)
@@ -389,8 +386,7 @@ def cmd_escape(config, out_dir):
     """Escape statistics from the two-component maxeig saddle."""
     rng = run_rng(config.seed)
     basis = tensor4.OrthoBasis.random(config.d, rng)
-    T = tensor4.make_orthogonal_tensor(basis)
-    problem = objectives.maxeig_objective(T, basis=basis)
+    problem = objectives.maxeig_objective(basis=basis)
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
     stats = analysis.escape_statistics(problem, saddle, config.trials, config.sgd_config(config.seed))
 

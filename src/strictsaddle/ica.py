@@ -19,6 +19,8 @@ by 2 for the ordered-pair objective.  The same convention holds for the
 ``simple`` rank-one sampler oracles.
 """
 
+import functools
+
 import numpy as np
 
 from .tensor4 import OrthoBasis
@@ -52,7 +54,7 @@ class IcaModel:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"mixing matrix must be square, got {A.shape}")
         err = np.max(np.abs(A @ A.T - np.eye(A.shape[0])))
-        if err > 1e-12:
+        if not err <= 1e-12:
             raise ValueError(f"mixing matrix not orthonormal: max deviation {err:.3e}")
         self.A = A
         self.d = A.shape[0]
@@ -89,6 +91,22 @@ def z_minus_y4_form(y, u_i, u_j):
     return 0.5 * (z_part - y_part)
 
 
+def _rows_or_flat(oracle):
+    """Let an oracle on (d, d) rows U also take a flat length-d^2 vector,
+    returning its blocks flat in that case."""
+
+    @functools.wraps(oracle)
+    def wrapper(U, *args):
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 1:
+            return oracle(U, *args)
+        d = round(U.size**0.5)
+        return oracle(U.reshape(d, d), *args).reshape(-1)
+
+    return wrapper
+
+
+@_rows_or_flat
 def ica_stochastic_gradient(U, y):
     """Per-sample gradient blocks for one observation y.
 
@@ -105,16 +123,10 @@ def ica_stochastic_gradient(U, y):
     -------
     (d, d) array of gradient blocks (row i is the block for u_i).
     """
-    U = np.asarray(U, dtype=float)
-    flat = U.ndim == 1
-    if flat:
-        d = round(U.size**0.5)
-        U = U.reshape(d, d)
     y = np.asarray(y, dtype=float)
     if y.shape != (U.shape[1],):
         raise ValueError(f"sample has shape {y.shape}, expected ({U.shape[1]},)")
-    grad = _gram_terms(U) + _sample_terms(U, y.reshape(1, -1))
-    return grad.reshape(-1) if flat else grad
+    return _gram_terms(U) + _sample_terms(U, y.reshape(1, -1))
 
 
 def _gram_terms(U):
@@ -133,17 +145,13 @@ def _sample_terms(U, Y):
     return -(coeff.T @ Y) / Y.shape[0]
 
 
+@_rows_or_flat
 def minibatch_gradient(U, samples):
     """Mean per-sample gradient over a batch, sharing the O(d^3) terms.
 
     Cost O(d^3 + k d^2) for k samples.  Equals the arithmetic mean of
     :func:`ica_stochastic_gradient` over the batch.
     """
-    U = np.asarray(U, dtype=float)
-    flat = U.ndim == 1
-    if flat:
-        d = round(U.size**0.5)
-        U = U.reshape(d, d)
     Y = np.asarray(samples, dtype=float)
     if Y.ndim == 1:
         Y = Y.reshape(1, -1)
@@ -151,8 +159,7 @@ def minibatch_gradient(U, samples):
         raise ValueError("empty mini-batch")
     if Y.shape[1] != U.shape[1]:
         raise ValueError(f"samples have dimension {Y.shape[1]}, expected {U.shape[1]}")
-    grad = _gram_terms(U) + _sample_terms(U, Y)
-    return grad.reshape(-1) if flat else grad
+    return _gram_terms(U) + _sample_terms(U, Y)
 
 
 def gen_simple_sample(basis, rng):
@@ -162,21 +169,16 @@ def gen_simple_sample(basis, rng):
     return d**0.25 * basis.vectors[i]
 
 
+@_rows_or_flat
 def simple_correlation_gradient(U, x):
     """Halved-correlation per-sample gradient for a rank-one sample x.
 
     Block i: 2 <u_i,x> (sum_{j != i} <u_j,x>^2) x.
     """
-    U = np.asarray(U, dtype=float)
-    flat = U.ndim == 1
-    if flat:
-        d = round(U.size**0.5)
-        U = U.reshape(d, d)
     x = np.asarray(x, dtype=float)
     p = U @ x
     coeff = 2.0 * p * (np.sum(p**2) - p**2)
-    grad = coeff[:, None] * x[None, :]
-    return grad.reshape(-1) if flat else grad
+    return coeff[:, None] * x[None, :]
 
 
 def simple_maxeig_gradient(u, x):
@@ -186,22 +188,17 @@ def simple_maxeig_gradient(u, x):
     return -4.0 * float(u @ x) ** 3 * x
 
 
+@_rows_or_flat
 def simple_reconstruction_gradient(U, x):
     """Reconstruction per-sample gradient for a rank-one sample x.
 
     Block i: -8 <u_i,x>^3 x + 8 sum_l <u_i,u_l>^3 u_l; the second term is
     exact (it does not involve the tensor).
     """
-    U = np.asarray(U, dtype=float)
-    flat = U.ndim == 1
-    if flat:
-        d = round(U.size**0.5)
-        U = U.reshape(d, d)
     x = np.asarray(x, dtype=float)
     p = U @ x
     gram = U @ U.T
-    grad = -8.0 * (p**3)[:, None] * x[None, :] + 8.0 * (gram**3) @ U
-    return grad.reshape(-1) if flat else grad
+    return -8.0 * (p**3)[:, None] * x[None, :] + 8.0 * (gram**3) @ U
 
 
 class IcaSampler:

@@ -139,9 +139,6 @@ class SphereProduct:
         """P_T(w)^c v at a feasible w (complement of tangent_project)."""
         return np.asarray(v, dtype=float) - self.tangent_project(w, v)
 
-    def tangent_dim(self):
-        return self.n - self.m
-
     def __repr__(self):
         return f"SphereProduct(blocks={self.block_dims})"
 

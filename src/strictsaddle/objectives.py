@@ -14,10 +14,12 @@ Three equality-constrained problems over products of unit spheres:
   the per-sample gradient oracles in :mod:`strictsaddle.ica` estimate.
 
 Each problem exposes analytic value/gradient/Hessian in ambient
-coordinates.  Value and gradient accept a (..., n) stack of points; with
-the decomposition basis known they work in the coordinates X = U A^T,
-otherwise they contract the dense tensor (the forms of
-:mod:`strictsaddle.tensor4`).  The coordinate closed forms
+coordinates; value and gradient accept a (..., n) stack of points.  A
+problem is built from the decomposition basis (``basis=``) and works in
+the coordinates X = U A^T, never forming the d^4 tensor.  Given only a
+dense tensor ``T`` it contracts the entries instead (the forms of
+:mod:`strictsaddle.tensor4`); that path checks T's symmetry and is the
+oracle the basis path is tested against.  The coordinate closed forms
 of the certification quantities (``*_coords`` functions) are
 cross-checked in tests.
 """
@@ -48,12 +50,9 @@ __all__ = [
     "quadratic_objective",
     "maxeig_value_coords",
     "maxeig_multiplier_coords",
-    "maxeig_tangent_gradient_coords",
-    "maxeig_lagrangian_hessian_coords",
     "correlation_value_coords",
     "correlation_psi",
     "correlation_multipliers_coords",
-    "correlation_tangent_gradient_coords",
     "correlation_lagrangian_hessian_coords",
 ]
 
@@ -124,10 +123,18 @@ def _rows(w, d):
 
 
 class _BasisForms:
-    """T(.) through the decomposition basis (rows a_j), in coordinates X = U A^T."""
+    """T(.) through the decomposition basis (rows a_j), in coordinates X = U A^T.
+
+    ``norm2`` is ||T||_F^2 = sum_ij (a_i.a_j)^4 = d for orthonormal rows.
+    """
 
     def __init__(self, basis):
         self.basis = basis
+        self.d = basis.d
+        self.norm2 = float(basis.d)
+
+    def recon_error(self, U):
+        return reconstruction_error_from_basis(self.basis, U)
 
     def quartic(self, u):
         return basis_form_scalar(self.basis, u, u, u, u)
@@ -159,10 +166,18 @@ class _BasisForms:
 
 
 class _DenseForms:
-    """T(.) by contracting the dense entries."""
+    """T(.) by contracting the dense entries of a fully symmetric T."""
 
     def __init__(self, T):
+        T = T if isinstance(T, Tensor4) else Tensor4(T)
+        if not T.is_symmetric(tol=1e-10):
+            raise ValueError("objective requires a fully symmetric tensor")
         self.T = T
+        self.d = T.d
+        self.norm2 = T.norm() ** 2
+
+    def recon_error(self, U):
+        return reconstruction_error(self.T, U)
 
     def quartic(self, u):
         return form_scalar(self.T, u, u, u, u)
@@ -187,26 +202,22 @@ class _DenseForms:
 
 
 def _forms(T, basis):
-    """The tensor's forms, preferring the basis fast path."""
-    return _DenseForms(T) if basis is None else _BasisForms(basis)
+    """The tensor's forms: through the basis when given (T is then not read),
+    else through the dense entries of T."""
+    if basis is not None:
+        return _BasisForms(basis)
+    if T is None:
+        raise ValueError("objective needs the decomposition basis or a dense tensor T")
+    return _DenseForms(T)
 
 
-def _validate_tensor(T):
-    if not isinstance(T, Tensor4):
-        T = Tensor4(T)
-    if not T.is_symmetric(tol=1e-10):
-        raise ValueError("objective requires a fully symmetric tensor")
-    return T
-
-
-def maxeig_objective(T, basis=None):
+def maxeig_objective(T=None, basis=None):
     """Single-component problem: minimize -T(u,u,u,u) on the unit sphere.
 
     gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).
     """
-    T = _validate_tensor(T)
     forms = _forms(T, basis)
-    constraints = SphereProduct([T.d])
+    constraints = SphereProduct([forms.d])
 
     def value(u):
         return -forms.quartic(u)
@@ -220,17 +231,15 @@ def maxeig_objective(T, basis=None):
     return ConstrainedProblem("maxeig", constraints, value, gradient, hessian)
 
 
-def reconstruction_objective(T, basis=None):
+def reconstruction_objective(T=None, basis=None):
     """Full-decomposition problem: minimize ||T - sum_i u_i^{(x)4}||_F^2.
 
     Expanded as ||T||^2 - 2 sum_i T(u_i,u_i,u_i,u_i) + sum_{i,l} (u_i.u_l)^4,
     so no dense d^4 residual is ever formed.
     """
-    T = _validate_tensor(T)
     forms = _forms(T, basis)
-    d = T.d
+    d = forms.d
     constraints = SphereProduct.spheres(d, d)
-    tnorm2 = T.norm() ** 2
 
     def gram(U):
         return np.einsum("...ik,...lk->...il", U, U)
@@ -238,7 +247,7 @@ def reconstruction_objective(T, basis=None):
     def value(w):
         U = _rows(w, d)
         g2 = gram(U) ** 2
-        return tnorm2 - 2.0 * forms.quartic(U).sum(axis=-1) + np.einsum("...il,...il->...", g2, g2)
+        return forms.norm2 - 2.0 * forms.quartic(U).sum(axis=-1) + np.einsum("...il,...il->...", g2, g2)
 
     def gradient(w):
         U = _rows(w, d)
@@ -266,15 +275,11 @@ def reconstruction_objective(T, basis=None):
                 H[sj, si] = block.T
         return H
 
-    if basis is not None:
-        recon = lambda w: reconstruction_error_from_basis(basis, w.reshape(d, d))
-    else:
-        recon = lambda w: reconstruction_error(T, w.reshape(d, d))
-
-    return ConstrainedProblem("reconstruction", constraints, value, gradient, hessian, recon_metric=recon)
+    return ConstrainedProblem("reconstruction", constraints, value, gradient, hessian,
+                              recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
 
 
-def correlation_objective(T, basis=None, halved=False):
+def correlation_objective(T=None, basis=None, halved=False):
     """Cross-correlation problem: minimize sum_{i != j} T(u_i,u_i,u_j,u_j).
 
     The default value sums over ordered pairs.  ``halved=True`` scales the
@@ -283,9 +288,8 @@ def correlation_objective(T, basis=None, halved=False):
     equal sum_{j != i} h(u_j, u_i) exactly and whose gradient the ICA
     oracle estimates without bias.
     """
-    T = _validate_tensor(T)
     forms = _forms(T, basis)
-    d = T.d
+    d = forms.d
     constraints = SphereProduct.spheres(d, d)
     scale = 0.5 if halved else 1.0
 
@@ -310,13 +314,9 @@ def correlation_objective(T, basis=None, halved=False):
                 H[sj, si] = block.T
         return H
 
-    if basis is not None:
-        recon = lambda w: reconstruction_error_from_basis(basis, w.reshape(d, d))
-    else:
-        recon = lambda w: reconstruction_error(T, w.reshape(d, d))
-
     name = "correlation-halved" if halved else "correlation"
-    return ConstrainedProblem(name, constraints, value, gradient, hessian, recon_metric=recon)
+    return ConstrainedProblem(name, constraints, value, gradient, hessian,
+                              recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
 
 
 class QuadraticObjective:
@@ -390,20 +390,6 @@ def maxeig_multiplier_coords(x):
     return -2.0 * float(np.sum(x**4))
 
 
-def maxeig_tangent_gradient_coords(x):
-    """Tangent gradient 4 x_i (sum_j x_j^4 - x_i^2), zero iff stationary."""
-    x = np.asarray(x, dtype=float)
-    s4 = float(np.sum(x**4))
-    return 4.0 * x * (s4 - x**2)
-
-
-def maxeig_lagrangian_hessian_coords(x):
-    """Lagrangian Hessian -12 diag(x_i^2) + 4 (sum_j x_j^4) I."""
-    x = np.asarray(x, dtype=float)
-    s4 = float(np.sum(x**4))
-    return -12.0 * np.diag(x**2) + 4.0 * s4 * np.eye(x.size)
-
-
 def _pairwise_h(U):
     """H[j, i] = h(u_j, u_i) = sum_k U_jk^2 U_ik^2."""
     sq = U**2
@@ -432,12 +418,6 @@ def correlation_psi(U):
     col = sq.sum(axis=0)
     lam = correlation_multipliers_coords(U)
     return (col[None, :] - sq) - lam[:, None]
-
-
-def correlation_tangent_gradient_coords(U):
-    """Tangent gradient of the halved problem: entries 2 U_ik psi_ik."""
-    U = np.asarray(U, dtype=float)
-    return (2.0 * U * correlation_psi(U)).reshape(-1)
 
 
 def correlation_lagrangian_hessian_coords(U):

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Tensor4",
     "OrthoBasis",
-    "ComponentMatrix",
     "make_orthogonal_tensor",
     "form_scalar",
     "form_vector",
@@ -30,12 +29,9 @@ __all__ = [
     "basis_form_matrix",
     "reconstruction_error",
     "reconstruction_error_from_basis",
-    "save_tensor",
-    "load_tensor",
 ]
 
 ORTHO_TOL = 1e-10
-FEASIBLE_ROW_TOL = 1e-10
 
 
 class Tensor4:
@@ -79,7 +75,7 @@ class Tensor4:
         from itertools import permutations
 
         for perm in permutations(range(4)):
-            if np.max(np.abs(np.transpose(base, perm) - base)) > tol:
+            if not np.max(np.abs(np.transpose(base, perm) - base)) <= tol:
                 return False
         return True
 
@@ -111,7 +107,7 @@ class OrthoBasis:
             raise ValueError(f"expected a square (d,d) array, got shape {arr.shape}")
         gram = arr @ arr.T
         err = np.max(np.abs(gram - np.eye(arr.shape[0])))
-        if err > tol:
+        if not err <= tol:
             raise ValueError(f"rows are not orthonormal: max Gram deviation {err:.3e} > {tol:.1e}")
         self.vectors = arr
         self.d = arr.shape[0]
@@ -130,46 +126,6 @@ class OrthoBasis:
 
     def __repr__(self):
         return f"OrthoBasis(d={self.d})"
-
-
-class ComponentMatrix:
-    """Candidate components u^(1)..u^(d), stored as rows.
-
-    The same object is also viewed as the flat vector U in R^{d^2} with
-    U[i*d + k] = u^(i)_k; that flat view is what the constrained
-    optimizer works on.
-    """
-
-    __slots__ = ("rows", "d")
-
-    def __init__(self, rows):
-        arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square (d,d) array, got shape {arr.shape}")
-        self.rows = arr
-        self.d = arr.shape[0]
-
-    @classmethod
-    def from_flat(cls, w):
-        w = np.asarray(w, dtype=float)
-        d = round(w.size**0.5)
-        if d * d != w.size:
-            raise ValueError(f"flat length {w.size} is not a perfect square")
-        return cls(w.reshape(d, d))
-
-    @property
-    def flat(self):
-        return self.rows.reshape(-1)
-
-    def row_norm_error(self):
-        """Largest deviation of a row norm from 1."""
-        return float(np.max(np.abs(np.linalg.norm(self.rows, axis=1) - 1.0)))
-
-    def is_feasible(self, tol=FEASIBLE_ROW_TOL):
-        return self.row_norm_error() <= tol
-
-    def __repr__(self):
-        return f"ComponentMatrix(d={self.d})"
 
 
 def make_orthogonal_tensor(basis):
@@ -297,7 +253,7 @@ def reconstruction_error(T, U):
     Parameters
     ----------
     T : Tensor4
-    U : ComponentMatrix or (d, d) array of candidate rows.
+    U : (d, d) array of candidate rows.
 
     Raises
     ------
@@ -305,7 +261,7 @@ def reconstruction_error(T, U):
         If T has zero norm (the metric is undefined).
     """
     t = _as_tensor_entries(T)
-    rows = U.rows if isinstance(U, ComponentMatrix) else np.asarray(U, dtype=float)
+    rows = np.asarray(U, dtype=float)
     denom = float(np.sum(t * t))
     if denom == 0.0:
         raise ValueError("reconstruction error undefined for a zero tensor")
@@ -322,7 +278,7 @@ def reconstruction_error_from_basis(basis, U):
     avoiding any dense d^4 work.
     """
     a = basis.vectors
-    rows = U.rows if isinstance(U, ComponentMatrix) else np.asarray(U, dtype=float)
+    rows = np.asarray(U, dtype=float)
     d = a.shape[0]
     coeff = rows @ a.T  # coeff[i, j] = u_i . a_j
     cross = float(np.sum(coeff**4))
@@ -330,25 +286,3 @@ def reconstruction_error_from_basis(basis, U):
     ss = float(np.sum(gram**4))
     return (d - 2.0 * cross + ss) / d
 
-
-def save_tensor(path, T):
-    """Write a tensor as text: header ``d=<n>``, then d^4 entries row-major."""
-    t = _as_tensor_entries(T)
-    d = t.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"d={d}\n")
-        for x in t.ravel():
-            fh.write(f"{float(x)!r}\n")
-
-
-def load_tensor(path):
-    """Read a tensor written by :func:`save_tensor`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d="):
-            raise ValueError(f"bad tensor header {header!r}")
-        d = int(header[2:])
-        values = np.array([float(line) for line in fh if line.strip()])
-    if values.size != d**4:
-        raise ValueError(f"expected {d**4} entries, found {values.size}")
-    return Tensor4(values.reshape(d, d, d, d))

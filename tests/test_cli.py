@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import strictsaddle
-from strictsaddle import cli, ica
+from strictsaddle import cli, ica, tensor4
 from strictsaddle.cli import ICA_RECORD_EVERY, main, parse_config_file, trailing_window_stats
 
 FAST = ["--d", "3", "--iters", "200", "--eta", "0.05", "--record-every", "50"]
@@ -262,6 +262,28 @@ class TestMinimaCommand:
         assert 1 <= len(lines) - 1 <= 8
         hits = sum(int(row.split(",")[1]) for row in lines[1:])
         assert hits <= 30
+
+
+TINY = ["--d", "3", "--iters", "50", "--record-every", "25"]
+
+
+class TestNoDenseTensor:
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--objective", "correlation", *TINY],
+        ["decompose", "--objective", "reconstruction", *TINY],
+        ["decompose", "--objective", "maxeig", *TINY],
+        ["ica", "--batch", "5", *TINY],
+        ["escape", "--trials", "3", *TINY],
+        ["minima", "--starts", "3", *TINY],
+    ], ids=["decompose-correlation", "decompose-reconstruction", "decompose-maxeig", "ica", "escape",
+            "minima"])
+    def test_command_builds_no_dense_tensor(self, argv, tmp_path, monkeypatch):
+        """Problems come from the decomposition basis; the d^4 tensor is never formed."""
+        def refuse(self, entries):
+            raise AssertionError("a dense Tensor4 was built")
+
+        monkeypatch.setattr(tensor4.Tensor4, "__init__", refuse)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestModuleEntryPoint:

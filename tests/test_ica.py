@@ -73,6 +73,9 @@ class TestIcaModel:
     def test_rejects_non_orthonormal_mixing(self):
         with pytest.raises(ValueError):
             IcaModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                IcaModel(np.full((2, 2), bad))
 
     def test_random_model_is_orthonormal(self):
         model = IcaModel.random(5, np.random.default_rng(0))

@@ -225,20 +225,28 @@ class TestQuadratic:
 BUILDERS = {
     "maxeig": maxeig_objective,
     "reconstruction": reconstruction_objective,
-    "correlation": lambda T, basis=None: correlation_objective(T, basis=basis, halved=True),
+    "correlation": lambda T=None, basis=None: correlation_objective(T, basis=basis, halved=True),
 }
+# a problem's inputs: the dense tensor alone, tensor and basis, or the basis alone
+SOURCES = ("dense", "both", "basis")
+
+
+def build(kind, source, T, basis):
+    return BUILDERS[kind](None if source == "basis" else T, basis=None if source == "dense" else basis)
 
 
 class TestStacks:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(BUILDERS)), st.booleans(), st.integers(1, 4), st.integers(1, 8),
+    @given(st.sampled_from(sorted(BUILDERS)), st.sampled_from(SOURCES), st.integers(1, 4), st.integers(1, 8),
            st.integers(0, 2**32 - 1))
-    def test_stack_rows_equal_row_calls_and_fd(self, kind, dense, d, k, seed):
+    def test_stack_rows_equal_row_calls_and_fd(self, kind, source, d, k, seed):
         """value/gradient of a (K, n) stack equal the per-row calls bit for
         bit, on the basis and the dense path, and each row's gradient
-        matches finite differences at the tolerances used above."""
+        matches finite differences at the tolerances used above.  Built
+        from the basis alone, a problem equals the (T, basis) build bit
+        for bit: given a basis, T is not read."""
         T, basis, rng = random_problemset(d, seed)
-        prob = BUILDERS[kind](T, basis=None if dense else basis)
+        prob = build(kind, source, T, basis)
         W = np.array([prob.random_feasible(rng) for _ in range(k)])
         values, grads = prob.value(W), prob.gradient(W)
         assert values.shape == (k,) and grads.shape == W.shape
@@ -247,6 +255,22 @@ class TestStacks:
             np.testing.assert_array_equal(prob.gradient(W[i]), grads[i])
             fd = fd_gradient(prob.value, W[i])
             assert np.linalg.norm(grads[i] - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
+        if source == "basis":
+            both = build(kind, "both", T, basis)
+            np.testing.assert_array_equal(both.value(W), values)
+            np.testing.assert_array_equal(both.gradient(W), grads)
+            for w in W:
+                np.testing.assert_array_equal(both.hessian(w), prob.hessian(w))
+                assert both.recon_error(w) == prob.recon_error(w)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_factory_rejects_bad_inputs(self, kind):
+        asymmetric = np.zeros((2,) * 4)
+        asymmetric[0, 1, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="fully symmetric"):
+            BUILDERS[kind](asymmetric)
+        with pytest.raises(ValueError, match="basis"):
+            BUILDERS[kind]()
 
     @pytest.mark.parametrize("build", [reconstruction_objective, correlation_objective])
     def test_dense_stack_memory_is_cubic_per_point(self, build):

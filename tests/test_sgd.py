@@ -256,9 +256,9 @@ class TestProjectedSgd:
 # ------------------------------------------------------------------ #
 
 PROBLEMS = {
-    "maxeig": lambda T, basis: maxeig_objective(T, basis=basis),
-    "reconstruction": lambda T, basis: reconstruction_objective(T, basis=basis),
-    "correlation": lambda T, basis: correlation_objective(T, basis=basis, halved=True),
+    "maxeig": maxeig_objective,
+    "reconstruction": reconstruction_objective,
+    "correlation": lambda T=None, basis=None: correlation_objective(T, basis=basis, halved=True),
 }
 
 
@@ -272,15 +272,16 @@ def assert_same_run(got, want):
 
 class TestStackedTrials:
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(sorted(PROBLEMS)), dense=st.booleans(), sampled=st.booleans(),
-           d=st.integers(2, 3), k=st.integers(1, 8), block=st.integers(1, 8),
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["dense", "both", "basis"]),
+           sampled=st.booleans(), d=st.integers(2, 3), k=st.integers(1, 8), block=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]),
            stopping=st.booleans(), iters=st.integers(1, 80), stride=st.integers(1, 30))
-    def test_row_equals_single_trial(self, kind, dense, sampled, d, k, block, seed, noise,
+    def test_row_equals_single_trial(self, kind, source, sampled, d, k, block, seed, noise,
                                      stopping, iters, stride):
         """Trial k of a stack (in blocks of any height) equals its run alone."""
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
-        prob = PROBLEMS[kind](make_orthogonal_tensor(basis), None if dense else basis)
+        T = None if source == "basis" else make_orthogonal_tensor(basis)
+        prob = PROBLEMS[kind](T, basis=None if source == "dense" else basis)
         sampler = SimpleSampler(basis, kind=kind) if sampled else None
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from strictsaddle.tensor4 import (
-    ComponentMatrix,
     OrthoBasis,
     Tensor4,
     basis_form_matrix,
@@ -19,11 +18,9 @@ from strictsaddle.tensor4 import (
     form_matrix,
     form_scalar,
     form_vector,
-    load_tensor,
     make_orthogonal_tensor,
     reconstruction_error,
     reconstruction_error_from_basis,
-    save_tensor,
 )
 
 # ------------------------------------------------------------------ #
@@ -129,6 +126,12 @@ class TestConstruction:
             OrthoBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             OrthoBasis(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        with np.errstate(invalid="ignore"):  # 0 * inf in the Gram matrix
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    OrthoBasis(np.full((2, 2), bad))
+                with pytest.raises(ValueError):
+                    OrthoBasis(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_symmetry_all_24_permutations(self):
         T, _ = random_tensor_and_basis(3, seed=11)
@@ -142,6 +145,9 @@ class TestConstruction:
         arr = np.zeros((2, 2, 2, 2))
         arr[0, 1, 0, 0] = 1.0
         assert not Tensor4(arr).is_symmetric()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for bad in (np.nan, np.inf):
+                assert not Tensor4(np.full((2,) * 4, bad)).is_symmetric()
 
 
 # ------------------------------------------------------------------ #
@@ -300,7 +306,7 @@ class TestStackedForms:
 class TestReconstructionError:
     def test_exact_decomposition_is_zero(self):
         T, basis = random_tensor_and_basis(4, seed=37)
-        err = reconstruction_error(T, ComponentMatrix(basis.vectors))
+        err = reconstruction_error(T, basis.vectors)
         assert err <= 1e-12
 
     def test_sign_flip_invariance_exact(self):
@@ -345,44 +351,3 @@ class TestReconstructionError:
             rtol=1e-10,
             atol=1e-12,
         )
-
-
-# ------------------------------------------------------------------ #
-# Component matrix and serialization                                  #
-# ------------------------------------------------------------------ #
-
-
-class TestComponentMatrix:
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(53)
-        rows = rng.standard_normal((3, 3))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        U = ComponentMatrix.from_flat(rows.ravel())
-        np.testing.assert_array_equal(U.rows, rows)
-        np.testing.assert_array_equal(U.flat, rows.ravel())
-
-    def test_feasibility(self):
-        assert ComponentMatrix(np.eye(3)).is_feasible()
-        assert not ComponentMatrix(2.0 * np.eye(3)).is_feasible()
-        assert ComponentMatrix(np.eye(3)).row_norm_error() == 0.0
-
-
-class TestSerialization:
-    def test_save_load_round_trip(self, tmp_path):
-        T, _ = random_tensor_and_basis(3, seed=59)
-        path = tmp_path / "tensor.txt"
-        save_tensor(path, T)
-        loaded = load_tensor(path)
-        np.testing.assert_array_equal(loaded.entries, T.entries)
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("nope\n1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_tensor(path)
-
-    def test_load_rejects_truncated_file(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("d=2\n" + "1.0\n" * 5)
-        with pytest.raises(ValueError, match="entries"):
-            load_tensor(path)
