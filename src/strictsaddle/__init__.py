@@ -27,9 +27,9 @@ from .ica import IcaModel, IcaSampler, SimpleSampler, gen_ica_samples, ica_stoch
 from .manifold import SaddleParams, SphereProduct, lagrange_multipliers, min_tangent_eig, tangent_gradient
 from .objectives import (
     ConstrainedProblem,
+    QuadraticObjective,
     correlation_objective,
     maxeig_objective,
-    quadratic_objective,
     reconstruction_objective,
 )
 from .sgd import RunRecord, SgdConfig, noisy_sgd, projected_noisy_sgd, projected_trials
@@ -65,9 +65,9 @@ __all__ = [
     "min_tangent_eig",
     "tangent_gradient",
     "ConstrainedProblem",
+    "QuadraticObjective",
     "correlation_objective",
     "maxeig_objective",
-    "quadratic_objective",
     "reconstruction_objective",
     "RunRecord",
     "SgdConfig",

@@ -45,9 +45,6 @@ __all__ = [
     "run_checks",
 ]
 
-CLASSIFICATIONS = ("LargeGradient", "NegativeCurvature", "NearLocalMinimum", "Unclassified")
-
-
 def fd_gradient(f, w, h=None):
     """Central-difference gradient; default step 1e-5 * max(1, ||w||)."""
     w = np.asarray(w, dtype=float)
@@ -144,32 +141,16 @@ class SaddleReport:
     neighborhood_min_eig: float | None = None
     params: manifold.SaddleParams | None = None
 
-    def to_text(self):
-        lines = [
-            f"classification = {self.classification}",
-            f"chi_norm = {self.chi_norm!r}",
-        ]
-        if self.min_eig is not None:
-            lines.append(f"min_tangent_eig = {self.min_eig!r}")
-        if self.match_distance is not None:
-            lines.append(f"match_distance = {self.match_distance!r}")
-        if self.neighborhood_min_eig is not None:
-            lines.append(f"neighborhood_min_eig = {self.neighborhood_min_eig!r}")
-        if self.params is not None:
-            p = self.params
-            lines.append(f"params = alpha={p.alpha!r} gamma={p.gamma!r} epsilon={p.epsilon!r} delta={p.delta!r}")
-        return "\n".join(lines) + "\n"
 
-
-def classify_point(problem, w, params, matcher=None, neighborhood_probes=4, rng=None):
+def classify_point(problem, w, params, matcher=None, rng=None):
     """Sort a feasible point into the strict-saddle trichotomy.
 
     Branch order: ||chi(w)|| >= epsilon, then minimum tangent eigenvalue
     <= -gamma, then a catalogued minimum within delta.  The third branch
     additionally samples the 2*delta neighborhood of the matched minimum
-    and requires every probed tangent Hessian to stay >= alpha; a probe
-    below alpha vetoes the match (the sampling can certify violation but
-    only give evidence of satisfaction).
+    at four points and requires every probed tangent Hessian to stay
+    >= alpha; a probe below alpha vetoes the match (the sampling can
+    certify violation but only give evidence of satisfaction).
     """
     w = np.asarray(w, dtype=float)
     chi = manifold.tangent_gradient(problem, w)
@@ -184,7 +165,7 @@ def classify_point(problem, w, params, matcher=None, neighborhood_probes=4, rng=
     if matcher is not None:
         cand, dist = matcher.nearest(w)
         if cand is not None and dist <= params.delta:
-            nbhd = _neighborhood_min_eig(problem, cand, 2.0 * params.delta, neighborhood_probes, rng)
+            nbhd = _neighborhood_min_eig(problem, cand, 2.0 * params.delta, rng)
             nbhd = min(nbhd, eig)
             if nbhd >= params.alpha:
                 return SaddleReport(
@@ -202,12 +183,12 @@ def classify_point(problem, w, params, matcher=None, neighborhood_probes=4, rng=
     return SaddleReport(w, "Unclassified", chi_norm, min_eig=eig, witness=witness, params=params)
 
 
-def _neighborhood_min_eig(problem, center, radius, probes, rng):
+def _neighborhood_min_eig(problem, center, radius, rng):
     """Min tangent eigenvalue over sampled feasible points near a minimum."""
     if rng is None:
         rng = np.random.default_rng(0)
     worst = manifold.min_tangent_eig(problem, center)[0]
-    for _ in range(probes):
+    for _ in range(4):
         step = radius * rng.random() * unit_sphere_noise(center.size, rng)
         try:
             point = problem.constraints.project(center + step)
@@ -269,60 +250,51 @@ class MinimaCatalog:
                 fh.write(f"{e.min_eig!r},{e.hits},{coords}\n")
 
 
-def polish(problem, w, eta=0.02, iterations=500, tol=1e-11):
+def polish(problem, w):
     """Noise-free projected gradient descent to sharpen endpoints.
 
-    ``w`` is one point or a (K, n) stack.  Before every step each row
-    checks ||chi|| <= tol and stops once it holds, so every row ends where
-    it would when polished alone.
+    ``w`` is one point or a (K, n) stack, given up to 500 steps of size
+    0.02.  Before every step each row checks ||chi|| <= 1e-11 and stops
+    once it holds, so every row ends where it would when polished alone.
     """
     W = np.array(w, dtype=float)
     rows = W.reshape(-1, W.shape[-1])
     active = np.arange(rows.shape[0])
-    for _ in range(iterations):
+    for _ in range(500):
         V = rows[active]
-        moving = ~(row_norms(manifold.tangent_gradient(problem, V)) <= tol)
+        moving = ~(row_norms(manifold.tangent_gradient(problem, V)) <= 1e-11)
         active, V = active[moving], V[moving]
         if not active.size:
             break
-        rows[active] = problem.constraints.project(V - eta * problem.gradient(V))
+        rows[active] = problem.constraints.project(V - 0.02 * problem.gradient(V))
     return W
 
 
-def enumerate_minima(problem, n_starts, config, sampler=None, params=None, matcher=None,
-                     dedup=1e-3, polish_eta=0.02, polish_iters=500, chi_tol=1e-8):
-    """Multi-start projected noisy SGD, polish, classify, and catalog.
+def enumerate_minima(problem, n_starts, config):
+    """Multi-start projected noisy SGD, polish, and catalog.
 
     Start k uses the RNG substream ``trial_rng(config.seed, k)``; the
-    starts run as one stack of trials.  After the noisy phase the
-    endpoints are polished by exact projected descent and catalogued in
-    start order.  With ``params`` and ``matcher`` given, an endpoint
-    enters the catalog only when classified NearLocalMinimum; otherwise it
-    self-certifies by second order (||chi|| <= chi_tol and positive
-    tangent curvature).
+    starts run as one stack of trials with exact gradients.  After the
+    noisy phase the endpoints are polished by exact projected descent and
+    catalogued in start order.  An endpoint self-certifies by second
+    order: ||chi|| <= 1e-8 and positive tangent curvature.
     """
-    catalog = MinimaCatalog(dedup=dedup)
+    catalog = MinimaCatalog()
 
     def start(k):
         rng = trial_rng(config.seed, k)
         return problem.random_feasible(rng), rng
 
-    records = projected_trials(problem, sampler, n_starts, start, config)
+    records = projected_trials(problem, None, n_starts, start, config)
     ends = [record.final_point for record in records if not record.diverged]
     if not ends:
         return catalog
-    for w in polish(problem, np.array(ends), eta=polish_eta, iterations=polish_iters):
-        if params is not None and matcher is not None:
-            report = classify_point(problem, w, params, matcher=matcher)
-            if report.classification != "NearLocalMinimum":
-                continue
-            eig = report.min_eig
-        else:
-            if np.linalg.norm(manifold.tangent_gradient(problem, w)) > chi_tol:
-                continue
-            eig = manifold.min_tangent_eig(problem, w)[0]
-            if eig <= 0:
-                continue
+    for w in polish(problem, np.array(ends)):
+        if np.linalg.norm(manifold.tangent_gradient(problem, w)) > 1e-8:
+            continue
+        eig = manifold.min_tangent_eig(problem, w)[0]
+        if eig <= 0:
+            continue
         catalog.add(w, eig)
     return catalog
 
@@ -367,18 +339,18 @@ def coupling_closed_form(g, H, noise_stream, eta, t):
     return gradient_t, displacement_t
 
 
-def escape_statistics(problem, saddle_point, n_trials, config, sampler=None, threshold=None):
+def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
     """Monte-Carlo escape behaviour of projected noisy SGD from a saddle.
 
     A trial escapes when f drops below f(saddle) - threshold within the
     step budget; it then stops early, so ``median_steps`` is the median
     first-passage time over escaping trials.  Default threshold is
     0.1 * |f(saddle)| floored at 1e-3.  Trial k uses the substream
-    ``trial_rng(config.seed, k)``; the trials run as one stack through
-    :func:`sgd.projected_trials`, so its checks apply: the saddle must be
-    feasible to 1e-10 (ValueError otherwise), and a recorded iterate off
-    the feasible set or a perturbation over the oracle bound raises
-    RuntimeError.  Escape and f decrease are read from f at each trial's
+    ``trial_rng(config.seed, k)``; the trials run as one stack, with exact
+    gradients, through :func:`sgd.projected_trials`, so its checks apply:
+    the saddle must be feasible to 1e-10 (ValueError otherwise), and a
+    recorded iterate off the feasible set or a perturbation over the
+    oracle bound raises RuntimeError.  Escape and f decrease are read from f at each trial's
     final point.
     """
     w_star = np.asarray(saddle_point, dtype=float)
@@ -387,7 +359,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, sampler=None, thr
         threshold = max(0.1 * abs(f0), 1e-3)
     target = f0 - threshold
 
-    records = projected_trials(problem, sampler, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
+    records = projected_trials(problem, None, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
                                config, stop=lambda W: problem.value(W) <= target)
     f_final = problem.value(np.array([r.final_point for r in records]))
     first_passage = [r.n_steps if f <= target else None for r, f in zip(records, f_final.tolist())]
@@ -580,7 +552,7 @@ def coupling_check(n_instances, d, t, eta, seed):
         H /= max(1.0, float(np.linalg.norm(H, 2)))
         stream = [rng.standard_normal(d) for _ in range(t)]
 
-        quad = objectives.quadratic_objective(w0, g, H)
+        quad = objectives.QuadraticObjective(w0, g, H)
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, seed=0, record_every=t)
         record = noisy_sgd(quad, RecordedPerturbations(stream), w0, config)
 
@@ -603,15 +575,14 @@ class CheckResult:
         return f"{status} {self.name}: value={self.value:.3e} tol={self.tolerance:.1e} {self.detail}".rstrip()
 
 
-def run_checks(d=4, seed=0, ica_gradient=None):
+def run_checks(d=4, seed=0):
     """Invariant battery behind the ``verify`` command.
 
     Covers derivative correctness, closed-form multipliers, manifold
     geometry bounds, estimator unbiasedness (exhaustive over the sign
     sources), the d=2 minima census, and the quadratic coupling closed
     form.  ``d`` scales the randomized checks; the exhaustive and census
-    checks run at their fixed small dimensions.  ``ica_gradient``
-    overrides the estimator under test, for fault-injection tests.
+    checks run at their fixed small dimensions.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -648,7 +619,7 @@ def run_checks(d=4, seed=0, ica_gradient=None):
     err = pairing_expectation_check(3, 5, rng)
     results.append(CheckResult("pairing-expectation", err <= 1e-12, err, 1e-12))
 
-    err = ica_unbiasedness_check(2, 5, rng, gradient_fn=ica_gradient)
+    err = ica_unbiasedness_check(2, 5, rng)
     results.append(CheckResult("ica-gradient-unbiased", err <= 1e-10, err, 1e-10))
 
     err = simple_sampler_check(3, 5, rng)

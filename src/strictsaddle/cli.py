@@ -18,11 +18,10 @@ except elapsed_ms are byte-identical across reruns.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,6 +52,14 @@ class CliError(Exception):
     """Configuration or I/O problem; maps to exit code 2."""
 
 
+# Smallest d each command can run at.
+MIN_D = {"escape": 2, "verify": 2}
+# Commands that run every seed of ``seeds``; the others run ``seed`` alone.
+SEED_SWEEPS = ("decompose", "ica")
+# The settings SgdConfig checks that the command line names differently.
+_SGD_NAMES = {"noise_scale": "noise", "record_every": "record-every"}
+
+
 @dataclass
 class ExperimentConfig:
     """Harness settings; one instance drives one command invocation."""
@@ -74,36 +81,37 @@ class ExperimentConfig:
     out: str = ""
     overwrite: bool = False
 
-    def validate(self):
-        for name in ("eta", "noise"):
-            if not math.isfinite(getattr(self, name)):
-                raise CliError(f"{name} must be finite")
-        if self.d < 1:
-            raise CliError("d must be >= 1")
-        if self.iters < 1:
-            raise CliError("iterations must be >= 1")
-        if self.batch < 1:
-            raise CliError("batch must be >= 1")
-        if self.eta <= 0:
-            raise CliError("eta must be positive")
-        if self.noise < 0:
-            raise CliError("noise must be nonnegative")
-        if self.objective not in OBJECTIVES:
-            raise CliError(f"objective must be one of {OBJECTIVES}")
-        if self.sampler not in SAMPLERS:
-            raise CliError(f"sampler must be one of {SAMPLERS}")
-        if self.schedule not in SCHEDULE_NAMES:
-            raise CliError(f"schedule must be one of {tuple(SCHEDULE_NAMES)}")
-        if self.n_seeds < 1:
-            raise CliError("seeds must be >= 1")
-        if self.trials < 1:
-            raise CliError("trials must be >= 1")
-        if self.starts < 1:
-            raise CliError("starts must be >= 1")
-        if self.record_every < 1:
-            raise CliError("record-every must be >= 1")
+    def validate(self, command):
+        """Reject what ``command`` cannot run, before any output exists.
+
+        The step, noise, iteration and stride rules are SgdConfig's: the
+        configs the command runs are built here (one per seed differs only
+        in the seed, which SgdConfig does not check).
+        """
+        need = MIN_D.get(command, 1)
+        if self.d < need:
+            raise CliError(f"{command} requires d >= {need}")
+        for key, (_, choices, _) in SETTINGS.items():
+            if choices and getattr(self, key) not in choices:
+                raise CliError(f"{key} must be one of {choices}")
+        for key, value in (("batch", self.batch), ("seeds", self.n_seeds),
+                           ("trials", self.trials), ("starts", self.starts)):
+            if value < 1:
+                raise CliError(f"{key} must be >= 1")
         if self.sampler == "ica" and self.objective != "correlation":
             raise CliError("the ica sampler estimates the correlation gradient only")
+        seeds = self.seeds()
+        if min(seeds + [self.seed]) < 0:
+            raise CliError("seeds must be non-negative")
+        if len(set(seeds)) < len(seeds):
+            raise CliError("seeds must be distinct")
+        try:
+            self.sgd_config(self.seed)
+            if command == "ica":
+                self.sgd_config(self.seed, "inv-t", eta=ANNEAL_BOOST * self.eta)
+        except ValueError as exc:
+            name, rest = str(exc).split(" ", 1)
+            raise CliError(f"{_SGD_NAMES.get(name, name)} {rest}") from None
 
     def seeds(self):
         if self.seed_values:
@@ -119,17 +127,53 @@ class ExperimentConfig:
                          schedule=name, noise_scale=self.noise, seed=seed,
                          record_every=self.record_every)
 
-    def snapshot(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+
+# Every setting, declared once: config key -> (help text, choices, the one
+# command with the flag or None for all).  A setting's type is that of its
+# ExperimentConfig default (``seeds`` counts ``n_seeds``; a config file may
+# also list them, ``seeds=3,9``).  A config file may set any key.
+SETTINGS = {
+    "seed": ("base RNG seed", None, None),
+    "seeds": ("number of consecutive seeds", None, None),
+    "out": ("output directory", None, None),
+    "d": ("problem dimension", None, None),
+    "eta": ("step size", None, None),
+    "iters": ("iteration budget", None, None),
+    "schedule": ("step-size schedule", tuple(SCHEDULE_NAMES), None),
+    "batch": ("mini-batch size (ica sampler)", None, None),
+    "objective": ("objective function", OBJECTIVES, None),
+    "sampler": ("stochastic gradient source", SAMPLERS, None),
+    "noise": ("injected sphere-noise scale", None, None),
+    "record_every": ("trace sampling stride", None, None),
+    "overwrite": ("reuse an existing output directory", None, None),
+    "trials": ("number of escape trials", None, "escape"),
+    "starts": ("number of random starts", None, "minima"),
+}
 
 
-_INT_KEYS = {"d", "batch", "iters", "seed", "record_every", "trials", "starts"}
-_FLOAT_KEYS = {"eta", "noise"}
-_STR_KEYS = {"objective", "sampler", "schedule", "out"}
+def _kind(key):
+    return type(getattr(ExperimentConfig, "n_seeds" if key == "seeds" else key))
+
+
+def _parse(key, text):
+    """A config-file value as its setting's type."""
+    try:
+        if _kind(key) is bool:
+            return text.lower() in ("1", "true", "yes")
+        if key == "seeds" and "," in text:
+            return tuple(int(v) for v in text.split(",") if v.strip())
+        return _kind(key)(text)
+    except ValueError:
+        raise CliError(f"bad value for {key}: {text!r}") from None
+
+
+def _set(config, key, value):
+    if key != "seeds":
+        setattr(config, key, value)
+    elif isinstance(value, tuple):
+        config.seed_values = value
+    else:
+        config.n_seeds, config.seed_values = value, ()
 
 
 def parse_config_file(path):
@@ -151,57 +195,21 @@ def parse_config_file(path):
     return data
 
 
-def _apply_setting(config, key, value):
-    key = key.replace("-", "_")
-    try:
-        if key in _INT_KEYS:
-            setattr(config, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(config, key, float(value))
-        elif key in _STR_KEYS:
-            setattr(config, key, value)
-        elif key == "overwrite":
-            setattr(config, key, value.lower() in ("1", "true", "yes"))
-        elif key == "seeds":
-            # either an explicit comma list or a count paired with `seed`
-            if "," in value:
-                config.seed_values = tuple(int(v) for v in value.split(",") if v.strip())
-            else:
-                config.n_seeds = int(value)
-        else:
-            raise CliError(f"unknown config key {key!r}")
-    except ValueError:
-        raise CliError(f"bad value for {key}: {value!r}") from None
-
-
-def build_config(args, base=None):
-    config = base if base is not None else ExperimentConfig()
+def build_config(args):
+    """Defaults, then the config file, then the flags; validated for the command."""
+    config = ExperimentConfig(record_every=ICA_RECORD_EVERY) if args.command == "ica" else ExperimentConfig()
     if args.config:
-        for key, value in parse_config_file(args.config).items():
-            _apply_setting(config, key, value)
-    for key in ("d", "objective", "sampler", "batch", "eta", "iters", "schedule",
-                "noise", "seed", "record_every", "trials", "starts", "out"):
+        for key, text in parse_config_file(args.config).items():
+            key = key.replace("-", "_")
+            if key not in SETTINGS:
+                raise CliError(f"unknown config key {key!r}")
+            _set(config, key, _parse(key, text))
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
-            _apply_setting(config, key, str(value))
-    if getattr(args, "seeds", None) is not None:
-        config.n_seeds = args.seeds
-        config.seed_values = ()
-    if getattr(args, "overwrite", False):
-        config.overwrite = True
-    config.validate()
+            _set(config, key, value)
+    config.validate(args.command)
     return config
-
-
-# Smallest d each command can run at; checked before any output directory
-# exists, so a rejected run leaves nothing behind.
-MIN_D = {"escape": 2, "verify": 2}
-
-
-def check_command_limits(config, command):
-    need = MIN_D.get(command, 1)
-    if config.d < need:
-        raise CliError(f"{command} requires d >= {need}")
 
 
 def resolve_out_dir(config, command):
@@ -221,39 +229,20 @@ def _utc_stamp():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-@dataclass
-class RunManifest:
-    """Provenance record; every emitted file is listed exactly once."""
-
-    command: str
-    config: dict
-    seeds: list
-    started: str
-    finished: str = ""
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-
-    def add(self, path):
-        name = os.path.basename(path)
-        if name in self.outputs:
-            raise CliError(f"duplicate output file {name!r}")
-        self.outputs.append(name)
-        return path
-
-    def write(self, out_dir):
-        self.finished = _utc_stamp()
-        body = {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": sorted(self.outputs),
-        }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def write_manifest(out_dir, command, config, started, outputs):
+    """Provenance record listing every file the command wrote."""
+    body = {
+        "command": command,
+        "version": __version__,
+        "config": asdict(config),
+        "seeds": config.seeds() if command in SEED_SWEEPS else [config.seed],
+        "started": started,
+        "finished": _utc_stamp(),
+        "outputs": sorted(os.path.basename(path) for path in outputs),
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def build_problem(config, basis):
@@ -272,41 +261,34 @@ def build_sampler(config, basis):
 
 
 def _final_error(record):
-    err = float(record.recon_errors[-1]) if record.recon_errors.size else float("nan")
-    return err
+    return float(record.recon_errors[-1]) if record.recon_errors.size else float("nan")
 
 
 def cmd_decompose(config, out_dir):
     """One projected noisy SGD run per seed; per-seed trace plus summary."""
-    manifest = RunManifest("decompose", config.snapshot(), config.seeds(), _utc_stamp())
-
-    def run_one(seed):
+    outputs, records = [], []
+    for seed in config.seeds():
         rng = run_rng(seed)
         basis = tensor4.OrthoBasis.random(config.d, rng)
         problem = build_problem(config, basis)
         sampler = build_sampler(config, basis)
         w0 = problem.random_feasible(rng)
         record = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed), rng=rng)
-        path = os.path.join(out_dir, f"seed{seed}.csv")
-        record.to_csv(path)
-        return seed, path, record
+        outputs.append(os.path.join(out_dir, f"seed{seed}.csv"))
+        record.to_csv(outputs[-1])
+        records.append((seed, record))
 
-    results = [run_one(seed) for seed in config.seeds()]
-
-    summary_path = os.path.join(out_dir, "summary.csv")
+    outputs.append(os.path.join(out_dir, "summary.csv"))
     failed = 0
-    with open(summary_path, "w") as fh:
+    with open(outputs[-1], "w") as fh:
         fh.write("seed,final_f,final_grad_norm,final_recon_error,n_steps,diverged\n")
-        for seed, path, record in results:
-            manifest.add(path)
+        for seed, record in records:
             fh.write(f"{seed},{float(record.final_f)!r},{float(record.grad_norms[-1])!r},"
                      f"{_final_error(record)!r},{record.n_steps},{int(record.diverged)}\n")
             status = "diverged" if record.diverged else "ok"
             print(f"seed {seed}: f={record.final_f:.6g} error={_final_error(record):.6g} [{status}]")
             failed += int(record.diverged)
-    manifest.add(summary_path)
-    manifest.write(out_dir)
-    return 1 if failed else 0
+    return (1 if failed else 0), outputs
 
 
 def trailing_window_stats(values, fraction=0.2):
@@ -324,9 +306,8 @@ def cmd_ica(config, out_dir):
     decaying schedule, matching the protocol of holding the step size
     until the error plateaus and then letting it decay.
     """
-    manifest = RunManifest("ica", config.snapshot(), config.seeds(), _utc_stamp())
-
-    def run_one(seed):
+    outputs, records = [], []
+    for seed in config.seeds():
         rng = run_rng(seed)
         model = ica.IcaModel.random(config.d, rng)
         problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
@@ -335,21 +316,16 @@ def cmd_ica(config, out_dir):
         rec_const = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed, "constant"), rng=rng)
         anneal_config = config.sgd_config(seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
         rec_anneal = projected_noisy_sgd(problem, sampler, rec_const.final_point, anneal_config, rng=rng)
-        p1 = os.path.join(out_dir, f"seed{seed}-constant.csv")
-        p2 = os.path.join(out_dir, f"seed{seed}-invt.csv")
-        rec_const.to_csv(p1)
-        rec_anneal.to_csv(p2)
-        return seed, (p1, p2), rec_const, rec_anneal
+        for name, record in ((f"seed{seed}-constant.csv", rec_const), (f"seed{seed}-invt.csv", rec_anneal)):
+            outputs.append(os.path.join(out_dir, name))
+            record.to_csv(outputs[-1])
+        records.append((seed, rec_const, rec_anneal))
 
-    results = [run_one(seed) for seed in config.seeds()]
-
-    summary_path = os.path.join(out_dir, "summary.csv")
+    outputs.append(os.path.join(out_dir, "summary.csv"))
     failed = 0
-    with open(summary_path, "w") as fh:
+    with open(outputs[-1], "w") as fh:
         fh.write("seed,plateau_mean,plateau_range,final_error_constant,final_error_invt,improved,diverged\n")
-        for seed, paths, rec_const, rec_anneal in results:
-            for p in paths:
-                manifest.add(p)
+        for seed, rec_const, rec_anneal in records:
             plateau_mean, plateau_range = trailing_window_stats(rec_const.recon_errors)
             e_const = _final_error(rec_const)
             e_anneal = _final_error(rec_anneal)
@@ -359,9 +335,7 @@ def cmd_ica(config, out_dir):
             fh.write(f"{seed},{plateau_mean!r},{plateau_range!r},{e_const!r},{e_anneal!r},"
                      f"{improved},{diverged}\n")
             print(f"seed {seed}: plateau={plateau_mean:.3e} annealed={e_anneal:.3e} improved={bool(improved)}")
-    manifest.add(summary_path)
-    manifest.write(out_dir)
-    return 1 if failed else 0
+    return (1 if failed else 0), outputs
 
 
 def cmd_verify(config, out_dir):
@@ -372,14 +346,12 @@ def cmd_verify(config, out_dir):
         print(line)
     n_failed = sum(not r.passed for r in results)
     print(f"{len(results) - n_failed}/{len(results)} checks passed")
+    outputs = []
     if out_dir is not None:
-        manifest = RunManifest("verify", config.snapshot(), [config.seed], _utc_stamp())
-        report = os.path.join(out_dir, "verify_report.txt")
-        with open(report, "w") as fh:
+        outputs.append(os.path.join(out_dir, "verify_report.txt"))
+        with open(outputs[-1], "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        manifest.add(report)
-        manifest.write(out_dir)
-    return 1 if n_failed else 0
+    return (1 if n_failed else 0), outputs
 
 
 def cmd_escape(config, out_dir):
@@ -390,19 +362,16 @@ def cmd_escape(config, out_dir):
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
     stats = analysis.escape_statistics(problem, saddle, config.trials, config.sgd_config(config.seed))
 
-    manifest = RunManifest("escape", config.snapshot(), [config.seed], _utc_stamp())
     path = os.path.join(out_dir, "escape.csv")
     with open(path, "w") as fh:
         fh.write("trial,steps,f_decrease\n")
         for k, (steps, dec) in enumerate(zip(stats["per_trial_steps"], stats["per_trial_decrease"])):
             fh.write(f"{k},{-1 if steps is None else steps},{float(dec)!r}\n")
-    manifest.add(path)
-    manifest.write(out_dir)
     med = stats["median_steps"]
     print(f"escaped {stats['escape_fraction']:.0%} of {config.trials} trials"
           f" (median steps {'n/a' if med is None else int(med)},"
           f" mean f decrease {stats['mean_f_decrease']:.4g})")
-    return 0
+    return 0, [path]
 
 
 def cmd_minima(config, out_dir):
@@ -412,30 +381,19 @@ def cmd_minima(config, out_dir):
     problem = build_problem(config, basis)
     catalog = analysis.enumerate_minima(problem, config.starts, config.sgd_config(config.seed))
 
-    manifest = RunManifest("minima", config.snapshot(), [config.seed], _utc_stamp())
     path = os.path.join(out_dir, "minima.csv")
     catalog.to_csv(path)
-    manifest.add(path)
-    manifest.write(out_dir)
     print(f"found {len(catalog)} distinct minima in {config.starts} starts")
-    return 0
+    return 0, [path]
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="KEY=VALUE settings file")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--d", type=int, help="problem dimension")
-    parser.add_argument("--eta", type=float, help="step size")
-    parser.add_argument("--iters", type=int, help="iteration budget")
-    parser.add_argument("--schedule", choices=tuple(SCHEDULE_NAMES), help="step-size schedule")
-    parser.add_argument("--batch", type=int, help="mini-batch size (ica sampler)")
-    parser.add_argument("--objective", choices=OBJECTIVES, help="objective function")
-    parser.add_argument("--sampler", choices=SAMPLERS, help="stochastic gradient source")
-    parser.add_argument("--noise", type=float, help="injected sphere-noise scale")
-    parser.add_argument("--record-every", dest="record_every", type=int, help="trace sampling stride")
-    parser.add_argument("--overwrite", action="store_true", help="reuse an existing output directory")
+COMMANDS = {
+    "decompose": ("tensor decomposition runs, one trace per seed", cmd_decompose),
+    "ica": ("recover a mixing matrix from sign sources", cmd_ica),
+    "verify": ("run the invariant battery", cmd_verify),
+    "escape": ("saddle escape statistics", cmd_escape),
+    "minima": ("enumerate local minima by multi-start", cmd_minima),
+}
 
 
 def make_parser():
@@ -446,39 +404,34 @@ def make_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("decompose", "tensor decomposition runs, one trace per seed", cmd_decompose),
-        ("ica", "recover a mixing matrix from sign sources", cmd_ica),
-        ("verify", "run the invariant battery", cmd_verify),
-        ("escape", "saddle escape statistics", cmd_escape),
-        ("minima", "enumerate local minima by multi-start", cmd_minima),
-    ]
-    for name, help_text, fn in specs:
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_flags(sp)
-        if name == "escape":
-            sp.add_argument("--trials", type=int, help="number of escape trials")
-        if name == "minima":
-            sp.add_argument("--starts", type=int, help="number of random starts")
-        sp.set_defaults(fn=fn, command=name)
+    for name, (summary, fn) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--config", help="KEY=VALUE settings file")
+        for key, (help_text, choices, owner) in SETTINGS.items():
+            if owner not in (None, name):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if _kind(key) is bool:
+                sp.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+            else:
+                sp.add_argument(flag, dest=key, type=_kind(key), choices=choices, help=help_text)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        base = None
-        if args.command == "ica":
-            base = ExperimentConfig(record_every=ICA_RECORD_EVERY)
-        config = build_config(args, base)
-        check_command_limits(config, args.command)
-        if args.command == "verify" and not (config.out or args.out):
-            out_dir = None
-        else:
+        config = build_config(args)
+        out_dir = None
+        if args.command != "verify" or config.out:
             out_dir = resolve_out_dir(config, args.command)
             prepare_out_dir(out_dir, config.overwrite)
-        return args.fn(config, out_dir)
+        started = _utc_stamp()
+        code, outputs = args.fn(config, out_dir)
+        if out_dir is not None:
+            write_manifest(out_dir, args.command, config, started, outputs)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

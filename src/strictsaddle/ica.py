@@ -27,7 +27,6 @@ from .tensor4 import OrthoBasis
 
 __all__ = [
     "IcaModel",
-    "gen_ica_sample",
     "gen_ica_samples",
     "z_minus_y4_form",
     "ica_stochastic_gradient",
@@ -53,6 +52,8 @@ class IcaModel:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"mixing matrix must be square, got {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("mixing matrix has non-finite entries")
         err = np.max(np.abs(A @ A.T - np.eye(A.shape[0])))
         if not err <= 1e-12:
             raise ValueError(f"mixing matrix not orthonormal: max deviation {err:.3e}")
@@ -67,12 +68,6 @@ class IcaModel:
     def component_basis(self):
         """The columns of A as an OrthoBasis (rows of the returned basis)."""
         return OrthoBasis(self.A.T)
-
-
-def gen_ica_sample(model, rng):
-    """One observation y = A x with x uniform over sign vectors."""
-    x = rng.integers(0, 2, size=model.d) * 2.0 - 1.0
-    return model.A @ x
 
 
 def gen_ica_samples(model, k, rng):

@@ -47,7 +47,6 @@ __all__ = [
     "maxeig_objective",
     "reconstruction_objective",
     "correlation_objective",
-    "quadratic_objective",
     "maxeig_value_coords",
     "maxeig_multiplier_coords",
     "correlation_value_coords",
@@ -364,11 +363,6 @@ class QuadraticObjective:
         if sample is None:
             return self.gradient(w)
         return self.gradient(w) + np.asarray(sample, dtype=float)
-
-
-def quadratic_objective(w0, g, H, f0=0.0, oracle_bound=None):
-    """Factory form of :class:`QuadraticObjective`."""
-    return QuadraticObjective(w0, g, H, f0=f0, oracle_bound=oracle_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,6 @@ class RecordedPerturbations:
         self._next += 1
         return out
 
-    def reset(self):
-        self._next = 0
-
 
 def _check_noise_bound(objective, W, sg, noise, noise_scale):
     """||SG - grad f + n|| <= Q + noise_scale on every row, enforced on recorded steps."""

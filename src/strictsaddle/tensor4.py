@@ -12,6 +12,8 @@ closed forms that use the known decomposition basis.  The scalar and
 vector forms also take (..., d) stacks of vectors, one result per row.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 __all__ = [
@@ -40,8 +42,7 @@ class Tensor4:
     Parameters
     ----------
     entries : array_like
-        Either a (d, d, d, d) array or a flat array of d**4 reals in
-        row-major order.
+        A (d, d, d, d) array.
 
     Attributes
     ----------
@@ -55,11 +56,6 @@ class Tensor4:
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=float)
-        if arr.ndim == 1:
-            d = round(arr.size ** 0.25)
-            if d**4 != arr.size:
-                raise ValueError(f"flat entry count {arr.size} is not a 4th power")
-            arr = arr.reshape(d, d, d, d)
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected a (d,d,d,d) array, got shape {arr.shape}")
         self.entries = arr
@@ -70,10 +66,10 @@ class Tensor4:
         return float(np.linalg.norm(self.entries.ravel()))
 
     def is_symmetric(self, tol=1e-12):
-        """True when entries are invariant under all 24 index permutations."""
+        """True when entries are finite and invariant under all 24 index permutations."""
         base = self.entries
-        from itertools import permutations
-
+        if not np.isfinite(base).all():
+            return False
         for perm in permutations(range(4)):
             if not np.max(np.abs(np.transpose(base, perm) - base)) <= tol:
                 return False
@@ -96,7 +92,8 @@ class OrthoBasis:
     Raises
     ------
     ValueError
-        If the rows are not orthonormal to within ``tol``.
+        If an entry is not finite or the rows are not orthonormal to
+        within ``tol``.
     """
 
     __slots__ = ("vectors", "d")
@@ -105,6 +102,8 @@ class OrthoBasis:
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square (d,d) array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("basis has non-finite entries")
         gram = arr @ arr.T
         err = np.max(np.abs(gram - np.eye(arr.shape[0])))
         if not err <= tol:

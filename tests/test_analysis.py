@@ -28,7 +28,7 @@ from strictsaddle.ica import ica_stochastic_gradient
 from strictsaddle.manifold import SaddleParams, SphereProduct, tangent_gradient
 from strictsaddle.objectives import correlation_objective, maxeig_objective
 from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
-from strictsaddle.objectives import quadratic_objective
+from strictsaddle.objectives import QuadraticObjective
 from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
 
 
@@ -161,14 +161,6 @@ class TestClassifier:
         report = classify_point(prob, saddle, params, matcher=SaddleMatcher())
         assert report.classification == "Unclassified"
 
-    def test_report_serializes(self):
-        prob, basis = standard_maxeig(3)
-        report = classify_point(prob, np.eye(3)[0], single_sphere_params(3),
-                                matcher=AxisMatcher(basis))
-        text = report.to_text()
-        assert "NearLocalMinimum" in text
-        assert "chi" in text
-
     def test_circle_grid_is_fully_classified(self):
         """At d=2 the trichotomy covers a dense grid of the whole sphere."""
         prob, basis = standard_maxeig(2)
@@ -297,7 +289,7 @@ class TestCoupling:
         A = rng.standard_normal((d, d))
         H = 0.5 * (A + A.T)
         stream = [rng.standard_normal(d) for _ in range(t)]
-        obj = quadratic_objective(w0, g, H)
+        obj = QuadraticObjective(w0, g, H)
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=t)
         rec = noisy_sgd(obj, RecordedPerturbations(stream), w0, config)
         grad, disp = coupling_closed_form(g, H, stream, eta, t)

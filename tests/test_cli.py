@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment harness."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import strictsaddle
-from strictsaddle import cli, ica, tensor4
+from strictsaddle import analysis, cli, ica, tensor4
 from strictsaddle.cli import ICA_RECORD_EVERY, main, parse_config_file, trailing_window_stats
 
 FAST = ["--d", "3", "--iters", "200", "--eta", "0.05", "--record-every", "50"]
@@ -83,8 +84,16 @@ class TestConfigHandling:
         (["decompose", "--noise", "inf"], "noise must be finite"),
         (["escape", "--d", "1"], "d >= 2"),
         (["verify", "--d", "1"], "d >= 2"),
+        (["decompose", "--seed", "-1"], "non-negative"),
+        (["decompose", "--config", "seeds=3,3"], "distinct"),
+        (["decompose", "--config", "seeds=2,-1"], "non-negative"),
+        (["ica", "--eta", "1e308"], "eta must be finite"),
     ])
     def test_validation_errors_exit_2(self, tmp_path, capsys, argv, needle):
+        if "--config" in argv:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[-1] + "\n")
+            argv = [*argv[:-1], str(cfg)]
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert needle in capsys.readouterr().err
@@ -241,6 +250,23 @@ class TestEscapeCommand:
         assert len(rows["5"]) == 6 and len(rows["1"]) == 2
         assert rows["5"][1] == rows["1"][1]
 
+    def test_started_is_stamped_before_the_work(self, tmp_path, monkeypatch):
+        """The manifest's start time is taken before the command computes."""
+        ticks = itertools.count()
+        monkeypatch.setattr(cli, "_utc_stamp", lambda: next(ticks))
+        entered = []
+        escape_statistics = analysis.escape_statistics
+
+        def spy(*args):
+            entered.append(next(ticks))
+            return escape_statistics(*args)
+
+        monkeypatch.setattr(analysis, "escape_statistics", spy)
+        out = tmp_path / "out"
+        assert main(["escape", "--d", "3", "--trials", "2", "--iters", "50", "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["started"] < entered[0] < manifest["finished"]
+
     def test_noise_free_runs_never_escape(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["escape", "--d", "4", "--trials", "3", "--iters", "200",
@@ -295,3 +321,53 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.strip() == f"strictsaddle {strictsaddle.__version__}"
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--seeds", "--out", "--d", "--eta", "--iters",
+                  "--schedule", "--batch", "--objective", "--sampler", "--noise", "--record-every",
+                  "--overwrite"}
+COMMAND_OPTIONS = {"escape": {"--trials"}, "minima": {"--starts"}}
+CHOICES = {"--objective": ["correlation", "reconstruction", "maxeig"],
+           "--sampler": ["simple", "ica"],
+           "--schedule": ["constant", "inv-t"]}
+CONFIG_KEYS = {"d": "3", "objective": "maxeig", "sampler": "simple", "batch": "10", "eta": "0.05",
+               "iters": "100", "schedule": "inv-t", "noise": "0.5", "seed": "1", "seeds": "2",
+               "record_every": "10", "record-every": "10", "trials": "5", "starts": "5",
+               "out": "elsewhere", "overwrite": "1"}
+COMMANDS = ("decompose", "ica", "verify", "escape", "minima")
+
+
+def _subcommand_options(command):
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {opt: action for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
+class TestCliSurface:
+    """Flags, choices and config keys every command accepts."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_option_strings_and_choices(self, command):
+        options = _subcommand_options(command)
+        assert set(options) == COMMON_OPTIONS | COMMAND_OPTIONS.get(command, set())
+        for flag, choices in CHOICES.items():
+            assert list(options[flag].choices) == choices
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_config_key_accepted(self, command, tmp_path):
+        for key, value in CONFIG_KEYS.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args = cli.make_parser().parse_args([command, "--config", str(cfg)])
+            cli.build_config(args)
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text("seeds=0,4\n")
+        cli.build_config(cli.make_parser().parse_args([command, "--config", str(cfg)]))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_exits_2(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus=1\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -14,7 +14,6 @@ from strictsaddle.ica import (
     IcaModel,
     IcaSampler,
     SimpleSampler,
-    gen_ica_sample,
     gen_ica_samples,
     gen_simple_sample,
     ica_stochastic_gradient,
@@ -70,12 +69,15 @@ def random_feasible_rows(d, rng):
 
 
 class TestIcaModel:
+    @pytest.mark.filterwarnings("error")
     def test_rejects_non_orthonormal_mixing(self):
         with pytest.raises(ValueError):
             IcaModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-finite"):
                 IcaModel(np.full((2, 2), bad))
+            with pytest.raises(ValueError, match="non-finite"):
+                IcaModel(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_random_model_is_orthonormal(self):
         model = IcaModel.random(5, np.random.default_rng(0))
@@ -91,7 +93,7 @@ class TestSamples:
     def test_sample_is_signed_column_sum(self):
         model = IcaModel(np.eye(3))
         rng = np.random.default_rng(2)
-        y = gen_ica_sample(model, rng)
+        y = gen_ica_samples(model, 1, rng)[0]
         assert set(np.unique(y)) <= {-1.0, 1.0}
         assert float(y @ y) == 3.0  # exact for A = I
 
@@ -99,13 +101,13 @@ class TestSamples:
         model = IcaModel.random(6, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         for _ in range(50):
-            y = gen_ica_sample(model, rng)
+            y = gen_ica_samples(model, 1, rng)[0]
             np.testing.assert_allclose(y @ y, 6.0, atol=1e-12)
 
     def test_d1_sign_frequency(self):
         model = IcaModel(np.array([[1.0]]))
         rng = np.random.default_rng(5)
-        ys = np.array([gen_ica_sample(model, rng)[0] for _ in range(10_000)])
+        ys = np.array([gen_ica_samples(model, 1, rng)[0, 0] for _ in range(10_000)])
         assert abs(np.mean(ys > 0) - 0.5) <= 0.05
 
     def test_identity_mixing_coordinates_uncorrelated(self):
@@ -143,7 +145,7 @@ class TestPairingForm:
         dense = dense_z(d)
         model = IcaModel.random(d, rng)
         for _ in range(10):
-            y = gen_ica_sample(model, rng)
+            y = gen_ica_samples(model, 1, rng)[0]
             u, v = rng.standard_normal((2, d))
             want = 0.5 * (
                 dense_pair_form(dense, u, v)
@@ -190,7 +192,7 @@ class TestIcaGradient:
     def test_flat_and_matrix_inputs_agree(self):
         rng = np.random.default_rng(13)
         U = random_feasible_rows(3, rng)
-        y = gen_ica_sample(IcaModel.random(3, rng), rng)
+        y = gen_ica_samples(IcaModel.random(3, rng), 1, rng)[0]
         flat = ica_stochastic_gradient(U.ravel(), y)
         assert flat.shape == (9,)
         np.testing.assert_array_equal(flat, ica_stochastic_gradient(U, y).ravel())
@@ -228,7 +230,7 @@ class TestIcaGradient:
             rng = np.random.default_rng(15)
             model = IcaModel.random(d, rng)
             U = np.linalg.qr(rng.standard_normal((d, d)))[0]
-            return U, gen_ica_sample(model, rng)
+            return U, gen_ica_samples(model, 1, rng)[0]
 
         def per_call(args, reps):
             t0 = time.perf_counter()
@@ -258,7 +260,7 @@ class TestMinibatch:
         rng = np.random.default_rng(17)
         model = IcaModel.random(3, rng)
         U = random_feasible_rows(3, rng)
-        y = gen_ica_sample(model, rng)
+        y = gen_ica_samples(model, 1, rng)[0]
         np.testing.assert_array_equal(
             minibatch_gradient(U, y.reshape(1, -1)), ica_stochastic_gradient(U, y)
         )
@@ -267,7 +269,7 @@ class TestMinibatch:
         rng = np.random.default_rng(18)
         model = IcaModel.random(3, rng)
         U = random_feasible_rows(3, rng)
-        y = gen_ica_sample(model, rng)
+        y = gen_ica_samples(model, 1, rng)[0]
         batch = np.tile(y, (7, 1))
         np.testing.assert_allclose(
             minibatch_gradient(U, batch), ica_stochastic_gradient(U, y), atol=1e-13

@@ -13,7 +13,7 @@ from strictsaddle.objectives import (
     correlation_value_coords,
     maxeig_objective,
     maxeig_value_coords,
-    quadratic_objective,
+    QuadraticObjective,
     reconstruction_objective,
 )
 from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
@@ -186,21 +186,21 @@ class TestCorrelation:
 
 class TestQuadratic:
     def test_gradient_at_center(self):
-        obj = quadratic_objective(np.zeros(3), np.zeros(3), np.eye(3))
+        obj = QuadraticObjective(np.zeros(3), np.zeros(3), np.eye(3))
         np.testing.assert_array_equal(obj.gradient(np.zeros(3)), np.zeros(3))
 
     def test_indefinite_gradient(self):
         g = np.array([0.5, -0.5])
-        obj = quadratic_objective(np.zeros(2), g, np.diag([1.0, -1.0]))
+        obj = QuadraticObjective(np.zeros(2), g, np.diag([1.0, -1.0]))
         np.testing.assert_allclose(obj.gradient(np.array([1.0, 1.0])), g + np.array([1.0, -1.0]))
 
     def test_non_symmetric_hessian_rejected(self):
         H = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            quadratic_objective(np.zeros(2), np.zeros(2), H)
+            QuadraticObjective(np.zeros(2), np.zeros(2), H)
 
     def test_stochastic_gradient_adds_sample(self):
-        obj = quadratic_objective(np.zeros(2), np.ones(2), np.eye(2))
+        obj = QuadraticObjective(np.zeros(2), np.ones(2), np.eye(2))
         w = np.array([1.0, 2.0])
         xi = np.array([0.1, -0.2])
         np.testing.assert_allclose(obj.stochastic_gradient(w, xi), obj.gradient(w) + xi)
@@ -212,7 +212,7 @@ class TestQuadratic:
         g = rng.standard_normal(4)
         A = rng.standard_normal((4, 4))
         H = A + A.T
-        obj = quadratic_objective(w0, g, H, f0=2.5)
+        obj = QuadraticObjective(w0, g, H, f0=2.5)
         w = rng.standard_normal(4)
         d = w - w0
         np.testing.assert_allclose(obj.value(w), 2.5 + g @ d + 0.5 * d @ H @ d, rtol=1e-12)
@@ -294,7 +294,7 @@ class TestStacks:
     def test_quadratic_stack_rows_equal_row_calls(self, n, k, seed):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
-        obj = quadratic_objective(rng.standard_normal(n), rng.standard_normal(n), A + A.T, f0=0.5)
+        obj = QuadraticObjective(rng.standard_normal(n), rng.standard_normal(n), A + A.T, f0=0.5)
         W = rng.standard_normal((k, n))
         values, grads = obj.value(W), obj.gradient(W)
         for i in range(k):
