@@ -17,6 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import ica, manifold, objectives, tensor4
 from .sgd import (
+    STACK_ROWS,
     RecordedPerturbations,
     SgdConfig,
     noisy_sgd,
@@ -45,46 +46,54 @@ __all__ = [
     "run_checks",
 ]
 
-def fd_gradient(f, w, h=None):
-    """Central-difference gradient; default step 1e-5 * max(1, ||w||)."""
+# The finite differences call f on (K, n) stacks of points, each formed as
+# w + e_i (+ e_j) with e_i = h * (row i of I), as a one-point loop forms it;
+# when f gives a row of a stack its value alone, the result is that loop's.
+
+
+def _stencil(f, points, count, width):
+    """f at the ``width`` point sets ``points(lo, hi)`` forms for entries
+    lo..hi-1 of ``count``, in stacks of at most STACK_ROWS rows: (width, count)."""
+    out = np.empty((width, count))
+    chunk = max(1, STACK_ROWS // width)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        out[:, lo:hi] = np.reshape(f(np.concatenate(points(lo, hi))), (width, hi - lo))
+    return out
+
+
+def fd_gradient(f, w):
+    """Central-difference gradient with step h = 1e-5 * max(1, ||w||)."""
     w = np.asarray(w, dtype=float)
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(w)))
-    if h <= 0:
-        raise ValueError("h must be positive")
-    g = np.empty(w.size)
-    for i in range(w.size):
-        e = np.zeros(w.size)
-        e[i] = h
-        g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
+    h = 1e-5 * max(1.0, float(np.linalg.norm(w)))
+    steps = h * np.eye(w.size)
+    up, down = _stencil(f, lambda lo, hi: (w + steps[lo:hi], w - steps[lo:hi]), w.size, 2)
+    g = (up - down) / (2.0 * h)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite values in finite-difference gradient")
     return g
 
 
-def fd_hessian(f, w, h=None):
+def fd_hessian(f, w):
     """Central second differences, symmetrized.
 
-    Default step 1e-4 * max(1, ||w||): second differences divide round-off
-    by h^2, so the optimum sits near eps^{1/4}, coarser than the gradient
-    step.
+    Step h = 1e-4 * max(1, ||w||): second differences divide round-off by
+    h^2, so the optimum sits near eps^{1/4}, coarser than the gradient
+    step.  Entry (i, j), j >= i, is evaluated once and mirrored.
     """
     w = np.asarray(w, dtype=float)
-    if h is None:
-        h = 1e-4 * max(1.0, float(np.linalg.norm(w)))
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-4 * max(1.0, float(np.linalg.norm(w)))
     n = w.size
+    steps = h * np.eye(n)
+    rows, cols = np.triu_indices(n)
+
+    def points(lo, hi):
+        ei, ej = steps[rows[lo:hi]], steps[cols[lo:hi]]
+        return w + ei + ej, w + ei - ej, w - ei + ej, w - ei - ej
+
+    pp, pm, mp, mm = _stencil(f, points, rows.size, 4)
     H = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (f(w + ei + ej) - f(w + ei - ej) - f(w - ei + ej) + f(w - ei - ej)) / (4.0 * h * h)
-            H[i, j] = val
-            H[j, i] = val
+    H[rows, cols] = H[cols, rows] = (pp - pm - mp + mm) / (4.0 * h * h)
     if not np.all(np.isfinite(H)):
         raise FloatingPointError("non-finite values in finite-difference Hessian")
     return 0.5 * (H + H.T)
@@ -187,17 +196,16 @@ def _neighborhood_min_eig(problem, center, radius, rng):
     """Min tangent eigenvalue over sampled feasible points near a minimum."""
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = manifold.min_tangent_eig(problem, center)[0]
+    points = [center]
     for _ in range(4):
         step = radius * rng.random() * unit_sphere_noise(center.size, rng)
         try:
             point = problem.constraints.project(center + step)
         except ValueError:
             continue
-        if np.linalg.norm(point - center) > radius:
-            continue
-        worst = min(worst, manifold.min_tangent_eig(problem, point)[0])
-    return float(worst)
+        if np.linalg.norm(point - center) <= radius:
+            points.append(point)
+    return float(np.min(manifold.min_tangent_eig(problem, np.array(points))[0]))
 
 
 @dataclass
@@ -209,10 +217,11 @@ class CatalogEntry:
 
 @dataclass
 class MinimaCatalog:
-    """Distinct local minima found by multi-start search."""
+    """Distinct local minima found by multi-start search; ``diverged`` starts."""
 
     dedup: float = 1e-3
     entries: list = field(default_factory=list)
+    diverged: int = field(default=0, init=False)
 
     def add(self, point, min_eig):
         """Insert or merge a minimum; returns the matching entry."""
@@ -277,7 +286,9 @@ def enumerate_minima(problem, n_starts, config):
     starts run as one stack of trials with exact gradients.  After the
     noisy phase the endpoints are polished by exact projected descent and
     catalogued in start order.  An endpoint self-certifies by second
-    order: ||chi|| <= 1e-8 and positive tangent curvature.
+    order: ||chi|| <= 1e-8 and positive tangent curvature, both computed
+    for the whole polished stack at once.  Starts whose run diverged are
+    counted in ``catalog.diverged``.
     """
     catalog = MinimaCatalog()
 
@@ -286,16 +297,13 @@ def enumerate_minima(problem, n_starts, config):
         return problem.random_feasible(rng), rng
 
     records = projected_trials(problem, None, n_starts, start, config)
-    ends = [record.final_point for record in records if not record.diverged]
-    if not ends:
-        return catalog
-    for w in polish(problem, np.array(ends)):
-        if np.linalg.norm(manifold.tangent_gradient(problem, w)) > 1e-8:
-            continue
-        eig = manifold.min_tangent_eig(problem, w)[0]
-        if eig <= 0:
-            continue
-        catalog.add(w, eig)
+    ends = np.array([r.final_point for r in records if not r.diverged]).reshape(-1, problem.dim)
+    catalog.diverged = n_starts - len(ends)
+    ends = polish(problem, ends)
+    ends = ends[row_norms(manifold.tangent_gradient(problem, ends)) <= 1e-8]
+    for w, eig in zip(ends, manifold.min_tangent_eig(problem, ends)[0].tolist()):
+        if eig > 0:
+            catalog.add(w, eig)
     return catalog
 
 
@@ -350,8 +358,9 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
     gradients, through :func:`sgd.projected_trials`, so its checks apply:
     the saddle must be feasible to 1e-10 (ValueError otherwise), and a
     recorded iterate off the feasible set or a perturbation over the
-    oracle bound raises RuntimeError.  Escape and f decrease are read from f at each trial's
-    final point.
+    oracle bound raises RuntimeError.  Escape and f decrease are read from
+    f at each trial's final point; a diverged trial has not escaped and
+    its f decrease is nan.  ``diverged`` counts those trials.
     """
     w_star = np.asarray(saddle_point, dtype=float)
     f0 = problem.value(w_star)
@@ -361,7 +370,9 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
 
     records = projected_trials(problem, None, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
                                config, stop=lambda W: problem.value(W) <= target)
-    f_final = problem.value(np.array([r.final_point for r in records]))
+    ok = np.array([not r.diverged for r in records])
+    f_final = np.full(n_trials, np.nan)
+    f_final[ok] = problem.value(np.array([r.final_point for r in records])[ok])
     first_passage = [r.n_steps if f <= target else None for r, f in zip(records, f_final.tolist())]
     decreases = (f0 - f_final).tolist()
 
@@ -373,6 +384,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
         "threshold": threshold,
         "per_trial_steps": first_passage,
         "per_trial_decrease": decreases,
+        "diverged": int(n_trials - ok.sum()),
     }
 
 

@@ -304,7 +304,8 @@ def cmd_ica(config, out_dir):
 
     The continuation starts from the constant run's endpoint with the
     decaying schedule, matching the protocol of holding the step size
-    until the error plateaus and then letting it decay.
+    until the error plateaus and then letting it decay.  A constant run
+    that diverged has no feasible endpoint, so it gets no continuation.
     """
     outputs, records = [], []
     for seed in config.seeds():
@@ -315,10 +316,12 @@ def cmd_ica(config, out_dir):
         w0 = problem.random_feasible(rng)
         rec_const = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed, "constant"), rng=rng)
         anneal_config = config.sgd_config(seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
-        rec_anneal = projected_noisy_sgd(problem, sampler, rec_const.final_point, anneal_config, rng=rng)
+        rec_anneal = (None if rec_const.diverged else
+                      projected_noisy_sgd(problem, sampler, rec_const.final_point, anneal_config, rng=rng))
         for name, record in ((f"seed{seed}-constant.csv", rec_const), (f"seed{seed}-invt.csv", rec_anneal)):
-            outputs.append(os.path.join(out_dir, name))
-            record.to_csv(outputs[-1])
+            if record is not None:
+                outputs.append(os.path.join(out_dir, name))
+                record.to_csv(outputs[-1])
         records.append((seed, rec_const, rec_anneal))
 
     outputs.append(os.path.join(out_dir, "summary.csv"))
@@ -328,9 +331,9 @@ def cmd_ica(config, out_dir):
         for seed, rec_const, rec_anneal in records:
             plateau_mean, plateau_range = trailing_window_stats(rec_const.recon_errors)
             e_const = _final_error(rec_const)
-            e_anneal = _final_error(rec_anneal)
+            e_anneal = float("nan") if rec_anneal is None else _final_error(rec_anneal)
             improved = int(e_anneal < plateau_mean)
-            diverged = int(rec_const.diverged or rec_anneal.diverged)
+            diverged = int(rec_anneal is None or rec_anneal.diverged)
             failed += diverged
             fh.write(f"{seed},{plateau_mean!r},{plateau_range!r},{e_const!r},{e_anneal!r},"
                      f"{improved},{diverged}\n")
@@ -351,6 +354,10 @@ def cmd_verify(config, out_dir):
         outputs.append(os.path.join(out_dir, "verify_report.txt"))
         with open(outputs[-1], "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        outputs.append(os.path.join(out_dir, "verify_report.json"))
+        with open(outputs[-1], "w") as fh:
+            json.dump([{"name": r.name, "value": float(r.value), "tolerance": float(r.tolerance),
+                        "margin": float(r.tolerance - r.value), "passed": bool(r.passed)} for r in results], fh)
     return (1 if n_failed else 0), outputs
 
 
@@ -371,7 +378,9 @@ def cmd_escape(config, out_dir):
     print(f"escaped {stats['escape_fraction']:.0%} of {config.trials} trials"
           f" (median steps {'n/a' if med is None else int(med)},"
           f" mean f decrease {stats['mean_f_decrease']:.4g})")
-    return 0, [path]
+    if stats["diverged"]:
+        print(f"{stats['diverged']} trials diverged")
+    return (1 if stats["diverged"] else 0), [path]
 
 
 def cmd_minima(config, out_dir):
@@ -384,7 +393,9 @@ def cmd_minima(config, out_dir):
     path = os.path.join(out_dir, "minima.csv")
     catalog.to_csv(path)
     print(f"found {len(catalog)} distinct minima in {config.starts} starts")
-    return 0, [path]
+    if catalog.diverged:
+        print(f"{catalog.diverged} starts diverged")
+    return (1 if catalog.diverged else 0), [path]
 
 
 COMMANDS = {

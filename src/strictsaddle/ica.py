@@ -62,8 +62,7 @@ class IcaModel:
 
     @classmethod
     def random(cls, d, rng):
-        q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        return cls(q * np.sign(np.diag(r)))
+        return cls(OrthoBasis.random(d, rng).vectors.T)
 
     def component_basis(self):
         """The columns of A as an OrthoBasis (rows of the returned basis)."""

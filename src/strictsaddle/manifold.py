@@ -3,15 +3,19 @@
 The feasible set is W = {w : c_i(w) = 0, i in [m]} with one constraint per
 block, c_i(w) = ||w_i||^2 - 1.  This module provides projection onto W,
 least-squares Lagrange multipliers, the tangent component of the gradient,
-the Lagrangian Hessian, orthonormal tangent frames, and the minimum
-singular value of the constraint-gradient matrix (the robustness measure
-for constraint qualification).
+the Lagrangian Hessian, an orthonormal tangent basis, the smallest
+tangent curvature, and the minimum singular value of the
+constraint-gradient matrix (the robustness measure for constraint
+qualification).
 
-C(w) is block diagonal with columns 2 w_i, so the multipliers and
-sigma_min(C) have exact blockwise closed forms (Absil, Mahony &
-Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-5).
-The generic pseudo-inverse solve survives only as the test oracle in
-:mod:`strictsaddle.analysis`.
+C(w) is block diagonal with columns 2 w_i, so the multipliers,
+sigma_min(C) and the tangent basis have exact blockwise closed forms: the
+basis is one Householder reflector per block (Absil, Mahony & Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-5).  The
+multipliers, tangent gradient, Lagrangian Hessian, tangent basis and
+curvature take one point (n,) or a (..., n) stack and treat each row
+alone.  The generic pseudo-inverse solve survives only as the test oracle
+in :mod:`strictsaddle.analysis`.
 """
 
 from dataclasses import dataclass
@@ -20,12 +24,11 @@ import numpy as np
 
 __all__ = [
     "SphereProduct",
-    "TangentFrame",
     "SaddleParams",
     "lagrange_multipliers",
     "tangent_gradient",
     "lagrangian_hessian",
-    "tangent_frame",
+    "tangent_basis",
     "min_tangent_eig",
     "rlicq_sigma_min",
 ]
@@ -103,8 +106,9 @@ class SphereProduct:
         return C
 
     def weighted_constraint_hessian(self, lam):
-        """sum_i lam_i * hess c_i, a diagonal matrix with 2*lam_i per block."""
-        return np.diag(self._per_entry(2.0 * np.asarray(lam, dtype=float)))
+        """sum_i lam_i * hess c_i, a diagonal matrix with 2*lam_i per block;
+        one matrix per row of a (..., m) stack."""
+        return np.eye(self.n) * self._per_entry(2.0 * np.asarray(lam, dtype=float))[..., None, :]
 
     def project(self, v):
         """Closest feasible point: each block rescaled to unit norm.
@@ -118,7 +122,7 @@ class SphereProduct:
         v = np.asarray(v, dtype=float)
         nrm = self.block_norms(v)
         # min() is nan when any row is nan; the per-entry test then decides
-        if not nrm.min() >= DEGENERATE_BLOCK_NORM and (nrm < DEGENERATE_BLOCK_NORM).any():
+        if not nrm.min(initial=np.inf) >= DEGENERATE_BLOCK_NORM and (nrm < DEGENERATE_BLOCK_NORM).any():
             i = int(np.nanargmin(nrm)) % self.m
             raise ValueError(f"degenerate projection: block [{self.offsets[i]}:{self.offsets[i + 1]}]"
                              f" has norm {np.nanmin(nrm):.3e}")
@@ -143,63 +147,20 @@ class SphereProduct:
         return f"SphereProduct(blocks={self.block_dims})"
 
 
-class TangentFrame:
-    """Orthonormal frame of the tangent space at a feasible point.
-
-    Attributes
-    ----------
-    w : ndarray
-        Base point.
-    tangent_basis : ndarray, shape (n, n-m)
-        Orthonormal columns spanning T(w) = {v : grad c_i(w).v = 0}.
-    normal_basis : ndarray, shape (n, m)
-        Orthonormal columns spanning the complement span{grad c_i(w)}.
-    """
-
-    __slots__ = ("w", "tangent_basis", "normal_basis")
-
-    def __init__(self, w, tangent_basis, normal_basis):
-        self.w = w
-        self.tangent_basis = tangent_basis
-        self.normal_basis = normal_basis
-
-    def project_tangent(self, v):
-        b = self.tangent_basis
-        return b @ (b.T @ v)
-
-    def project_normal(self, v):
-        b = self.normal_basis
-        return b @ (b.T @ v)
-
-
-def tangent_frame(constraints, w):
-    """Orthonormal completion of the constraint gradients at w.
-
-    Runs a full QR factorization of C(w); the first m columns of Q span
-    the normal space, the rest span the tangent space.  Deterministic
-    given the input.
-
-    Raises
-    ------
-    ValueError
-        If C(w) is numerically rank deficient.
-    """
-    w = np.asarray(w, dtype=float)
-    C = constraints.constraint_gradients(w)
-    q, r = np.linalg.qr(C, mode="complete")
-    diag = np.abs(np.diag(r[: constraints.m, : constraints.m]))
-    if np.min(diag) < 1e-10:
-        raise ValueError("constraint gradients are rank deficient at this point")
-    return TangentFrame(w, q[:, constraints.m :], q[:, : constraints.m])
-
-
 def rlicq_sigma_min(constraints, w):
     """Smallest singular value of C(w), in closed form.
 
     C(w)^T C(w) = diag(4 ||w_i||^2), so sigma_min(C) = 2 min_i ||w_i||
     exactly; it equals 2 on feasible sphere products.
     """
-    return 2.0 * float(np.min(constraints.block_norms(w)))
+    return 2.0 * float(np.min(constraints.block_norms(w), initial=np.inf))
+
+
+def _check_cq(constraints, w):
+    """Raise unless sigma_min(C(w)) >= CQ_SIGMA_MIN on every row."""
+    sigma = rlicq_sigma_min(constraints, w)
+    if sigma < CQ_SIGMA_MIN:
+        raise ValueError(f"constraint qualification failure: sigma_min(C) = {sigma:.3e}")
 
 
 def _multipliers(constraints, w, g):
@@ -207,9 +168,7 @@ def _multipliers(constraints, w, g):
     solution of C(w) lambda = g for the block-diagonal C(w); per row of a
     (..., n) stack, checked against the constraint qualification floor
     on every row."""
-    sigma = rlicq_sigma_min(constraints, w)
-    if sigma < CQ_SIGMA_MIN:
-        raise ValueError(f"constraint qualification failure: sigma_min(C) = {sigma:.3e}")
+    _check_cq(constraints, w)
     return constraints._block_sums(g * w) / (2.0 * constraints._block_sums(w * w))
 
 
@@ -241,28 +200,55 @@ def lagrangian_hessian(problem, w):
     """M(w) = hess f(w) - sum_i lambda*_i hess c_i(w), symmetric."""
     lam = lagrange_multipliers(problem, w)
     H = problem.hessian(w) - problem.constraints.weighted_constraint_hessian(lam)
-    return 0.5 * (H + H.T)
+    return 0.5 * (H + H.swapaxes(-1, -2))
 
 
-def min_tangent_eig(problem, w, frame=None):
+def tangent_basis(constraints, w):
+    """Orthonormal basis of T(w), as the columns of an n x (n-m) matrix.
+
+    Block by block: w_i is normalised to v, and the Householder reflector
+    Q = I - 2 h h^T / (h^T h) with h = v + s e_1 (s the sign of v's first
+    entry, so h never cancels) maps v onto -s e_1.  Q is symmetric and
+    orthogonal, so its first column is -s v and its other columns span
+    the complement of w_i in the block; they are kept.
+
+    Raises
+    ------
+    ValueError
+        If a block norm is below CQ_SIGMA_MIN / 2.
+    """
+    w = np.asarray(w, dtype=float)
+    _check_cq(constraints, w)
+    starts = constraints._starts
+    h = w / constraints._per_entry(constraints.block_norms(w))
+    h[..., starts] += np.copysign(1.0, h[..., starts])
+    u = h * constraints._per_entry(np.sqrt(2.0 / constraints._block_sums(h * h)))
+    block = constraints._per_entry(np.arange(constraints.m))
+    Q = np.eye(constraints.n) - (block[:, None] == block) * (u[..., :, None] * u[..., None, :])
+    return np.delete(Q, starts, axis=-1)
+
+
+def min_tangent_eig(problem, w):
     """Smallest eigenvalue of the Lagrangian Hessian on the tangent space.
 
-    Reduces M(w) to the (n-m) x (n-m) matrix B^T M B in an orthonormal
-    tangent frame B and solves it densely.
+    Reduces M(w) to the (n-m) x (n-m) matrix B^T M B in the tangent basis
+    B of :func:`tangent_basis` and solves it densely; a (..., n) stack is
+    solved by one batched ``eigh``.
 
     Returns
     -------
     (eigenvalue, direction)
-        The eigenvalue and a unit witness direction in T(w).
+        The eigenvalue and a unit witness direction in T(w): a float and
+        an (n,) vector for one point, (...,) and (..., n) for a stack.
     """
-    if frame is None:
-        frame = tangent_frame(problem.constraints, w)
-    B = frame.tangent_basis
+    w = np.asarray(w, dtype=float)
+    B = tangent_basis(problem.constraints, w)
     M = lagrangian_hessian(problem, w)
-    reduced = B.T @ M @ B
+    reduced = np.einsum("...pi,...pj->...ij", B, np.einsum("...pq,...qj->...pj", M, B))
     vals, vecs = np.linalg.eigh(reduced)
-    direction = B @ vecs[:, 0]
-    return float(vals[0]), direction / np.linalg.norm(direction)
+    direction = np.einsum("...pi,...i->...p", B, vecs[..., 0])
+    direction /= np.sqrt(np.einsum("...p,...p->...", direction, direction))[..., None]
+    return (float(vals[0]) if w.ndim == 1 else vals[..., 0]), direction
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ Three equality-constrained problems over products of unit spheres:
   the per-sample gradient oracles in :mod:`strictsaddle.ica` estimate.
 
 Each problem exposes analytic value/gradient/Hessian in ambient
-coordinates; value and gradient accept a (..., n) stack of points.  A
+coordinates, each on a (..., n) stack of points.  A
 problem is built from the decomposition basis (``basis=``) and works in
 the coordinates X = U A^T, never forming the d^4 tensor.  Given only a
 dense tensor ``T`` it contracts the entries instead (the forms of
@@ -34,7 +34,6 @@ from .tensor4 import (
     basis_form_scalar,
     basis_form_vector,
     form_matrix,
-    form_pair_matrix,
     form_scalar,
     form_vector,
     reconstruction_error,
@@ -59,10 +58,10 @@ __all__ = [
 class ConstrainedProblem:
     """Equality-constrained objective with analytic derivatives.
 
-    ``value`` and ``gradient`` take one point (n,) or a stack (..., n) and
-    act on each row alone, so a row's result does not depend on the rest
-    of the stack; ``value`` returns a float for one point.  ``hessian``
-    takes one point.
+    ``value``, ``gradient`` and ``hessian`` take one point (n,) or a stack
+    (..., n) and act on each row alone, so a row's result does not depend
+    on the rest of the stack; ``value`` returns a float for one point and
+    ``hessian`` one (n, n) matrix per row.
 
     Attributes
     ----------
@@ -108,17 +107,25 @@ class ConstrainedProblem:
         return f"ConstrainedProblem({self.name!r}, dim={self.dim})"
 
 
-# Value and gradient take (..., n) stacks.  The forms come from tensor4;
-# the cross terms of the correlation problem are contracted here.  Every
-# stack contraction is an einsum or a last-axis reduction, never BLAS
-# matmul: gemm and gemv round a row differently, and gemm's rounding
-# depends on the stack height, so only these keep each row's result
-# independent of the rows around it.  Hessian forms take one point.
+# Value, gradient and Hessian take (..., n) stacks.  The forms come from
+# tensor4; the cross terms and pair forms of the correlation problem are
+# contracted here.  Every stack contraction is an einsum or a last-axis
+# reduction, never BLAS matmul: gemm and gemv round a row differently, and
+# gemm's rounding depends on the stack height, so only these keep each
+# row's result independent of the rows around it.
 
 
 def _rows(w, d):
     """View a (..., d*d) stack as (..., d, d) component rows."""
     return w.reshape(*w.shape[:-1], d, d)
+
+
+def _block_hessian(blocks, diag):
+    """The (..., d*d, d*d) Hessian at a d x d point from its d x d blocks:
+    ``blocks[..., i, j]`` off the diagonal, ``diag[..., i]`` on it."""
+    d = diag.shape[-1]
+    H = np.where(np.eye(d, dtype=bool)[:, :, None, None], diag[..., :, None, :, :], blocks)
+    return H.swapaxes(-3, -2).reshape(*H.shape[:-4], d * d, d * d)
 
 
 class _BasisForms:
@@ -144,9 +151,12 @@ class _BasisForms:
     def matrix(self, u):
         return basis_form_matrix(self.basis, u)
 
-    def pair_matrix(self, u, v):
+    def pair_matrices(self, U):
+        """T(I,u_i,u_j,I) = sum_k X_ik X_jk a_k a_k^T for every pair of rows: (..., i, j, p, q)."""
+        x = basis_coords(self.basis, U)
         a = self.basis.vectors
-        return (a.T * ((a @ u) * (a @ v))) @ a
+        xx = x[..., :, None, :, None] * x[..., None, :, :, None]
+        return np.einsum("...ijkp,kq->...ijpq", xx * a, a)
 
     def _cross_weights(self, U):
         x = basis_coords(self.basis, U)
@@ -187,8 +197,10 @@ class _DenseForms:
     def matrix(self, u):
         return form_matrix(self.T, u)
 
-    def pair_matrix(self, u, v):
-        return form_pair_matrix(self.T, u, v)
+    def pair_matrices(self, U):
+        """T(I,u_i,u_j,I) for every pair of rows, contracting one slot at a time."""
+        y = np.einsum("pqrs,...jr->...jpqs", self.T.entries, U)
+        return np.einsum("...jpqs,...iq->...ijps", y, U)
 
     def cross_vectors(self, U):
         """sum_l T(I,u_i,u_l,u_l) - T(I,u_i,u_i,u_i), through T(I,I,U^T U)."""
@@ -254,25 +266,16 @@ def reconstruction_objective(T=None, basis=None):
         return out.reshape(w.shape)
 
     def hessian(w):
-        U = w.reshape(d, d)
-        gram = U @ U.T
-        H = np.zeros((d * d, d * d))
-        for i in range(d):
-            si = slice(i * d, (i + 1) * d)
-            diag = -24.0 * forms.matrix(U[i])
-            for l in range(d):
-                if l == i:
-                    continue
-                diag += 24.0 * gram[i, l] ** 2 * np.outer(U[l], U[l])
-            diag += 48.0 * gram[i, i] ** 2 * np.outer(U[i], U[i])
-            diag += 8.0 * gram[i, i] ** 3 * np.eye(d)
-            H[si, si] = diag
-            for j in range(i + 1, d):
-                sj = slice(j * d, (j + 1) * d)
-                block = 8.0 * (3.0 * gram[i, j] ** 2 * np.outer(U[j], U[i]) + gram[i, j] ** 3 * np.eye(d))
-                H[si, sj] = block
-                H[sj, si] = block.T
-        return H
+        U = _rows(w, d)
+        g = gram(U)
+        g2 = g * g
+        # block (i, j) is 8 (3 G_ij^2 u_j u_i^T + G_ij^3 I); the diagonal
+        # blocks add -24 T(I,I,u_i,u_i) + 24 sum_l G_il^2 u_l u_l^T
+        blocks = (np.einsum("...ij,...jp,...iq->...ijpq", 24.0 * g2, U, U)
+                  + (8.0 * g2 * g)[..., None, None] * np.eye(d))
+        diag = (np.einsum("...iipq->...ipq", blocks) - 24.0 * forms.matrix(U)
+                + np.einsum("...il,...lp,...lq->...ipq", 24.0 * g2, U, U))
+        return _block_hessian(blocks, diag)
 
     return ConstrainedProblem("reconstruction", constraints, value, gradient, hessian,
                               recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
@@ -299,19 +302,11 @@ def correlation_objective(T=None, basis=None, halved=False):
         return (scale * 4.0 * forms.cross_vectors(_rows(w, d))).reshape(w.shape)
 
     def hessian(w):
-        U = w.reshape(d, d)
-        Ms = [forms.matrix(U[i]) for i in range(d)]
-        M_tot = sum(Ms)
-        H = np.zeros((d * d, d * d))
-        for i in range(d):
-            si = slice(i * d, (i + 1) * d)
-            H[si, si] = scale * 4.0 * (M_tot - Ms[i])
-            for j in range(i + 1, d):
-                sj = slice(j * d, (j + 1) * d)
-                block = scale * 8.0 * forms.pair_matrix(U[i], U[j])
-                H[si, sj] = block
-                H[sj, si] = block.T
-        return H
+        # block (i, j) is 8 T(I,u_i,u_j,I); block (i, i) is
+        # 4 sum_{l != i} T(I,I,u_l,u_l), with T(I,u_i,u_i,I) = T(I,I,u_i,u_i)
+        pairs = forms.pair_matrices(_rows(w, d))
+        M = np.einsum("...iipq->...ipq", pairs)
+        return _block_hessian(scale * 8.0 * pairs, scale * 4.0 * (M.sum(axis=-3, keepdims=True) - M))
 
     name = "correlation-halved" if halved else "correlation"
     return ConstrainedProblem(name, constraints, value, gradient, hessian,

@@ -272,14 +272,16 @@ def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, s
             _check_noise_bound(objective, W, sg, noise, config.noise_scale)
         step = sg if noise is None else sg + noise
         W = W - eta_t * step
-        if project is not None:
-            W = project(W)
-        # the stack's total bounds every row's squared norm (and is nan or
-        # inf when a row is), so rows are only looked at when it is too big
+        # before projection, which rescales an overflowed row to zeros; the
+        # stack's total bounds every row's squared norm (and is nan or inf
+        # when a row is), so rows are only looked at when it is too big
         if not np.einsum("ij,ij->", W, W) <= DIVERGENCE_LIMIT**2:
-            bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
+            with np.errstate(over="ignore"):
+                bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
             if bad.any():
                 leave(bad, t, lambda i: f"iterate diverged at step {t}")
+        if project is not None:
+            W = project(W)
         t += 1
         if stop is not None and ids.size:
             hit = np.asarray(stop(W), dtype=bool)

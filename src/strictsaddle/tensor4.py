@@ -8,8 +8,8 @@ tensors of interest here have an orthogonal decomposition
 with orthonormal a_1..a_d, and are fully symmetric under all 24 index
 permutations.  Multilinear forms T(u,v,w,z), T(I,u,u,u) and T(I,I,u,u) are
 provided both as dense contractions (the oracle path) and as O(d^2)
-closed forms that use the known decomposition basis.  The scalar and
-vector forms also take (..., d) stacks of vectors, one result per row.
+closed forms that use the known decomposition basis.  The scalar, vector
+and matrix forms also take (..., d) stacks of vectors, one result per row.
 """
 
 from itertools import permutations
@@ -24,7 +24,6 @@ __all__ = [
     "form_vector",
     "form_matrix",
     "form_pair_vector",
-    "form_pair_matrix",
     "basis_coords",
     "basis_form_scalar",
     "basis_form_vector",
@@ -192,23 +191,17 @@ def form_vector(T, u):
 
 
 def form_matrix(T, u):
-    """Two free slots: the matrix T(I, I, u, u)."""
+    """Two free slots: the matrix T(I, I, u, u), per row of a (..., d) stack."""
     t = _as_tensor_entries(T)
-    if np.shape(u) != (t.shape[0],):
-        raise ValueError(f"vector has shape {np.shape(u)}, expected ({t.shape[0]},)")
-    return np.einsum("pqrs,r,s->pq", t, u, u, optimize=True)
+    _check_last_axis(t, u=u)
+    d = t.shape[0]
+    return np.einsum("pqm,...m->...pq", t.reshape(d, d, d * d), _outer_flat(u, u))
 
 
 def form_pair_vector(T, a, b):
     """Mixed contraction T(I, a, b, b); equals T(I,I,b,b) @ a for symmetric T."""
     t = _as_tensor_entries(T)
     return np.einsum("pqrs,q,r,s->p", t, a, b, b, optimize=True)
-
-
-def form_pair_matrix(T, a, b):
-    """Mixed contraction T(I, a, b, I); symmetric for fully symmetric T."""
-    t = _as_tensor_entries(T)
-    return np.einsum("pqrs,q,r->ps", t, a, b, optimize=True)
 
 
 def basis_coords(basis, u):
@@ -238,10 +231,10 @@ def basis_form_vector(basis, u):
 
 
 def basis_form_matrix(basis, u):
-    """Decomposition-aware T(I,I,u,u) = sum_i (a_i.u)^2 a_i a_i^T."""
+    """Decomposition-aware T(I,I,u,u) = sum_i (a_i.u)^2 a_i a_i^T, per row of a (..., d) stack."""
+    x = basis_coords(basis, u)
     a = basis.vectors
-    c = a @ u
-    return (a.T * c**2) @ a
+    return np.einsum("...jp,jq->...pq", (x * x)[..., None] * a, a)
 
 
 def reconstruction_error(T, U):

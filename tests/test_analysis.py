@@ -26,7 +26,7 @@ from strictsaddle.analysis import (
 )
 from strictsaddle.ica import ica_stochastic_gradient
 from strictsaddle.manifold import SaddleParams, SphereProduct, tangent_gradient
-from strictsaddle.objectives import correlation_objective, maxeig_objective
+from strictsaddle.objectives import correlation_objective, maxeig_objective, reconstruction_objective
 from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
 from strictsaddle.objectives import QuadraticObjective
 from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
@@ -54,32 +54,66 @@ def standard_correlation(d):
 # ------------------------------------------------------------------ #
 
 
+def loop_fd_gradient(f, w):
+    """One-point-at-a-time oracle for the stacked fd_gradient."""
+    h = 1e-5 * max(1.0, float(np.linalg.norm(w)))
+    g = np.empty(w.size)
+    for i in range(w.size):
+        e = np.zeros(w.size)
+        e[i] = h
+        g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
+    return g
+
+
+def loop_fd_hessian(f, w):
+    """One-point-at-a-time oracle for the stacked fd_hessian."""
+    h = 1e-4 * max(1.0, float(np.linalg.norm(w)))
+    n = w.size
+    H = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        for j in range(i, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            val = (f(w + ei + ej) - f(w + ei - ej) - f(w - ei + ej) + f(w - ei - ej)) / (4.0 * h * h)
+            H[i, j] = val
+            H[j, i] = val
+    return 0.5 * (H + H.T)
+
+
 class TestFiniteDifferences:
     def test_gradient_of_squared_norm(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal(5)
-        got = fd_gradient(lambda v: float(v @ v), w)
+        got = fd_gradient(lambda v: np.einsum("...i,...i->...", v, v), w)
         np.testing.assert_allclose(got, 2.0 * w, atol=1e-8)
 
     def test_hessian_of_linear_function(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(4)
         w = rng.standard_normal(4)
-        got = fd_hessian(lambda v: float(a @ v), w)
+        got = fd_hessian(lambda v: np.einsum("...i,i->...", v, a), w)
         np.testing.assert_allclose(got, np.zeros((4, 4)), atol=1e-8)
 
     def test_hessian_of_quadratic(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 3))
         H = A + A.T
-        got = fd_hessian(lambda v: 0.5 * float(v @ H @ v), rng.standard_normal(3))
+        got = fd_hessian(lambda v: 0.5 * np.einsum("...i,ij,...j->...", v, H, v), rng.standard_normal(3))
         np.testing.assert_allclose(got, H, atol=1e-5)
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            fd_gradient(lambda v: 0.0, np.zeros(2), h=0.0)
-        with pytest.raises(ValueError):
-            fd_hessian(lambda v: 0.0, np.zeros(2), h=-1e-5)
+    @pytest.mark.parametrize("build", [maxeig_objective, reconstruction_objective, correlation_objective])
+    def test_stacked_equal_loop(self, build):
+        """Stacked finite differences equal the one-point loop bit for bit;
+        d=12 gives the gradient more points than one stack holds."""
+        for d in (1, 2, 3, 4, 12):
+            basis = OrthoBasis.random(d, np.random.default_rng(d))
+            prob = build(basis=basis)
+            w = prob.random_feasible(np.random.default_rng(50 + d))
+            np.testing.assert_array_equal(fd_gradient(prob.value, w), loop_fd_gradient(prob.value, w))
+            if d <= 4:
+                np.testing.assert_array_equal(fd_hessian(prob.value, w), loop_fd_hessian(prob.value, w))
 
 
 # ------------------------------------------------------------------ #
@@ -251,6 +285,12 @@ class TestEnumerate:
             assert matcher.nearest(entry.point)[1] <= 1e-6
             assert entry.min_eig >= 3.0
 
+    def test_diverged_starts_are_counted(self):
+        prob, _ = standard_maxeig(3)
+        config = SgdConfig(eta=0.05, iterations=50, noise_scale=1e308, seed=0, record_every=50)
+        catalog = enumerate_minima(prob, 4, config)
+        assert len(catalog) == 0 and catalog.diverged == 4
+
 
 # ------------------------------------------------------------------ #
 # Coupling                                                             #
@@ -338,6 +378,17 @@ class TestEscape:
         config = SgdConfig(eta=0.01, iterations=10, noise_scale=1.0, seed=0, record_every=10)
         with pytest.raises(ValueError, match="feasible starting point"):
             escape_statistics(prob, off, 3, config)
+
+    def test_diverged_trial_has_not_escaped(self):
+        """A trial whose step overflows is counted, with no steps and a nan f decrease."""
+        prob, _ = standard_maxeig(4)
+        saddle = np.zeros(4)
+        saddle[:2] = 1.0 / np.sqrt(2.0)
+        config = SgdConfig(eta=0.01, iterations=20, noise_scale=1e308, seed=0, record_every=10)
+        stats = escape_statistics(prob, saddle, 3, config)
+        assert stats["diverged"] == 3 and stats["escape_fraction"] == 0.0
+        assert stats["per_trial_steps"] == [None] * 3
+        assert np.isnan(stats["per_trial_decrease"]).all()
 
     def test_escape_read_from_final_point(self):
         """Trial k's steps and f decrease are those of trial k run alone with

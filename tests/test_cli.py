@@ -212,7 +212,26 @@ class TestVerify:
         assert rc == 0
         report = (out / "verify_report.txt").read_text()
         assert report.count("PASS") == len(report.strip().split("\n"))
-        assert read_manifest(out)["outputs"] == ["verify_report.txt"]
+        assert read_manifest(out)["outputs"] == ["verify_report.json", "verify_report.txt"]
+
+    def test_json_report_holds_every_margin(self, tmp_path, capsys):
+        """verify_report.json has one object per check; the text report and
+        stdout lines are unchanged by it."""
+        out = tmp_path / "out"
+        assert main(["verify", "--d", "3", "--seed", "7", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["verify", "--d", "3", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == stdout
+        lines = (out / "verify_report.txt").read_text().strip().split("\n")
+        assert lines == stdout.strip().split("\n")[:-1]
+        with open(out / "verify_report.json") as fh:
+            checks = json.load(fh)
+        assert len(checks) == len(lines)
+        for check, line in zip(checks, lines):
+            assert set(check) == {"name", "value", "tolerance", "margin", "passed"}
+            assert line.startswith(f"PASS {check['name']}: ")
+            assert check["passed"] is True
+            assert check["margin"] == check["tolerance"] - check["value"]
 
     def test_detects_injected_estimator_fault(self, tmp_path, monkeypatch, capsys):
         """A sign-flipped stochastic gradient must fail the battery."""
@@ -274,6 +293,27 @@ class TestEscapeCommand:
         assert rc == 0
         rows = (out / "escape.csv").read_text().strip().split("\n")[1:]
         assert all(row.split(",")[1] == "-1" for row in rows)
+
+
+class TestDivergedRuns:
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--noise", "1e308", "--d", "3", "--iters", "20"],
+        ["ica", "--noise", "1e308", "--d", "3", "--iters", "20"],
+        ["minima", "--eta", "1e308", "--d", "2", "--starts", "3", "--iters", "20"],
+        ["escape", "--noise", "1e308", "--d", "3", "--trials", "3", "--iters", "20"],
+    ], ids=["decompose", "ica", "minima", "escape"])
+    def test_overflowing_step_exits_1_with_outputs(self, argv, tmp_path):
+        """A step that overflows is a diverged run: exit 1, no traceback,
+        and the manifest lists exactly the files written."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(strictsaddle.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "strictsaddle", *argv, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert on_disk and read_manifest(out)["outputs"] == on_disk
 
 
 class TestMinimaCommand:

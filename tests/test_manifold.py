@@ -14,7 +14,7 @@ from strictsaddle.manifold import (
     lagrangian_hessian,
     min_tangent_eig,
     rlicq_sigma_min,
-    tangent_frame,
+    tangent_basis,
     tangent_gradient,
 )
 from strictsaddle.objectives import (
@@ -160,12 +160,12 @@ class TestTangentGradient:
         rng = np.random.default_rng(5)
         for _ in range(10):
             w = prob.random_feasible(rng)
-            frame = tangent_frame(prob.constraints, w)
-            want = frame.project_tangent(prob.gradient(w))
+            cs = prob.constraints
+            want = cs.tangent_project(w, prob.gradient(w))
             got = tangent_gradient(prob, w)
             assert np.linalg.norm(got - want) <= 1e-9
             # chi itself lies in the tangent space
-            assert np.linalg.norm(frame.project_normal(got)) <= 1e-9
+            assert np.linalg.norm(cs.normal_project(w, got)) <= 1e-9
 
 
 # ------------------------------------------------------------------ #
@@ -228,8 +228,8 @@ class TestLagrangianHessian:
         w0 = prob.random_feasible(rng)
         lam = lagrange_multipliers(prob, w0)
 
-        def lagrangian(w):
-            return prob.value(w) - lam @ prob.constraints.c(w)
+        def lagrangian(W):
+            return prob.value(W) - np.einsum("...i,i->...", prob.constraints.c(W), lam)
 
         M = lagrangian_hessian(prob, w0)
         fd = fd_hessian(lagrangian, w0)
@@ -244,25 +244,24 @@ class TestLagrangianHessian:
 class TestTangentFrame:
     def test_single_sphere_at_pole(self):
         cs = SphereProduct.spheres(1, 4)
-        frame = tangent_frame(cs, np.eye(4)[0])
-        assert frame.tangent_basis.shape == (4, 3)
+        B = tangent_basis(cs, np.eye(4)[0])
+        assert B.shape == (4, 3)
         # tangent vectors have no e_1 component
-        np.testing.assert_allclose(frame.tangent_basis[0, :], np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(B[0, :], np.zeros(3), atol=1e-12)
 
     def test_tangent_orthogonal_to_constraint_gradients(self):
         cs = SphereProduct.spheres(3, 3)
         rng = np.random.default_rng(10)
         w = cs.random_point(rng)
-        frame = tangent_frame(cs, w)
         C = cs.constraint_gradients(w)
-        assert np.max(np.abs(frame.tangent_basis.T @ C)) <= 1e-12
+        assert np.max(np.abs(tangent_basis(cs, w).T @ C)) <= 1e-12
 
     def test_projector_algebra(self):
+        """The tangent basis and the unit constraint gradients complete each other."""
         cs = SphereProduct.spheres(2, 4)
         rng = np.random.default_rng(11)
         w = cs.random_point(rng)
-        frame = tangent_frame(cs, w)
-        B, Q = frame.tangent_basis, frame.normal_basis
+        B, Q = tangent_basis(cs, w), 0.5 * cs.constraint_gradients(w)
         P, N = B @ B.T, Q @ Q.T
         np.testing.assert_allclose(P + N, np.eye(8), atol=1e-12)
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
@@ -280,7 +279,8 @@ class TestTangentFrame:
         rng = np.random.default_rng(12)
         w = cs.random_point(rng)
         v = rng.standard_normal(6)
-        got = tangent_frame(cs, w).project_tangent(v)
+        B = tangent_basis(cs, w)
+        got = B @ (B.T @ v)
         want = v.copy()
         for a, b in cs.blocks():
             want[a:b] -= (w[a:b] @ v[a:b]) * w[a:b]
@@ -312,8 +312,7 @@ class TestMinTangentEig:
         rng = np.random.default_rng(13)
         u = prob.random_feasible(rng)
         eig, v = min_tangent_eig(prob, u)
-        frame = tangent_frame(prob.constraints, u)
-        assert np.linalg.norm(frame.project_normal(v)) <= 1e-10
+        assert np.linalg.norm(prob.constraints.normal_project(u, v)) <= 1e-10
         np.testing.assert_allclose(v @ lagrangian_hessian(prob, u) @ v, eig, rtol=1e-10)
 
     def test_correlation_minimum_is_strongly_convex(self):
@@ -353,24 +352,22 @@ class TestGeometryBounds:
         for _ in range(200):
             w0 = cs.random_point(rng)
             w = cs.random_point(rng)
-            frame = tangent_frame(cs, w0)
             delta = np.linalg.norm(w - w0)
             assert (
-                np.linalg.norm(frame.project_normal(w - w0))
+                np.linalg.norm(cs.normal_project(w0, w - w0))
                 <= 0.5 * delta**2 + 1e-12
             )
-            v_t = frame.project_tangent(rng.standard_normal(6))
+            v_t = cs.tangent_project(w0, rng.standard_normal(6))
             v_t /= np.linalg.norm(v_t)
-            frame_w = tangent_frame(cs, w)
-            assert np.linalg.norm(frame_w.project_normal(v_t)) <= delta + 1e-12
-            v_n = frame.project_normal(rng.standard_normal(6))
+            assert np.linalg.norm(cs.normal_project(w, v_t)) <= delta + 1e-12
+            v_n = cs.normal_project(w0, rng.standard_normal(6))
             v_n /= np.linalg.norm(v_n)
-            assert np.linalg.norm(frame_w.project_tangent(v_n)) <= delta + 1e-12
+            assert np.linalg.norm(cs.tangent_project(w, v_n)) <= delta + 1e-12
             for eta in (1e-1, 1e-2, 1e-3):
                 v = rng.standard_normal(6)
                 v /= np.linalg.norm(v)
                 moved = cs.project(w0 + eta * v)
-                surrogate = w0 + eta * frame.project_tangent(v)
+                surrogate = w0 + eta * cs.tangent_project(w0, v)
                 assert np.linalg.norm(moved - surrogate) <= 4.0 * eta**2 + 1e-12
 
 
@@ -403,6 +400,29 @@ class LinearProblem:
 
     def gradient(self, w):
         return self.g
+
+
+class QuadraticProblem:
+    """f(w) = g.w + w.A.w / 2 on a sphere product: Hessian A everywhere."""
+
+    def __init__(self, constraints, g, A):
+        self.constraints = constraints
+        self.g = g
+        self.A = A
+
+    def gradient(self, w):
+        return self.g + np.einsum("ij,...j->...i", self.A, w)
+
+    def hessian(self, w):
+        return np.broadcast_to(self.A, np.shape(w)[:-1] + self.A.shape)
+
+
+def qr_min_tangent_eig(problem, w):
+    """Oracle: the tangent frame from a full QR of C(w), then a dense eigh."""
+    cs = problem.constraints
+    q, _ = np.linalg.qr(cs.constraint_gradients(w), mode="complete")
+    B = q[:, cs.m:]
+    return np.linalg.eigh(B.T @ lagrangian_hessian(problem, w) @ B)[0][0]
 
 
 def lstsq_multipliers(problem, w):
@@ -484,3 +504,30 @@ class TestSphereProductProperties:
                     lagrange_multipliers(problem, W[i]), tangent_gradient(problem, W[i]))
             for got, want in zip(stacked, rows):
                 np.testing.assert_array_equal(got[i], want)
+
+    @PROPERTY
+    @given(BLOCK_DIMS, st.integers(1, 8), SEEDS)
+    def test_tangent_basis_and_curvature(self, dims, k, seed):
+        """The Householder basis is orthonormal, tangent and spans T(w);
+        the curvature it gives matches the QR frame; stacks equal rows."""
+        cs = SphereProduct(dims)
+        rng = np.random.default_rng(seed)
+        W = cs.project(rng.standard_normal((k, cs.n)))
+        A = rng.standard_normal((cs.n, cs.n))
+        problem = QuadraticProblem(cs, rng.standard_normal(cs.n), A + A.T)
+        bases = tangent_basis(cs, W)
+        assert bases.shape == (k, cs.n, cs.n - cs.m)
+        curved = cs.n > cs.m
+        if curved:
+            eigs, dirs = min_tangent_eig(problem, W)
+        for i, (w, B) in enumerate(zip(W, bases)):
+            np.testing.assert_array_equal(tangent_basis(cs, w), B)
+            np.testing.assert_allclose(B.T @ B, np.eye(cs.n - cs.m), rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(B.T @ cs.constraint_gradients(w)), initial=0.0) <= 1e-12
+            v = rng.standard_normal(cs.n)
+            np.testing.assert_allclose(B @ (B.T @ v), cs.tangent_project(w, v), rtol=0.0, atol=1e-12)
+            if curved:
+                eig, direction = min_tangent_eig(problem, w)
+                assert eig == eigs[i]
+                np.testing.assert_array_equal(direction, dirs[i])
+                assert abs(eig - qr_min_tangent_eig(problem, w)) <= 1e-10

@@ -16,7 +16,7 @@ from strictsaddle.objectives import (
     QuadraticObjective,
     reconstruction_objective,
 )
-from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
+from strictsaddle.tensor4 import OrthoBasis, form_matrix, make_orthogonal_tensor
 
 # ------------------------------------------------------------------ #
 # Fixtures                                                             #
@@ -28,6 +28,50 @@ def random_problemset(d, seed):
     basis = OrthoBasis.random(d, rng)
     T = make_orthogonal_tensor(basis)
     return T, basis, rng
+
+
+# The block-by-block Hessians below are the oracle for the einsum Hessians
+# of the objectives; they contract the dense tensor one point at a time.
+
+
+def loop_reconstruction_hessian(T, w):
+    d = T.d
+    U = w.reshape(d, d)
+    gram = U @ U.T
+    H = np.zeros((d * d, d * d))
+    for i in range(d):
+        si = slice(i * d, (i + 1) * d)
+        diag = -24.0 * form_matrix(T, U[i])
+        for l in range(d):
+            if l == i:
+                continue
+            diag += 24.0 * gram[i, l] ** 2 * np.outer(U[l], U[l])
+        diag += 48.0 * gram[i, i] ** 2 * np.outer(U[i], U[i])
+        diag += 8.0 * gram[i, i] ** 3 * np.eye(d)
+        H[si, si] = diag
+        for j in range(i + 1, d):
+            sj = slice(j * d, (j + 1) * d)
+            block = 8.0 * (3.0 * gram[i, j] ** 2 * np.outer(U[j], U[i]) + gram[i, j] ** 3 * np.eye(d))
+            H[si, sj] = block
+            H[sj, si] = block.T
+    return H
+
+
+def loop_correlation_hessian(T, w, scale):
+    d = T.d
+    U = w.reshape(d, d)
+    Ms = [form_matrix(T, U[i]) for i in range(d)]
+    M_tot = sum(Ms)
+    H = np.zeros((d * d, d * d))
+    for i in range(d):
+        si = slice(i * d, (i + 1) * d)
+        H[si, si] = scale * 4.0 * (M_tot - Ms[i])
+        for j in range(i + 1, d):
+            sj = slice(j * d, (j + 1) * d)
+            block = scale * 8.0 * np.einsum("pqrs,q,r->ps", T.entries, U[i], U[j])
+            H[si, sj] = block
+            H[sj, si] = block.T
+    return H
 
 
 # ------------------------------------------------------------------ #
@@ -235,33 +279,53 @@ def build(kind, source, T, basis):
     return BUILDERS[kind](None if source == "basis" else T, basis=None if source == "dense" else basis)
 
 
+# BUILDERS' correlation problem is the halved one
+LOOP_HESSIANS = {
+    "reconstruction": loop_reconstruction_hessian,
+    "correlation": lambda T, w: loop_correlation_hessian(T, w, 0.5),
+}
+
+
 class TestStacks:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(BUILDERS)), st.sampled_from(SOURCES), st.integers(1, 4), st.integers(1, 8),
            st.integers(0, 2**32 - 1))
     def test_stack_rows_equal_row_calls_and_fd(self, kind, source, d, k, seed):
-        """value/gradient of a (K, n) stack equal the per-row calls bit for
-        bit, on the basis and the dense path, and each row's gradient
-        matches finite differences at the tolerances used above.  Built
-        from the basis alone, a problem equals the (T, basis) build bit
-        for bit: given a basis, T is not read."""
+        """value/gradient/hessian of a (K, n) stack equal the per-row calls
+        bit for bit, on the basis and the dense path, and each row's
+        gradient matches finite differences at the tolerances used above.
+        Built from the basis alone, a problem equals the (T, basis) build
+        bit for bit: given a basis, T is not read."""
         T, basis, rng = random_problemset(d, seed)
         prob = build(kind, source, T, basis)
         W = np.array([prob.random_feasible(rng) for _ in range(k)])
-        values, grads = prob.value(W), prob.gradient(W)
-        assert values.shape == (k,) and grads.shape == W.shape
+        values, grads, hessians = prob.value(W), prob.gradient(W), prob.hessian(W)
+        assert values.shape == (k,) and grads.shape == W.shape and hessians.shape == (k, prob.dim, prob.dim)
         for i in range(k):
             assert prob.value(W[i]) == values[i]
             np.testing.assert_array_equal(prob.gradient(W[i]), grads[i])
+            np.testing.assert_array_equal(prob.hessian(W[i]), hessians[i])
             fd = fd_gradient(prob.value, W[i])
             assert np.linalg.norm(grads[i] - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
         if source == "basis":
             both = build(kind, "both", T, basis)
             np.testing.assert_array_equal(both.value(W), values)
             np.testing.assert_array_equal(both.gradient(W), grads)
+            np.testing.assert_array_equal(both.hessian(W), hessians)
             for w in W:
-                np.testing.assert_array_equal(both.hessian(w), prob.hessian(w))
                 assert both.recon_error(w) == prob.recon_error(w)
+
+    @pytest.mark.parametrize("source", ["dense", "basis"])
+    @pytest.mark.parametrize("kind", sorted(LOOP_HESSIANS))
+    def test_hessian_matches_block_loop(self, kind, source):
+        """The einsum Hessians equal the block-by-block loop to 1e-12 relative."""
+        for d in range(1, 6):
+            T, basis, rng = random_problemset(d, 40 + d)
+            prob = build(kind, source, T, basis)
+            for _ in range(3):
+                w = prob.random_feasible(rng)
+                want = LOOP_HESSIANS[kind](T, w)
+                assert np.linalg.norm(prob.hessian(w) - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_factory_rejects_bad_inputs(self, kind):

@@ -179,6 +179,15 @@ class TestNoisySgd:
         assert "diverged" in rec.message
         assert rec.n_steps < 5000
 
+    def test_overflowing_projected_step_diverges(self):
+        """A step that overflows ends the run as diverged at that step; the
+        projection would otherwise rescale the overflowed row to zeros."""
+        basis = OrthoBasis.standard(3)
+        config = SgdConfig(eta=0.01, iterations=20, noise_scale=1e308, record_every=10)
+        rec = projected_noisy_sgd(maxeig_objective(basis=basis), None, basis.vectors[0], config)
+        assert rec.diverged and rec.n_steps == 0
+        assert rec.message == "iterate diverged at step 0"
+
     def test_record_stride_and_lengths(self):
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), np.eye(2))
         config = SgdConfig(eta=0.01, iterations=100, noise_scale=0.0, record_every=30)
