@@ -23,7 +23,7 @@ from .analysis import (
     fd_hessian,
     run_checks,
 )
-from .ica import IcaModel, IcaSampler, SimpleSampler, gen_ica_samples, ica_stochastic_gradient
+from .ica import IcaModel, IcaSampler, SimpleSampler, gen_ica_samples
 from .manifold import SaddleParams, SphereProduct, lagrange_multipliers, min_tangent_eig, tangent_gradient
 from .objectives import (
     ConstrainedProblem,
@@ -58,7 +58,6 @@ __all__ = [
     "IcaSampler",
     "SimpleSampler",
     "gen_ica_samples",
-    "ica_stochastic_gradient",
     "SaddleParams",
     "SphereProduct",
     "lagrange_multipliers",

@@ -520,33 +520,31 @@ def pairing_expectation_check(d, n_forms, rng):
     return worst
 
 
-def ica_unbiasedness_check(d, n_points, rng, gradient_fn=None):
-    """Exhaustive mean of the ICA stochastic gradient vs the analytic one."""
-    if gradient_fn is None:
-        gradient_fn = ica.ica_stochastic_gradient
+def _sampled_mean_error(problem, W, per_sample):
+    """Worst |mean per-sample gradient - analytic gradient| over the points
+    W, given every point's per-sample gradients as (points, samples, d, d)."""
+    mean = per_sample.reshape(*per_sample.shape[:2], -1).mean(axis=1)
+    return float(np.max(np.abs(mean - problem.gradient(W))))
+
+
+def ica_unbiasedness_check(d, n_points, rng):
+    """Exhaustive mean of the ICA stochastic gradient vs the analytic one,
+    in one stacked call with each sign source a batch of one."""
     model = ica.IcaModel.random(d, rng)
     problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
-    signs = exhaustive_sign_vectors(d)
-    ys = signs @ model.A.T
-    worst = 0.0
-    for _ in range(n_points):
-        w = problem.random_feasible(rng)
-        mean = np.mean([gradient_fn(w, y) for y in ys], axis=0)
-        worst = max(worst, float(np.max(np.abs(mean - problem.gradient(w)))))
-    return worst
+    ys = exhaustive_sign_vectors(d) @ model.A.T
+    W = np.array([problem.random_feasible(rng) for _ in range(n_points)])
+    return _sampled_mean_error(problem, W, ica.minibatch_gradient(W.reshape(-1, 1, d, d), ys[:, None, :]))
 
 
 def simple_sampler_check(d, n_points, rng):
-    """Exact mean of the atomic sampler gradient vs the analytic one."""
+    """Exact mean of the atomic sampler gradient vs the analytic one, in
+    one stacked call."""
     basis = tensor4.OrthoBasis.random(d, rng)
     problem = objectives.correlation_objective(basis=basis, halved=True)
+    W = np.array([problem.random_feasible(rng) for _ in range(n_points)])
     atoms = d**0.25 * basis.vectors
-    worst = 0.0
-    for _ in range(n_points):
-        w = problem.random_feasible(rng)
-        mean = np.mean([ica.simple_correlation_gradient(w.reshape(d, d), x).reshape(-1) for x in atoms], axis=0)
-        worst = max(worst, float(np.max(np.abs(mean - problem.gradient(w)))))
-    return worst
+    return _sampled_mean_error(problem, W, ica.simple_correlation_gradient(W.reshape(-1, 1, d, d), atoms))
 
 
 def coupling_check(n_instances, d, t, eta, seed):
@@ -566,7 +564,7 @@ def coupling_check(n_instances, d, t, eta, seed):
 
         quad = objectives.QuadraticObjective(w0, g, H)
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, seed=0, record_every=t)
-        record = noisy_sgd(quad, RecordedPerturbations(stream), w0, config)
+        record = noisy_sgd(quad, RecordedPerturbations(quad, stream), w0, config)
 
         grad_cf, disp_cf = coupling_closed_form(g, H, stream, eta, t)
         worst = max(worst, float(np.max(np.abs(quad.gradient(record.final_point) - grad_cf))))

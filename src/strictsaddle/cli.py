@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, ica, objectives, tensor4
-from .sgd import SgdConfig, projected_noisy_sgd, run_rng
+from .sgd import SgdConfig, projected_noisy_sgd, run_rng, write_run_csv
 
 OBJECTIVES = ("correlation", "reconstruction", "maxeig")
 SAMPLERS = ("simple", "ica")
@@ -53,7 +53,7 @@ class CliError(Exception):
 
 
 # Smallest d each command can run at.
-MIN_D = {"escape": 2, "verify": 2}
+MIN_D = {"escape": 2, "verify": 2, "minima": 2}
 # Commands that run every seed of ``seeds``; the others run ``seed`` alone.
 SEED_SWEEPS = ("decompose", "ica")
 # The settings SgdConfig checks that the command line names differently.
@@ -275,7 +275,7 @@ def cmd_decompose(config, out_dir):
         w0 = problem.random_feasible(rng)
         record = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed), rng=rng)
         outputs.append(os.path.join(out_dir, f"seed{seed}.csv"))
-        record.to_csv(outputs[-1])
+        write_run_csv(record, outputs[-1])
         records.append((seed, record))
 
     outputs.append(os.path.join(out_dir, "summary.csv"))
@@ -321,7 +321,7 @@ def cmd_ica(config, out_dir):
         for name, record in ((f"seed{seed}-constant.csv", rec_const), (f"seed{seed}-invt.csv", rec_anneal)):
             if record is not None:
                 outputs.append(os.path.join(out_dir, name))
-                record.to_csv(outputs[-1])
+                write_run_csv(record, outputs[-1])
         records.append((seed, rec_const, rec_anneal))
 
     outputs.append(os.path.join(out_dir, "summary.csv"))

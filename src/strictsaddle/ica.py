@@ -12,14 +12,18 @@ materialized; every use goes through the closed form
 
     Z(u,u,v,v) = ||u||^2 ||v||^2 + 2 (u.v)^2.
 
-``ica_stochastic_gradient`` is the per-sample gradient of the unordered
+``minibatch_gradient`` averages the per-sample gradient of the unordered
 pair loss sum_{i<j} (Z - y^{(x)4})(u_i,u_i,u_j,u_j), i.e. an unbiased
 estimate of the gradient of the halved correlation objective; multiply
 by 2 for the ordered-pair objective.  The same convention holds for the
 ``simple`` rank-one sampler oracles.
-"""
 
-import functools
+Every oracle takes a stack of points and one sample (or batch) per point.
+Products of per-point matrices and vectors are ``np.matmul`` or
+``np.vecdot`` with the stack as the leading batch axis, which make one
+BLAS call per point, the call a single point makes; so a point's
+gradient is bit for bit the same alone or in a stack of any height.
+"""
 
 import numpy as np
 
@@ -29,7 +33,6 @@ __all__ = [
     "IcaModel",
     "gen_ica_samples",
     "z_minus_y4_form",
-    "ica_stochastic_gradient",
     "minibatch_gradient",
     "gen_simple_sample",
     "simple_correlation_gradient",
@@ -85,75 +88,38 @@ def z_minus_y4_form(y, u_i, u_j):
     return 0.5 * (z_part - y_part)
 
 
-def _rows_or_flat(oracle):
-    """Let an oracle on (d, d) rows U also take a flat length-d^2 vector,
-    returning its blocks flat in that case."""
+def minibatch_gradient(U, samples):
+    """Mean per-sample gradient of each point's batch, sharing the O(d^3) terms.
 
-    @functools.wraps(oracle)
-    def wrapper(U, *args):
-        U = np.asarray(U, dtype=float)
-        if U.ndim != 1:
-            return oracle(U, *args)
-        d = round(U.size**0.5)
-        return oracle(U.reshape(d, d), *args).reshape(-1)
-
-    return wrapper
-
-
-@_rows_or_flat
-def ica_stochastic_gradient(U, y):
-    """Per-sample gradient blocks for one observation y.
-
-    Block i is sum_{j != i} ( <u_j,u_j> u_i + 2 <u_i,u_j> u_j
-    - <u_j,y>^2 <u_i,y> y ).  Cost O(d^3) for a single sample; the
-    Gram-matrix terms do not depend on y and are shared by a batch.
-
-    Parameters
-    ----------
-    U : (d, d) array (rows u_i) or flat length-d^2 vector.
-    y : (d,) observation.
-
-    Returns
-    -------
-    (d, d) array of gradient blocks (row i is the block for u_i).
+    ``U`` is a (..., d, d) stack of points (rows u_i) and ``samples`` a
+    (..., k, d) stack holding one batch of k observations per point; one
+    observation is a batch of one.  Block i of a sample y's gradient is
+    sum_{j != i} ( <u_j,u_j> u_i + 2 <u_i,u_j> u_j - <u_j,y>^2 <u_i,y> y ).
+    Cost O(d^3 + k d^2) per point: the Gram terms do not depend on y.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (U.shape[1],):
-        raise ValueError(f"sample has shape {y.shape}, expected ({U.shape[1]},)")
-    return _gram_terms(U) + _sample_terms(U, y.reshape(1, -1))
+    Y = np.asarray(samples, dtype=float)
+    if Y.ndim < 2 or Y.shape[-1] != U.shape[-1]:
+        raise ValueError(f"samples have shape {Y.shape}, expected (..., k, {U.shape[-1]})")
+    if Y.shape[-2] == 0:
+        raise ValueError("empty mini-batch")
+    return _gram_terms(U) + _sample_terms(U, Y)
 
 
 def _gram_terms(U):
     """sum_{j != i}( <u_j,u_j> u_i + 2 <u_i,u_j> u_j ), all blocks at once."""
-    gram = U @ U.T
-    s = np.diag(gram).copy()
-    term1 = (s.sum() - s)[:, None] * U
-    term2 = 2.0 * (gram @ U - s[:, None] * U)
+    gram = np.matmul(U, U.swapaxes(-1, -2))
+    s = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    term1 = (np.add.reduce(s, axis=-1, keepdims=True) - s)[..., None] * U
+    term2 = 2.0 * (np.matmul(gram, U) - s[..., None] * U)
     return term1 + term2
 
 
 def _sample_terms(U, Y):
     """Mean over rows y of -sum_{j != i} <u_j,y>^2 <u_i,y> y per block."""
-    P = Y @ U.T  # P[s, i] = <u_i, y_s>
-    coeff = ((P**2).sum(axis=1, keepdims=True) - P**2) * P
-    return -(coeff.T @ Y) / Y.shape[0]
-
-
-@_rows_or_flat
-def minibatch_gradient(U, samples):
-    """Mean per-sample gradient over a batch, sharing the O(d^3) terms.
-
-    Cost O(d^3 + k d^2) for k samples.  Equals the arithmetic mean of
-    :func:`ica_stochastic_gradient` over the batch.
-    """
-    Y = np.asarray(samples, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(1, -1)
-    if Y.shape[0] == 0:
-        raise ValueError("empty mini-batch")
-    if Y.shape[1] != U.shape[1]:
-        raise ValueError(f"samples have dimension {Y.shape[1]}, expected {U.shape[1]}")
-    return _gram_terms(U) + _sample_terms(U, Y)
+    P = np.matmul(Y, U.swapaxes(-1, -2))  # P[..., s, i] = <u_i, y_s>
+    P2 = P**2
+    coeff = (np.add.reduce(P2, axis=-1, keepdims=True) - P2) * P
+    return -np.matmul(coeff.swapaxes(-1, -2), Y) / Y.shape[-2]
 
 
 def gen_simple_sample(basis, rng):
@@ -163,36 +129,40 @@ def gen_simple_sample(basis, rng):
     return d**0.25 * basis.vectors[i]
 
 
-@_rows_or_flat
-def simple_correlation_gradient(U, x):
-    """Halved-correlation per-sample gradient for a rank-one sample x.
+def _row_products(U, x):
+    """<u_i, x> for every row u_i of each point: (..., d)."""
+    return np.matmul(U, x[..., None])[..., 0]
 
-    Block i: 2 <u_i,x> (sum_{j != i} <u_j,x>^2) x.
+
+def simple_correlation_gradient(U, x):
+    """Halved-correlation per-sample gradient for rank-one samples x.
+
+    ``U`` is a (..., d, d) stack of points and ``x`` a (..., d) stack of
+    samples.  Block i: 2 <u_i,x> (sum_{j != i} <u_j,x>^2) x.
     """
-    x = np.asarray(x, dtype=float)
-    p = U @ x
-    coeff = 2.0 * p * (np.sum(p**2) - p**2)
-    return coeff[:, None] * x[None, :]
+    p = _row_products(U, x)
+    p2 = p**2
+    coeff = 2.0 * p * (np.add.reduce(p2, axis=-1, keepdims=True) - p2)
+    return coeff[..., :, None] * x[..., None, :]
 
 
 def simple_maxeig_gradient(u, x):
-    """Per-sample gradient of -<u,x>^4: block -4 <u,x>^3 x."""
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return -4.0 * float(u @ x) ** 3 * x
+    """Per-sample gradient of -<u,x>^4 on (..., d) stacks: block -4 <u,x>^3 x."""
+    # float_power cubes with libm's pow, as ``**`` does for one float; ``**``
+    # on an array takes a vectorised pow that rounds some cubes differently
+    return (-4.0 * np.float_power(np.vecdot(u, x), 3))[..., None] * x
 
 
-@_rows_or_flat
 def simple_reconstruction_gradient(U, x):
-    """Reconstruction per-sample gradient for a rank-one sample x.
+    """Reconstruction per-sample gradient for rank-one samples x, on stacks
+    as in :func:`simple_correlation_gradient`.
 
     Block i: -8 <u_i,x>^3 x + 8 sum_l <u_i,u_l>^3 u_l; the second term is
     exact (it does not involve the tensor).
     """
-    x = np.asarray(x, dtype=float)
-    p = U @ x
-    gram = U @ U.T
-    return -8.0 * (p**3)[:, None] * x[None, :] + 8.0 * (gram**3) @ U
+    p = _row_products(U, x)
+    gram = np.matmul(U, U.swapaxes(-1, -2))
+    return -8.0 * (p**3)[..., :, None] * x[..., None, :] + 8.0 * np.matmul(gram**3, U)
 
 
 class IcaSampler:
@@ -200,6 +170,8 @@ class IcaSampler:
 
     The oracle estimates the gradient of the HALVED correlation
     objective; pair it with ``correlation_objective(..., halved=True)``.
+    ``gradient(W, samples)`` takes the (K, d*d) stack of points and a
+    (K, batch, d) stack of draws, one batch per row.
     """
 
     def __init__(self, model, batch_size=100):
@@ -211,15 +183,18 @@ class IcaSampler:
     def draw(self, rng):
         return gen_ica_samples(self.model, self.batch_size, rng)
 
-    def gradient(self, w, samples):
-        return minibatch_gradient(w, samples)
+    def gradient(self, W, samples):
+        d = self.model.d
+        return minibatch_gradient(W.reshape(-1, d, d), samples).reshape(W.shape)
 
 
 class SimpleSampler:
     """Draws rank-one samples x = d^{1/4} a_i and their gradient oracle.
 
     ``kind`` selects the per-sample loss: 'correlation' (halved
-    convention), 'reconstruction', or 'maxeig'.
+    convention), 'reconstruction', or 'maxeig'.  ``gradient(W, samples)``
+    takes the (K, n) stack of points and a (K, d) stack of draws, one
+    per row.
     """
 
     KINDS = ("correlation", "reconstruction", "maxeig")
@@ -233,10 +208,10 @@ class SimpleSampler:
     def draw(self, rng):
         return gen_simple_sample(self.basis, rng)
 
-    def gradient(self, w, x):
-        if self.kind == "correlation":
-            return simple_correlation_gradient(w, x)
-        if self.kind == "reconstruction":
-            return simple_reconstruction_gradient(w, x)
-        return simple_maxeig_gradient(w, x)
+    def gradient(self, W, samples):
+        if self.kind == "maxeig":
+            return simple_maxeig_gradient(W, samples)
+        d = self.basis.d
+        oracle = simple_correlation_gradient if self.kind == "correlation" else simple_reconstruction_gradient
+        return oracle(W.reshape(-1, d, d), samples).reshape(W.shape)
 

@@ -316,10 +316,9 @@ def correlation_objective(T=None, basis=None, halved=False):
 class QuadraticObjective:
     """Quadratic model f(w) = f0 + g.(w-w0) + (1/2)(w-w0).H(w-w0).
 
-    Serves as the local second-order surrogate in the coupling analysis.
-    ``stochastic_gradient(w, sample)`` treats the sample as an additive
-    gradient perturbation, so a recorded perturbation stream can be
-    replayed exactly.
+    Serves as the local second-order surrogate in the coupling analysis,
+    where :class:`strictsaddle.sgd.RecordedPerturbations` adds a recorded
+    perturbation stream to its gradient.
     """
 
     def __init__(self, w0, g, H, f0=0.0, oracle_bound=None):
@@ -353,11 +352,6 @@ class QuadraticObjective:
 
     def hessian(self, w):
         return self.H
-
-    def stochastic_gradient(self, w, sample):
-        if sample is None:
-            return self.gradient(w)
-        return self.gradient(w) + np.asarray(sample, dtype=float)
 
 
 # ---------------------------------------------------------------------------

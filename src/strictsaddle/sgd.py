@@ -13,9 +13,13 @@ second; schedules only change the step length, so matched seeds see
 identical random streams under different schedules.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
-its own generator; a single run is the K=1 case.  Every kernel on the
-stack is an einsum or a last-axis reduction, so trial k's record is bit
-for bit the same alone or in a stack of any height.
+its own generator; a single run is the K=1 case.  A sampler answers
+for the whole stack: ``draw(rng)`` gives one row's sample and
+``gradient(W, samples)`` takes the stack and one sample per row.  Every
+kernel on the stack acts row by row (an einsum or a last-axis reduction
+where rows meet shared data, a batched matmul for products of per-row
+matrices), so trial k's record is bit for bit the same alone or in a
+stack of any height.
 """
 
 import math
@@ -156,14 +160,16 @@ class RunRecord:
     message: str = ""
     wall_time_ms: float = 0.0
 
-    def to_csv(self, path):
-        write_run_csv(self, path)
-
 
 class RecordedPerturbations:
-    """Replays a fixed stream of additive gradient perturbations."""
+    """Sampler that replays a fixed stream of additive gradient perturbations.
 
-    def __init__(self, stream):
+    Each draw is the stream's next entry; the oracle adds it to the exact
+    gradient of ``objective``.
+    """
+
+    def __init__(self, objective, stream):
+        self.objective = objective
         self.stream = [np.asarray(x, dtype=float) for x in stream]
         self._next = 0
 
@@ -173,6 +179,9 @@ class RecordedPerturbations:
         out = self.stream[self._next]
         self._next += 1
         return out
+
+    def gradient(self, W, samples):
+        return self.objective.gradient(W) + samples
 
 
 def _check_noise_bound(objective, W, sg, noise, noise_scale):
@@ -189,15 +198,20 @@ def _check_noise_bound(objective, W, sg, noise, noise_scale):
         raise RuntimeError(f"perturbation bound violated: ||xi||={nrm:.6g} > Q+noise={bound:.6g}")
 
 
-def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, stop=None):
+@np.errstate(over="ignore")
+def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recons, stop=None):
     """Advance the trials ``starts = [(w0, rng), ...]`` as one (K, n) stack.
 
-    Each step visits the active trials in order; trial k draws its oracle
-    sample and then its noise from its own generator, so its stream is the
-    one it sees when run alone.  All kernels act row by row (einsum and
-    last-axis reductions), so every row's result is independent of K and
-    of which other trials are still active.  A trial leaves the stack when
-    it diverges or, after a step, when ``stop(W)`` is True for its row.
+    Each step draws every active trial's oracle sample, then every trial's
+    noise, trial k from its own generator, so its stream is the one it sees
+    when run alone; one ``sampler.gradient(W, samples)`` call then answers
+    for the whole stack.  All kernels act row by row, so every row's result
+    is independent of K and of which other trials are still active.  With
+    ``constraints`` every step is projected onto them; a row with a block
+    stepped onto its centre has no projection and diverges.  A trial
+    leaves the stack when it diverges or, after a step, when ``stop(W)``
+    is True for its row.  Overflow raises no numpy warning: it leaves an
+    inf or nan in its row, which the divergence tests catch.
 
     ``grad_norms`` and ``recons`` map a stack to one value per row; they
     run on recorded steps only.  Returns one RunRecord per trial, in order.
@@ -208,8 +222,6 @@ def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, s
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
-    if sampler is not None:
-        oracle = sampler.gradient if hasattr(sampler, "gradient") else objective.stochastic_gradient
     start = time.perf_counter()
 
     def record(t, rows):
@@ -262,9 +274,7 @@ def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, s
         if sampler is None:
             sg = objective.gradient(W)
         else:
-            sg = np.empty_like(W)
-            for k, rng in enumerate(rngs):
-                sg[k] = oracle(W[k], sampler.draw(rng))
+            sg = sampler.gradient(W, np.array([sampler.draw(rng) for rng in rngs]))
         noise = None
         if noise_buf is not None:
             noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
@@ -276,12 +286,16 @@ def _run_loop(objective, sampler, starts, config, project, grad_norms, recons, s
         # stack's total bounds every row's squared norm (and is nan or inf
         # when a row is), so rows are only looked at when it is too big
         if not np.einsum("ij,ij->", W, W) <= DIVERGENCE_LIMIT**2:
-            with np.errstate(over="ignore"):
-                bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
+            bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
             if bad.any():
                 leave(bad, t, lambda i: f"iterate diverged at step {t}")
-        if project is not None:
-            W = project(W)
+        if constraints is not None:
+            try:
+                W = constraints.project(W)
+            except ValueError:
+                bad = ~(constraints.block_norms(W).min(axis=-1) >= manifold.DEGENERATE_BLOCK_NORM)
+                leave(bad, t, lambda i: f"degenerate projection at step {t}")
+                W = constraints.project(W)
         t += 1
         if stop is not None and ids.size:
             hit = np.asarray(stop(W), dtype=bool)
@@ -347,7 +361,7 @@ def projected_trials(problem, sampler, n_trials, start, config, stop=None):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
         if not all(constraints.feasible(w0) for w0, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
-        records += _run_loop(problem, sampler, starts, config, constraints.project, grad_norms, recons, stop)
+        records += _run_loop(problem, sampler, starts, config, constraints, grad_norms, recons, stop)
     return records
 
 

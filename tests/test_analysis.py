@@ -24,7 +24,7 @@ from strictsaddle.analysis import (
     run_checks,
     simple_sampler_check,
 )
-from strictsaddle.ica import ica_stochastic_gradient
+from strictsaddle import ica
 from strictsaddle.manifold import SaddleParams, SphereProduct, tangent_gradient
 from strictsaddle.objectives import correlation_objective, maxeig_objective, reconstruction_objective
 from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
@@ -331,7 +331,7 @@ class TestCoupling:
         stream = [rng.standard_normal(d) for _ in range(t)]
         obj = QuadraticObjective(w0, g, H)
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=t)
-        rec = noisy_sgd(obj, RecordedPerturbations(stream), w0, config)
+        rec = noisy_sgd(obj, RecordedPerturbations(obj, stream), w0, config)
         grad, disp = coupling_closed_form(g, H, stream, eta, t)
         np.testing.assert_allclose(rec.final_point - w0, disp, atol=1e-10)
         np.testing.assert_allclose(obj.gradient(rec.final_point), grad, atol=1e-10)
@@ -440,16 +440,16 @@ class TestChecks:
         assert ica_unbiasedness_check(2, 3, rng) <= 1e-10
         assert simple_sampler_check(3, 3, rng) <= 1e-12
 
-    def test_unbiasedness_check_catches_sign_fault(self):
-        """An estimator with a corrupted sample term must fail the check."""
+    def test_unbiasedness_check_catches_sign_fault(self, monkeypatch):
+        """An estimator with a sign-flipped sample term must fail the check."""
+        true_grad = ica.minibatch_gradient
 
-        def broken(U, y):
-            U = np.asarray(U, dtype=float)
-            p = U.reshape(-1, y.size) @ y
-            smudge = np.outer(((p**2).sum() - p**2) * p, y)
-            return ica_stochastic_gradient(U, y) + smudge.reshape(U.shape)
+        def broken(U, Y):
+            gram_terms = true_grad(U, np.zeros_like(Y))  # y = 0 leaves only these
+            return 2.0 * gram_terms - true_grad(U, Y)
 
-        err = ica_unbiasedness_check(2, 3, np.random.default_rng(9), gradient_fn=broken)
+        monkeypatch.setattr(ica, "minibatch_gradient", broken)
+        err = ica_unbiasedness_check(2, 3, np.random.default_rng(9))
         assert err > 1e-3
 
     def test_check_result_line_format(self):

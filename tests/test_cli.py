@@ -1,13 +1,18 @@
 """End-to-end tests for the experiment harness."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strictsaddle
 from strictsaddle import analysis, cli, ica, tensor4
@@ -88,6 +93,7 @@ class TestConfigHandling:
         (["decompose", "--config", "seeds=3,3"], "distinct"),
         (["decompose", "--config", "seeds=2,-1"], "non-negative"),
         (["ica", "--eta", "1e308"], "eta must be finite"),
+        (["minima", "--d", "1"], "d >= 2"),
     ])
     def test_validation_errors_exit_2(self, tmp_path, capsys, argv, needle):
         if "--config" in argv:
@@ -235,8 +241,8 @@ class TestVerify:
 
     def test_detects_injected_estimator_fault(self, tmp_path, monkeypatch, capsys):
         """A sign-flipped stochastic gradient must fail the battery."""
-        true_grad = ica.ica_stochastic_gradient
-        monkeypatch.setattr(ica, "ica_stochastic_gradient", lambda U, y: -true_grad(U, y))
+        true_grad = ica.minibatch_gradient
+        monkeypatch.setattr(ica, "minibatch_gradient", lambda U, Y: -true_grad(U, Y))
         monkeypatch.chdir(tmp_path)
         rc = main(["verify", "--d", "3", "--seed", "7"])
         assert rc == 1
@@ -301,10 +307,11 @@ class TestDivergedRuns:
         ["ica", "--noise", "1e308", "--d", "3", "--iters", "20"],
         ["minima", "--eta", "1e308", "--d", "2", "--starts", "3", "--iters", "20"],
         ["escape", "--noise", "1e308", "--d", "3", "--trials", "3", "--iters", "20"],
-    ], ids=["decompose", "ica", "minima", "escape"])
+        ["escape", "--eta", "1e308", "--d", "3", "--trials", "3", "--iters", "20"],
+    ], ids=["decompose", "ica", "minima", "escape", "escape-eta"])
     def test_overflowing_step_exits_1_with_outputs(self, argv, tmp_path):
-        """A step that overflows is a diverged run: exit 1, no traceback,
-        and the manifest lists exactly the files written."""
+        """A step that overflows is a diverged run: exit 1, no traceback or
+        numpy warning, and the manifest lists exactly the files written."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(strictsaddle.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = tmp_path / "out"
@@ -312,6 +319,7 @@ class TestDivergedRuns:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert on_disk and read_manifest(out)["outputs"] == on_disk
 
@@ -411,3 +419,61 @@ class TestCliSurface:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "unknown config key 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# Values for the bad-input contract, as the text a flag or a config file
+# holds.  Sizes stay small (d <= 4, iters <= 50, batch <= 200, trials,
+# starts and seeds <= 5) so every accepted run is quick.  Every run sets
+# the sizes, since their defaults are too big for a quick run; any one
+# setting may be garbled.
+_FLOATS = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "0.05", "1"]),
+    st.floats(min_value=-2.0, max_value=2.0).map(repr),
+)
+_SIZES = {"d": 4, "iters": 50, "batch": 200, "trials": 5, "starts": 5, "seeds": 5, "record_every": 60}
+_CHOICES = {
+    "schedule": ["constant", "inv-t", "inverse_t", "bogus"],
+    "objective": ["correlation", "reconstruction", "maxeig", "bogus"],
+    "sampler": ["simple", "ica", "bogus"],
+}
+_VALUES = {
+    **{key: st.integers(1, cap) for key, cap in _SIZES.items()},
+    **{key: st.sampled_from(choices) for key, choices in _CHOICES.items()},
+    "seeds": st.one_of(st.integers(1, 5), st.sampled_from(["1,2", "2,2", "-1,3", "0,", "4,x"])),
+    "seed": st.one_of(st.integers(0, 5), st.integers(0, 2**70)),
+    "eta": _FLOATS,
+    "noise": _FLOATS,
+}
+_GARBLED = st.one_of(st.integers(-2, 0), st.sampled_from(["nan", "inf", "1e308", "1.5", "", "x"]))
+
+
+class TestBadInput:
+    """Any flags and config files: exit 0, 1 or 2, never a traceback, and an
+    exit 2 leaves no output directory."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(COMMANDS), data=st.data())
+    def test_exit_code_contract(self, command, data):
+        keys = set(_SIZES) | data.draw(st.sets(st.sampled_from(sorted(_VALUES))), label="keys")
+        values = {key: data.draw(_VALUES[key], label=key) for key in sorted(keys)}
+        garbled = data.draw(st.none() | st.sampled_from(sorted(values)), label="garbled key")
+        if garbled is not None:
+            values[garbled] = data.draw(_GARBLED, label="garbled value")
+        # a config file may set any key; a flag exists only for its commands
+        own = {"escape": "trials", "minima": "starts"}.get(command)
+        flaggable = sorted(key for key in values if key not in ("trials", "starts") or key == own)
+        flags = data.draw(st.sets(st.sampled_from(flaggable)), label="as flags")
+        with tempfile.TemporaryDirectory() as tmp:
+            out, cfg = os.path.join(tmp, "out"), os.path.join(tmp, "run.cfg")
+            argv = [command, "--out", out, "--config", cfg]
+            argv += [f"--{key.replace('_', '-')}={values[key]}" for key in sorted(flags)]
+            with open(cfg, "w") as fh:
+                fh.writelines(f"{key}={value}\n" for key, value in values.items() if key not in flags)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects a flag
+                    code = exc.code
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert not os.path.exists(out), argv

@@ -16,7 +16,6 @@ from strictsaddle.ica import (
     SimpleSampler,
     gen_ica_samples,
     gen_simple_sample,
-    ica_stochastic_gradient,
     minibatch_gradient,
     simple_correlation_gradient,
     simple_maxeig_gradient,
@@ -181,26 +180,25 @@ class TestPairingForm:
 # ------------------------------------------------------------------ #
 
 
+def single_sample_gradient(U, y):
+    """The stochastic gradient of one observation y: a batch of one."""
+    return minibatch_gradient(U, y.reshape(1, -1))
+
+
 class TestIcaGradient:
     def test_zero_sample_on_orthonormal_rows(self):
         """With y=0 only the Gram terms survive: block i is (d-1) u_i."""
         d = 5
         U = np.linalg.qr(np.random.default_rng(12).standard_normal((d, d)))[0]
-        got = ica_stochastic_gradient(U, np.zeros(d))
+        got = single_sample_gradient(U, np.zeros(d))
         np.testing.assert_allclose(got, (d - 1.0) * U, atol=1e-12)
-
-    def test_flat_and_matrix_inputs_agree(self):
-        rng = np.random.default_rng(13)
-        U = random_feasible_rows(3, rng)
-        y = gen_ica_samples(IcaModel.random(3, rng), 1, rng)[0]
-        flat = ica_stochastic_gradient(U.ravel(), y)
-        assert flat.shape == (9,)
-        np.testing.assert_array_equal(flat, ica_stochastic_gradient(U, y).ravel())
 
     def test_rejects_mismatched_sample(self):
         U = np.eye(3)
         with pytest.raises(ValueError, match="shape"):
-            ica_stochastic_gradient(U, np.zeros(4))
+            single_sample_gradient(U, np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            minibatch_gradient(U, np.zeros(3))
 
     def test_exhaustive_unbiasedness(self):
         """The sign-source mean of the estimator is the analytic gradient of
@@ -215,8 +213,9 @@ class TestIcaGradient:
             ys = all_signs(d) @ model.A.T
             for _ in range(5):
                 w = problem.random_feasible(rng)
-                mean = np.mean([ica_stochastic_gradient(w, y) for y in ys], axis=0)
-                assert np.max(np.abs(mean - problem.gradient(w))) <= 1e-10
+                U = w.reshape(d, d)
+                mean = np.mean([single_sample_gradient(U, y) for y in ys], axis=0)
+                assert np.max(np.abs(mean.ravel() - problem.gradient(w))) <= 1e-10
 
     def test_cubic_cost_scaling(self):
         """Doubling d multiplies the single-sample cost by about 8 once the
@@ -235,7 +234,7 @@ class TestIcaGradient:
         def per_call(args, reps):
             t0 = time.perf_counter()
             for _ in range(reps):
-                ica_stochastic_gradient(*args)
+                single_sample_gradient(*args)
             return (time.perf_counter() - t0) / reps
 
         large, small = inputs(512), inputs(256)
@@ -253,17 +252,33 @@ class TestMinibatch:
         model = IcaModel.random(4, rng)
         U = random_feasible_rows(4, rng)
         Y = gen_ica_samples(model, 25, rng)
-        naive = np.mean([ica_stochastic_gradient(U, y) for y in Y], axis=0)
+        naive = np.mean([single_sample_gradient(U, y) for y in Y], axis=0)
         np.testing.assert_allclose(minibatch_gradient(U, Y), naive, atol=1e-12)
 
     def test_single_sample_batch_is_exact(self):
+        """A batch of one gives the per-sample formula, block by block."""
         rng = np.random.default_rng(17)
         model = IcaModel.random(3, rng)
         U = random_feasible_rows(3, rng)
         y = gen_ica_samples(model, 1, rng)[0]
-        np.testing.assert_array_equal(
-            minibatch_gradient(U, y.reshape(1, -1)), ica_stochastic_gradient(U, y)
-        )
+        want = np.zeros_like(U)
+        for i in range(3):
+            for j in range(3):
+                if j != i:
+                    want[i] += (U[j] @ U[j]) * U[i] + 2.0 * (U[i] @ U[j]) * U[j]
+                    want[i] -= (U[j] @ y) ** 2 * (U[i] @ y) * y
+        np.testing.assert_allclose(single_sample_gradient(U, y), want, rtol=1e-12, atol=1e-14)
+
+    def test_stack_rows_equal_solo_calls(self):
+        """A stack of points, each with its own batch, equals one call per
+        point bit for bit."""
+        rng = np.random.default_rng(31)
+        model = IcaModel.random(4, rng)
+        U = np.array([random_feasible_rows(4, rng) for _ in range(5)])
+        Y = np.array([gen_ica_samples(model, 7, rng) for _ in range(5)])
+        stacked = minibatch_gradient(U, Y)
+        for k in range(5):
+            np.testing.assert_array_equal(stacked[k], minibatch_gradient(U[k], Y[k]))
 
     def test_duplicated_sample_equals_single(self):
         rng = np.random.default_rng(18)
@@ -272,14 +287,14 @@ class TestMinibatch:
         y = gen_ica_samples(model, 1, rng)[0]
         batch = np.tile(y, (7, 1))
         np.testing.assert_allclose(
-            minibatch_gradient(U, batch), ica_stochastic_gradient(U, y), atol=1e-13
+            minibatch_gradient(U, batch), single_sample_gradient(U, y), atol=1e-13
         )
 
     def test_rejects_empty_or_mismatched(self):
         U = np.eye(3)
         with pytest.raises(ValueError, match="empty"):
             minibatch_gradient(U, np.zeros((0, 3)))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="shape"):
             minibatch_gradient(U, np.zeros((2, 4)))
 
 
@@ -365,12 +380,12 @@ class TestSamplerObjects:
         rng = np.random.default_rng(29)
         model = IcaModel.random(3, rng)
         sampler = IcaSampler(model, batch_size=5)
-        batch = sampler.draw(rng)
-        assert batch.shape == (5, 3)
-        U = random_feasible_rows(3, rng)
-        np.testing.assert_array_equal(
-            sampler.gradient(U.ravel(), batch), minibatch_gradient(U.ravel(), batch)
-        )
+        batches = np.array([sampler.draw(rng) for _ in range(2)])
+        assert batches.shape == (2, 5, 3)
+        U = np.array([random_feasible_rows(3, rng) for _ in range(2)])
+        got = sampler.gradient(U.reshape(2, 9), batches)
+        assert got.shape == (2, 9)
+        np.testing.assert_array_equal(got, minibatch_gradient(U, batches).reshape(2, 9))
 
     def test_ica_sampler_rejects_bad_batch(self):
         model = IcaModel(np.eye(2))

@@ -243,13 +243,6 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticObjective(np.zeros(2), np.zeros(2), H)
 
-    def test_stochastic_gradient_adds_sample(self):
-        obj = QuadraticObjective(np.zeros(2), np.ones(2), np.eye(2))
-        w = np.array([1.0, 2.0])
-        xi = np.array([0.1, -0.2])
-        np.testing.assert_allclose(obj.stochastic_gradient(w, xi), obj.gradient(w) + xi)
-        np.testing.assert_allclose(obj.stochastic_gradient(w, None), obj.gradient(w))
-
     def test_value_closed_form(self):
         rng = np.random.default_rng(16)
         w0 = rng.standard_normal(4)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strictsaddle import sgd
-from strictsaddle.ica import SimpleSampler
+from strictsaddle.ica import IcaModel, IcaSampler, SimpleSampler
 from strictsaddle.manifold import tangent_gradient
 from strictsaddle.objectives import (
     correlation_objective,
@@ -121,12 +121,19 @@ class TestNoise:
 
     def test_recorded_perturbations_replay_and_exhaust(self):
         stream = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
-        pert = RecordedPerturbations(stream)
+        pert = RecordedPerturbations(None, stream)
         rng = np.random.default_rng(5)
         np.testing.assert_array_equal(pert.draw(rng), stream[0])
         np.testing.assert_array_equal(pert.draw(rng), stream[1])
         with pytest.raises(RuntimeError, match="exhausted"):
             pert.draw(rng)
+
+    def test_recorded_perturbations_add_sample_to_gradient(self):
+        obj = QuadraticObjective(np.zeros(2), np.ones(2), np.eye(2))
+        W = np.array([[1.0, 2.0], [0.5, -1.0]])
+        xi = np.array([[0.1, -0.2], [0.3, 0.0]])
+        got = RecordedPerturbations(obj, []).gradient(W, xi)
+        np.testing.assert_array_equal(got, obj.gradient(W) + xi)
 
 
 # ------------------------------------------------------------------ #
@@ -187,6 +194,21 @@ class TestNoisySgd:
         rec = projected_noisy_sgd(maxeig_objective(basis=basis), None, basis.vectors[0], config)
         assert rec.diverged and rec.n_steps == 0
         assert rec.message == "iterate diverged at step 0"
+
+    def test_degenerate_projection_diverges_its_row(self):
+        """A row stepped onto a block's centre has no projection: it
+        diverges at that step and the other rows run on."""
+        prob = correlation_objective(basis=OrthoBasis.standard(1), halved=True)  # f = 0: only noise moves w
+        config = SgdConfig(eta=1.0, eta_max=1.0, iterations=2, noise_scale=1.0, seed=5, record_every=1)
+        records = projected_trials(prob, None, 8, lambda j: (np.ones(1), trial_rng(5, j)), config)
+        stuck = [r for r in records if r.diverged]
+        assert 0 < len(stuck) < len(records)
+        for r in records:
+            if r.diverged:
+                assert r.message == f"degenerate projection at step {r.n_steps}"
+                np.testing.assert_array_equal(r.final_point, [0.0])
+            else:
+                assert r.n_steps == 2 and abs(r.final_point[0]) == 1.0
 
     def test_record_stride_and_lengths(self):
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), np.eye(2))
@@ -280,16 +302,22 @@ def assert_same_run(got, want):
 class TestStackedTrials:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["dense", "both", "basis"]),
-           sampled=st.booleans(), d=st.integers(2, 3), k=st.integers(1, 8), block=st.integers(1, 8),
-           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]),
-           stopping=st.booleans(), iters=st.integers(1, 80), stride=st.integers(1, 30))
-    def test_row_equals_single_trial(self, kind, source, sampled, d, k, block, seed, noise,
+           sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(2, 3),
+           k=st.integers(1, 8), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 1.0]), stopping=st.booleans(), iters=st.integers(1, 80),
+           stride=st.integers(1, 30))
+    def test_row_equals_single_trial(self, kind, source, sampler_kind, d, k, block, seed, noise,
                                      stopping, iters, stride):
-        """Trial k of a stack (in blocks of any height) equals its run alone."""
+        """Trial k of a stack (in blocks of any height) equals its run alone,
+        with exact gradients and with either sampler."""
+        if sampler_kind == "ica":
+            kind = "correlation"  # the only gradient the ica sampler estimates
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
         T = None if source == "basis" else make_orthogonal_tensor(basis)
         prob = PROBLEMS[kind](T, basis=None if source == "dense" else basis)
-        sampler = SimpleSampler(basis, kind=kind) if sampled else None
+        sampler = {None: None,
+                   "simple": SimpleSampler(basis, kind=kind),
+                   "ica": IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
 
         def start(j):
@@ -308,6 +336,33 @@ class TestStackedTrials:
             if not stopping:
                 w0, rng = start(j)
                 assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("sampler_kind", ["simple", "ica"])
+    def test_one_oracle_call_per_step_on_the_whole_stack(self, sampler_kind, k):
+        d, iters, batch = 3, 25, 4
+        basis = OrthoBasis.random(d, np.random.default_rng(k))
+        prob = PROBLEMS["correlation"](basis=basis)
+        sampler = (SimpleSampler(basis) if sampler_kind == "simple"
+                   else IcaSampler(IcaModel(basis.vectors.T), batch_size=batch))
+        calls = []
+        oracle = sampler.gradient
+
+        def counted(W, samples):
+            calls.append((W.shape, samples.shape))
+            return oracle(W, samples)
+
+        sampler.gradient = counted
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=k, record_every=10)
+
+        def start(j):
+            rng = trial_rng(k, j)
+            return prob.random_feasible(rng), rng
+
+        records = projected_trials(prob, sampler, k, start, config)
+        assert all(r.n_steps == iters and not r.diverged for r in records)
+        sample_shape = (k, d) if sampler_kind == "simple" else (k, batch, d)
+        assert calls == [((k, d * d), sample_shape)] * iters
 
     def test_stop_predicate_ends_a_row_at_its_step(self):
         prob = standard_maxeig(4)
@@ -343,14 +398,14 @@ class TestNoiseBound:
         obj = QuadraticObjective(np.zeros(3), np.ones(3), np.eye(3), oracle_bound=0.5)
         rng = np.random.default_rng(9)
         sampler = RecordedPerturbations(
-            0.5 * rng.random() * unit_sphere_noise(3, rng) for _ in range(100))
+            obj, (0.5 * rng.random() * unit_sphere_noise(3, rng) for _ in range(100)))
         config = SgdConfig(eta=0.01, iterations=100, noise_scale=1.0, seed=9, record_every=1)
         rec = noisy_sgd(obj, sampler, np.ones(3), config)
         assert not rec.diverged
 
     def test_violation_raises(self):
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), np.eye(2), oracle_bound=0.1)
-        sampler = RecordedPerturbations([np.array([5.0, 0.0])])  # ||xi|| >> Q + 1
+        sampler = RecordedPerturbations(obj, [np.array([5.0, 0.0])])  # ||xi|| >> Q + 1
         config = SgdConfig(eta=0.01, iterations=1, noise_scale=1.0, record_every=1)
         with pytest.raises(RuntimeError, match="bound violated"):
             noisy_sgd(obj, sampler, np.ones(2), config)
