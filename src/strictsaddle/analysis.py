@@ -294,9 +294,9 @@ def enumerate_minima(problem, n_starts, config):
 
     def start(k):
         rng = trial_rng(config.seed, k)
-        return problem.random_feasible(rng), rng
+        return problem.random_feasible(rng), rng, problem, None
 
-    records = projected_trials(problem, None, n_starts, start, config)
+    records = projected_trials(n_starts, start, config)
     ends = np.array([r.final_point for r in records if not r.diverged]).reshape(-1, problem.dim)
     catalog.diverged = n_starts - len(ends)
     ends = polish(problem, ends)
@@ -368,7 +368,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
         threshold = max(0.1 * abs(f0), 1e-3)
     target = f0 - threshold
 
-    records = projected_trials(problem, None, n_trials, lambda k: (w_star, trial_rng(config.seed, k)),
+    records = projected_trials(n_trials, lambda k: (w_star, trial_rng(config.seed, k), problem, None),
                                config, stop=lambda W: problem.value(W) <= target)
     ok = np.array([not r.diverged for r in records])
     f_final = np.full(n_trials, np.nan)

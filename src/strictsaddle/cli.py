@@ -19,6 +19,7 @@ except elapsed_ms are byte-identical across reruns.
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, ica, objectives, tensor4
-from .sgd import SgdConfig, projected_noisy_sgd, run_rng, write_run_csv
+from .sgd import SgdConfig, projected_trials, run_rng, write_run_csv
 
 OBJECTIVES = ("correlation", "reconstruction", "maxeig")
 SAMPLERS = ("simple", "ica")
@@ -229,6 +230,13 @@ def _utc_stamp():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _environment():
+    """Python, numpy and BLAS versions, CPU count and package version of this process."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(), "strictsaddle": __version__}
+
+
 def write_manifest(out_dir, command, config, started, outputs):
     """Provenance record listing every file the command wrote."""
     body = {
@@ -239,6 +247,7 @@ def write_manifest(out_dir, command, config, started, outputs):
         "started": started,
         "finished": _utc_stamp(),
         "outputs": sorted(os.path.basename(path) for path in outputs),
+        "environment": _environment(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
@@ -265,24 +274,26 @@ def _final_error(record):
 
 
 def cmd_decompose(config, out_dir):
-    """One projected noisy SGD run per seed; per-seed trace plus summary."""
-    outputs, records = [], []
-    for seed in config.seeds():
-        rng = run_rng(seed)
+    """Projected noisy SGD with every seed a row of one stack; per-seed trace plus summary."""
+    seeds = config.seeds()
+
+    def start(k):
+        rng = run_rng(seeds[k])
         basis = tensor4.OrthoBasis.random(config.d, rng)
         problem = build_problem(config, basis)
         sampler = build_sampler(config, basis)
-        w0 = problem.random_feasible(rng)
-        record = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed), rng=rng)
-        outputs.append(os.path.join(out_dir, f"seed{seed}.csv"))
-        write_run_csv(record, outputs[-1])
-        records.append((seed, record))
+        return problem.random_feasible(rng), rng, problem, sampler
+
+    records = projected_trials(len(seeds), start, config.sgd_config(config.seed))
+    outputs = [os.path.join(out_dir, f"seed{seed}.csv") for seed in seeds]
+    for record, path in zip(records, outputs):
+        write_run_csv(record, path)
 
     outputs.append(os.path.join(out_dir, "summary.csv"))
     failed = 0
     with open(outputs[-1], "w") as fh:
         fh.write("seed,final_f,final_grad_norm,final_recon_error,n_steps,diverged\n")
-        for seed, record in records:
+        for seed, record in zip(seeds, records):
             fh.write(f"{seed},{float(record.final_f)!r},{float(record.grad_norms[-1])!r},"
                      f"{_final_error(record)!r},{record.n_steps},{int(record.diverged)}\n")
             status = "diverged" if record.diverged else "ok"
@@ -306,18 +317,23 @@ def cmd_ica(config, out_dir):
     decaying schedule, matching the protocol of holding the step size
     until the error plateaus and then letting it decay.  A constant run
     that diverged has no feasible endpoint, so it gets no continuation.
+    The constant runs advance as one stack, then the continuations.
     """
-    outputs, records = [], []
-    for seed in config.seeds():
+    seeds = config.seeds()
+    trials = []
+    for seed in seeds:
         rng = run_rng(seed)
         model = ica.IcaModel.random(config.d, rng)
         problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
-        sampler = ica.IcaSampler(model, batch_size=config.batch)
-        w0 = problem.random_feasible(rng)
-        rec_const = projected_noisy_sgd(problem, sampler, w0, config.sgd_config(seed, "constant"), rng=rng)
-        anneal_config = config.sgd_config(seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
-        rec_anneal = (None if rec_const.diverged else
-                      projected_noisy_sgd(problem, sampler, rec_const.final_point, anneal_config, rng=rng))
+        trials.append((problem.random_feasible(rng), rng, problem, ica.IcaSampler(model, batch_size=config.batch)))
+    consts = projected_trials(len(trials), trials.__getitem__, config.sgd_config(config.seed, "constant"))
+    go_on = [(rec.final_point, *trial[1:]) for rec, trial in zip(consts, trials) if not rec.diverged]
+    anneal_config = config.sgd_config(config.seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
+    anneals = iter(projected_trials(len(go_on), go_on.__getitem__, anneal_config))
+
+    outputs, records = [], []
+    for seed, rec_const in zip(seeds, consts):
+        rec_anneal = None if rec_const.diverged else next(anneals)
         for name, record in ((f"seed{seed}-constant.csv", rec_const), (f"seed{seed}-invt.csv", rec_anneal)):
             if record is not None:
                 outputs.append(os.path.join(out_dir, name))

@@ -13,9 +13,10 @@ second; schedules only change the step length, so matched seeds see
 identical random streams under different schedules.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
-its own generator; a single run is the K=1 case.  A sampler answers
-for the whole stack: ``draw(rng)`` gives one row's sample and
-``gradient(W, samples)`` takes the stack and one sample per row.  Every
+its own generator, problem and sampler; a single run is the K=1 case.
+Rows may share one problem or each carry their own.  A sampler answers
+for the whole stack: a row's ``draw(rng)`` gives its sample and one
+``gradient(W, samples)`` call takes the stack and one sample per row.  Every
 kernel on the stack acts row by row (an einsum or a last-axis reduction
 where rows meet shared data, a batched matmul for products of per-row
 matrices), so trial k's record is bit for bit the same alone or in a
@@ -184,12 +185,8 @@ class RecordedPerturbations:
         return self.objective.gradient(W) + samples
 
 
-def _check_noise_bound(objective, W, sg, noise, noise_scale):
+def _check_noise_bound(q, xi, noise, noise_scale):
     """||SG - grad f + n|| <= Q + noise_scale on every row, enforced on recorded steps."""
-    q = getattr(objective, "oracle_bound", None)
-    if q is None:
-        return
-    xi = sg - objective.gradient(W)
     if noise is not None:
         xi = xi + noise
     bound = q + noise_scale + 1e-9
@@ -199,35 +196,47 @@ def _check_noise_bound(objective, W, sg, noise, noise_scale):
 
 
 @np.errstate(over="ignore")
-def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recons, stop=None):
-    """Advance the trials ``starts = [(w0, rng), ...]`` as one (K, n) stack.
+def _run_loop(starts, config, constraints, grad_norms, stop=None):
+    """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
     Each step draws every active trial's oracle sample, then every trial's
-    noise, trial k from its own generator, so its stream is the one it sees
-    when run alone; one ``sampler.gradient(W, samples)`` call then answers
-    for the whole stack.  All kernels act row by row, so every row's result
-    is independent of K and of which other trials are still active.  With
-    ``constraints`` every step is projected onto them; a row with a block
-    stepped onto its centre has no projection and diverges.  A trial
-    leaves the stack when it diverges or, after a step, when ``stop(W)``
-    is True for its row.  Overflow raises no numpy warning: it leaves an
-    inf or nan in its row, which the divergence tests catch.
+    noise, trial k from its own sampler and generator, so its stream is the
+    one it sees when run alone; one ``gradient(W, samples)`` call of the
+    samplers' shared oracle (it reads no basis) then answers for the whole
+    stack.  What reads a row's problem (exact gradients, recorded values)
+    is one call for a stack sharing one problem, else one call per row.
+    All kernels act row by row, so every row's result is independent of K
+    and of which other trials are still active.  With ``constraints`` every
+    step is projected onto them; a row with a block stepped onto its centre
+    has no projection and diverges.  A trial leaves the stack when it
+    diverges or, after a step, when ``stop(W)`` is True for its row.
+    Overflow raises no numpy warning: it leaves an inf or nan in its row,
+    which the divergence tests catch.
 
-    ``grad_norms`` and ``recons`` map a stack to one value per row; they
-    run on recorded steps only.  Returns one RunRecord per trial, in order.
+    ``grad_norms(problem, W)`` maps a stack to one value per row; it runs
+    on recorded steps only.  Returns one RunRecord per trial, in order.
     """
-    W = np.array([w0 for w0, _ in starts], dtype=float)
-    rngs = [rng for _, rng in starts]
+    # each row's generator, problem and sampler leave the stack with the row
+    w0s, rngs, problems, samplers = (list(column) for column in zip(*starts))
+    W = np.array(w0s, dtype=float)
+    shared = all(problem is problems[0] for problem in problems)
+    oracle = samplers[0]
+    q = getattr(problems[0], "oracle_bound", None)
     ids = np.arange(len(starts))  # trial index of each active row
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
     start = time.perf_counter()
 
+    def by_problem(fn, rows=slice(None)):
+        """``fn(problem, W)`` on the selected rows, each with its own problem."""
+        if shared:
+            return fn(problems[0], W[rows])
+        return np.concatenate([fn(problems[i], W[i : i + 1]) for i in np.arange(ids.size)[rows]])
+
     def record(t, rows):
-        Wr = W[rows]
-        fs = objective.value(Wr)
-        columns = (fs.tolist(), grad_norms(Wr).tolist(), recons(Wr))
+        fs = by_problem(_value, rows)
+        columns = (fs.tolist(), by_problem(grad_norms, rows).tolist(), by_problem(_recons, rows).tolist())
         ms = (time.perf_counter() - start) * 1e3
         for k, f, g, r in zip(ids[rows].tolist(), *columns):
             traces[k].append((t, f, g, r, ms))
@@ -235,7 +244,7 @@ def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recon
 
     def leave(rows, n_steps, message=None):
         """Close the records of the selected rows and drop them from the stack."""
-        nonlocal W, ids, rngs, noise_buf
+        nonlocal W, ids, rngs, problems, samplers, noise_buf
         wall = (time.perf_counter() - start) * 1e3
         for i in np.flatnonzero(rows):
             k = ids[i]
@@ -256,7 +265,7 @@ def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recon
             )
         keep = ~rows
         W, ids = W[keep], ids[keep]
-        rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+        rngs, problems, samplers = ([x for x, kept in zip(xs, keep) if kept] for xs in (rngs, problems, samplers))
         if noise_buf is not None:
             noise_buf = noise_buf[: ids.size]
 
@@ -271,15 +280,15 @@ def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recon
                 if not ids.size:
                     break
         eta_t = lr_schedule(config, t)
-        if sampler is None:
-            sg = objective.gradient(W)
+        if oracle is None:
+            sg = by_problem(_gradient)
         else:
-            sg = sampler.gradient(W, np.array([sampler.draw(rng) for rng in rngs]))
+            sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))
         noise = None
         if noise_buf is not None:
             noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
-        if on_record:
-            _check_noise_bound(objective, W, sg, noise, config.noise_scale)
+        if on_record and q is not None:
+            _check_noise_bound(q, sg - by_problem(_gradient), noise, config.noise_scale)
         step = sg if noise is None else sg + noise
         W = W - eta_t * step
         # before projection, which rescales an overflowed row to zeros; the
@@ -309,59 +318,60 @@ def _run_loop(objective, sampler, starts, config, constraints, grad_norms, recon
     return records
 
 
-def _recons(objective):
+def _value(problem, W):
+    return problem.value(W)
+
+
+def _gradient(problem, W):
+    return problem.gradient(W)
+
+
+def _gradient_norms(problem, W):
+    return row_norms(problem.gradient(W))
+
+
+def _recons(problem, W):
     """Per-row normalized reconstruction error of a stack (nan when undefined)."""
-    if not hasattr(objective, "recon_error"):
-        return lambda W: [float("nan")] * len(W)
+    if not hasattr(problem, "recon_error"):
+        return np.full(len(W), np.nan)
+    return np.array([np.nan if r is None else r for r in map(problem.recon_error, W)], dtype=float)
 
-    def recons(W):
-        out = []
-        for w in W:
-            r = objective.recon_error(w)
-            out.append(float("nan") if r is None else r)
-        return out
 
-    return recons
+def _chi_norms(problem, W):
+    """||chi|| of each row, after checking the rows are feasible to 1e-10."""
+    if np.max(np.abs(problem.constraints.c(W))) > manifold.FEASIBLE_TOL:
+        raise RuntimeError("iterate left the feasible set beyond tolerance")
+    return row_norms(manifold.tangent_gradient(problem, W))
 
 
 def noisy_sgd(objective, sampler, w0, config, rng=None):
     """Unconstrained runner: w <- w - eta_t (SG(w) + n)."""
     if rng is None:
         rng = run_rng(config.seed)
-
-    def grad_norms(W):
-        return row_norms(objective.gradient(W))
-
-    return _run_loop(objective, sampler, [(w0, rng)], config, None, grad_norms, _recons(objective))[0]
+    return _run_loop([(w0, rng, objective, sampler)], config, None, _gradient_norms)[0]
 
 
-def projected_trials(problem, sampler, n_trials, start, config, stop=None):
+def projected_trials(n_trials, start, config, stop=None):
     """Projected noisy SGD for trials 0..n_trials-1, advanced as stacks.
 
-    ``start(k)`` returns trial k's feasible starting point and its own
-    generator.  ``stop``, when given, maps the (K, n) stack to one bool
-    per row after every step; a row that reads True ends there, with its
-    current point as the final one.  Trials run in blocks of STACK_ROWS
-    rows, so memory and live generators stay bounded; trial k's record is
-    the same whatever the block and whatever trials run beside it.
+    ``start(k)`` returns trial k's feasible starting point, its own
+    generator, its problem and its sampler (None for exact gradients).
+    Trials may share one problem or each carry their own, on one sphere
+    product and with samplers of one kind.  ``stop``, when given, maps the (K, n) stack to one bool per row after
+    every step; a row that reads True ends there, with its current point
+    as the final one.  Trials run in blocks of STACK_ROWS rows, so memory
+    and live generators stay bounded; trial k's record is the same
+    whatever the block and whatever trials run beside it.
 
     Every recorded iterate is feasibility-checked to 1e-10.  Returns one
     RunRecord per trial, in trial order.
     """
-    constraints = problem.constraints
-
-    def grad_norms(W):
-        if np.max(np.abs(constraints.c(W))) > manifold.FEASIBLE_TOL:
-            raise RuntimeError("iterate left the feasible set beyond tolerance")
-        return row_norms(manifold.tangent_gradient(problem, W))
-
-    recons = _recons(problem)
     records = []
     for lo in range(0, n_trials, STACK_ROWS):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
-        if not all(constraints.feasible(w0) for w0, _ in starts):
+        if not all(problem.constraints.feasible(w0) for w0, _, problem, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
-        records += _run_loop(problem, sampler, starts, config, constraints, grad_norms, recons, stop)
+        records += _run_loop(starts, config, starts[0][2].constraints, _chi_norms, stop)
     return records
 
 
@@ -373,7 +383,7 @@ def projected_noisy_sgd(problem, sampler, w0, config, rng=None):
     """
     if rng is None:
         rng = run_rng(config.seed)
-    return projected_trials(problem, sampler, 1, lambda k: (w0, rng), config)[0]
+    return projected_trials(1, lambda k: (w0, rng, problem, sampler), config)[0]
 
 
 def write_run_csv(record, path):

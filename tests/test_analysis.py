@@ -400,7 +400,7 @@ class TestEscape:
         stats = escape_statistics(prob, saddle, 8, config, threshold=0.05)
         f0 = prob.value(saddle)
         for k in range(8):
-            rec = projected_trials(prob, None, 1, lambda _: (saddle, trial_rng(3, k)), config,
+            rec = projected_trials(1, lambda _: (saddle, trial_rng(3, k), prob, None), config,
                                    stop=lambda W: prob.value(W) <= f0 - 0.05)[0]
             f = prob.value(rec.final_point)
             assert stats["per_trial_steps"][k] == (rec.n_steps if f <= f0 - 0.05 else None)

@@ -33,6 +33,21 @@ def strip_elapsed(path):
     return [line.rsplit(",", 1)[0] for line in lines]
 
 
+def assert_seeds_same_alone(argv, seeds, batch, tmp_path):
+    """Every seed's traces and summary row in ``batch`` equal its run alone."""
+    summary = (batch / "summary.csv").read_text().strip().split("\n")
+    traces = sorted(p.name for p in batch.iterdir() if p.name.startswith("seed"))
+    assert len(summary) == 1 + len(seeds) and traces
+    for seed, row in zip(seeds, summary[1:]):
+        alone = tmp_path / f"alone{seed}"
+        main([*argv, "--seed", str(seed), "--out", str(alone)])
+        assert (alone / "summary.csv").read_text().strip().split("\n") == [summary[0], row]
+        mine = [name for name in traces if name.split(".")[0].split("-")[0] == f"seed{seed}"]
+        assert mine == sorted(p.name for p in alone.iterdir() if p.name.startswith("seed"))
+        for name in mine:
+            assert strip_elapsed(batch / name) == strip_elapsed(alone / name), name
+
+
 class TestConfigHandling:
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -143,6 +158,23 @@ class TestDecompose:
             assert int(n_steps) == 200
             assert diverged == "0"
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        """The manifest's environment block names python, numpy, BLAS, the
+        CPU count and the package version; it changes no output byte."""
+        out = tmp_path / "out"
+        assert main(["decompose", "--seeds", "2", "--out", str(out), *FAST]) == 0
+        env = read_manifest(out)["environment"]
+        assert sorted(env) == ["blas", "blas_version", "cpu_count", "numpy", "python", "strictsaddle"]
+        assert env["numpy"] == np.__version__ and env["strictsaddle"] == strictsaddle.__version__
+        assert env["python"] == ".".join(map(str, sys.version_info[:3])) and env["cpu_count"] == os.cpu_count()
+        monkeypatch.setattr(cli, "_environment", dict)
+        bare = tmp_path / "bare"
+        assert main(["decompose", "--seeds", "2", "--out", str(bare), *FAST]) == 0
+        assert read_manifest(bare)["environment"] == {}
+        assert (out / "summary.csv").read_bytes() == (bare / "summary.csv").read_bytes()
+        for name in ("seed0.csv", "seed1.csv"):
+            assert strip_elapsed(out / name) == strip_elapsed(bare / name)
+
     def test_manifest_lists_every_file(self, tmp_path):
         out = tmp_path / "out"
         main(["decompose", "--seeds", "2", "--out", str(out), *FAST])
@@ -160,11 +192,39 @@ class TestDecompose:
         assert (out_a / "summary.csv").read_text() == (out_b / "summary.csv").read_text()
 
     def test_seed_trace_same_alone_or_in_batch(self, tmp_path):
-        """Seed 1 produces the same trace whether it runs alone or after seed 0."""
-        batch, alone = tmp_path / "batch", tmp_path / "alone"
-        assert main(["decompose", "--seed", "0", "--seeds", "2", "--out", str(batch), *FAST]) == 0
-        assert main(["decompose", "--seed", "1", "--out", str(alone), *FAST]) == 0
-        assert strip_elapsed(batch / "seed1.csv") == strip_elapsed(alone / "seed1.csv")
+        """Seed k's traces and summary row are the same whether it runs
+        alone or as a row of a batch of seeds: decompose under every
+        objective and either sampler, and both phases of ica."""
+        cases = [["decompose", "--objective", objective] for objective in cli.OBJECTIVES]
+        cases += [["decompose", "--sampler", "ica", "--batch", "5"], ["ica", "--batch", "5"]]
+        for case, argv in enumerate(c + FAST for c in cases):
+            batch = tmp_path / f"batch{case}"
+            main([*argv, "--seed", "4", "--seeds", "3", "--out", str(batch)])
+            assert_seeds_same_alone(argv, [4, 5, 6], batch, tmp_path / f"case{case}")
+        assert (tmp_path / "batch4" / "seed5-invt.csv").exists()
+
+    def test_one_gradient_call_per_step_on_the_seed_stack(self, tmp_path, monkeypatch):
+        calls = []
+        oracle = ica.SimpleSampler.gradient
+
+        def counted(self, W, samples):
+            calls.append((W.shape, samples.shape))
+            return oracle(self, W, samples)
+
+        monkeypatch.setattr(ica.SimpleSampler, "gradient", counted)
+        assert main(["decompose", "--seeds", "3", "--out", str(tmp_path / "out"), *FAST]) == 0
+        assert calls == [((3, 9), (3, 3))] * 200
+
+    def test_rows_leaving_at_different_steps_equal_their_runs_alone(self, tmp_path):
+        """At d=1 and eta=1 the rows step onto the sphere's centre at steps
+        0, 1 and 2; each leaves the stack there and its outputs are its
+        run alone."""
+        argv = ["decompose", "--d", "1", "--eta", "1", "--iters", "50"]
+        batch = tmp_path / "batch"
+        assert main([*argv, "--seed", "0", "--seeds", "6", "--out", str(batch)]) == 1
+        rows = [row.split(",") for row in (batch / "summary.csv").read_text().strip().split("\n")[1:]]
+        assert sorted({int(r[4]) for r in rows}) == [0, 1, 2] and all(r[5] == "1" for r in rows)
+        assert_seeds_same_alone(argv, range(6), batch, tmp_path)
 
     def test_converges_on_easy_problem(self, tmp_path):
         out = tmp_path / "out"
@@ -200,6 +260,16 @@ class TestIca:
         assert read_manifest(out)["config"]["record_every"] == 25
         trace = (out / "seed0-constant.csv").read_text().strip().split("\n")
         assert len(trace) == 1 + 5  # header + records at 0,25,50,75,100
+
+    def test_ica_continues_only_the_constant_runs_that_survived(self, tmp_path):
+        """A seed whose constant run diverged gets no row in the annealed
+        stack; the seeds after it still get their own continuation."""
+        argv = ["ica", "--d", "1", "--eta", "1", "--iters", "2", "--record-every", "1"]
+        batch = tmp_path / "batch"
+        assert main([*argv, "--seed", "0", "--seeds", "8", "--out", str(batch)]) == 1
+        # seed 0's constant run diverges, so each continuation belongs to a later row
+        assert not (batch / "seed0-invt.csv").exists() and 0 < len(list(batch.glob("seed*-invt.csv"))) < 8
+        assert_seeds_same_alone(argv, range(8), batch, tmp_path)
 
 
 class TestVerify:

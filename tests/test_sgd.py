@@ -200,7 +200,7 @@ class TestNoisySgd:
         diverges at that step and the other rows run on."""
         prob = correlation_objective(basis=OrthoBasis.standard(1), halved=True)  # f = 0: only noise moves w
         config = SgdConfig(eta=1.0, eta_max=1.0, iterations=2, noise_scale=1.0, seed=5, record_every=1)
-        records = projected_trials(prob, None, 8, lambda j: (np.ones(1), trial_rng(5, j)), config)
+        records = projected_trials(8, lambda j: (np.ones(1), trial_rng(5, j), prob, None), config)
         stuck = [r for r in records if r.diverged]
         assert 0 < len(stuck) < len(records)
         for r in records:
@@ -300,66 +300,83 @@ def assert_same_run(got, want):
 
 
 class TestStackedTrials:
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["dense", "both", "basis"]),
-           sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(2, 3),
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["dense", "both", "basis", "per-row"]),
+           sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(1, 3),
            k=st.integers(1, 8), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
            noise=st.sampled_from([0.0, 1.0]), stopping=st.booleans(), iters=st.integers(1, 80),
            stride=st.integers(1, 30))
     def test_row_equals_single_trial(self, kind, source, sampler_kind, d, k, block, seed, noise,
                                      stopping, iters, stride):
         """Trial k of a stack (in blocks of any height) equals its run alone,
-        with exact gradients and with either sampler."""
+        with exact gradients and with either sampler, whether the trials
+        share one problem or each draws its own basis, problem and sampler
+        (``per-row``, as the seeds of the cli do)."""
         if sampler_kind == "ica":
             kind = "correlation"  # the only gradient the ica sampler estimates
-        basis = OrthoBasis.random(d, np.random.default_rng(seed))
-        T = None if source == "basis" else make_orthogonal_tensor(basis)
-        prob = PROBLEMS[kind](T, basis=None if source == "dense" else basis)
-        sampler = {None: None,
-                   "simple": SimpleSampler(basis, kind=kind),
-                   "ica": IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]
+
+        def trial(rng):
+            basis = OrthoBasis.random(d, rng)
+            T = make_orthogonal_tensor(basis) if source in ("dense", "both") else None
+            prob = PROBLEMS[kind](T, basis=None if source == "dense" else basis)
+            sampler = {None: None,
+                       "simple": SimpleSampler(basis, kind=kind),
+                       "ica": IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]
+            return prob, sampler
+
+        shared = trial(np.random.default_rng(seed))
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
 
         def start(j):
             rng = trial_rng(seed, j)
-            return prob.random_feasible(rng), rng
+            prob, sampler = trial(rng) if source == "per-row" else shared
+            return prob.random_feasible(rng), rng, prob, sampler
 
-        # stop once f falls below the median start value: some rows stop, some run on
-        target = float(np.median([prob.value(start(j)[0]) for j in range(k)]))
-        stop = (lambda W: prob.value(W) <= target) if stopping else None
+        # stop once the first coordinate passes the starts' median: rows
+        # leave at different steps, and the predicate reads no problem
+        target = float(np.median([start(j)[0][0] for j in range(k)]))
+        stop = (lambda W: W[:, 0] >= target) if stopping else None
         with mock.patch.object(sgd, "STACK_ROWS", block):
-            stacked = projected_trials(prob, sampler, k, start, config, stop=stop)
+            stacked = projected_trials(k, start, config, stop=stop)
         assert len(stacked) == k
         for j in range(k):
-            alone = projected_trials(prob, sampler, 1, lambda _: start(j), config, stop=stop)[0]
-            assert_same_run(stacked[j], alone)
+            assert_same_run(stacked[j], projected_trials(1, lambda _: start(j), config, stop=stop)[0])
             if not stopping:
-                w0, rng = start(j)
+                w0, rng, prob, sampler = start(j)
                 assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
-    @pytest.mark.parametrize("sampler_kind", ["simple", "ica"])
-    def test_one_oracle_call_per_step_on_the_whole_stack(self, sampler_kind, k):
+    @pytest.mark.parametrize("sampler_kind, per_row", [("simple", False), ("ica", False),
+                                                       ("simple", True), ("ica", True)],
+                             ids=["simple", "ica", "simple-per-row", "ica-per-row"])
+    def test_one_oracle_call_per_step_on_the_whole_stack(self, sampler_kind, per_row, k):
+        """One oracle call per step for the whole stack, whether its rows
+        share one problem or each has its own basis."""
         d, iters, batch = 3, 25, 4
-        basis = OrthoBasis.random(d, np.random.default_rng(k))
-        prob = PROBLEMS["correlation"](basis=basis)
-        sampler = (SimpleSampler(basis) if sampler_kind == "simple"
-                   else IcaSampler(IcaModel(basis.vectors.T), batch_size=batch))
+        cls = SimpleSampler if sampler_kind == "simple" else IcaSampler
         calls = []
-        oracle = sampler.gradient
+        oracle = cls.gradient
 
-        def counted(W, samples):
+        def counted(self, W, samples):
             calls.append((W.shape, samples.shape))
-            return oracle(W, samples)
+            return oracle(self, W, samples)
 
-        sampler.gradient = counted
+        def trial(rng):
+            basis = OrthoBasis.random(d, rng)
+            sampler = (SimpleSampler(basis) if sampler_kind == "simple"
+                       else IcaSampler(IcaModel(basis.vectors.T), batch_size=batch))
+            return PROBLEMS["correlation"](basis=basis), sampler
+
+        shared = trial(np.random.default_rng(k))
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=k, record_every=10)
 
         def start(j):
             rng = trial_rng(k, j)
-            return prob.random_feasible(rng), rng
+            prob, sampler = trial(rng) if per_row else shared
+            return prob.random_feasible(rng), rng, prob, sampler
 
-        records = projected_trials(prob, sampler, k, start, config)
+        with mock.patch.object(cls, "gradient", counted):
+            records = projected_trials(k, start, config)
         assert all(r.n_steps == iters and not r.diverged for r in records)
         sample_shape = (k, d) if sampler_kind == "simple" else (k, batch, d)
         assert calls == [((k, d * d), sample_shape)] * iters
@@ -369,7 +386,7 @@ class TestStackedTrials:
         saddle = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
         target = prob.value(saddle) - 0.05
         config = SgdConfig(eta=0.02, iterations=3000, noise_scale=1.0, seed=4, record_every=500)
-        records = projected_trials(prob, None, 6, lambda j: (saddle, trial_rng(4, j)), config,
+        records = projected_trials(6, lambda j: (saddle, trial_rng(4, j), prob, None), config,
                                    stop=lambda W: prob.value(W) <= target)
         for rec in records:
             assert rec.final_f <= target < rec.f_values[-2]
@@ -380,9 +397,8 @@ class TestStackedTrials:
         """A row that diverges is closed at its step; the others finish."""
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), -np.eye(2))
         config = SgdConfig(eta=0.05, iterations=800, noise_scale=0.0, record_every=100)
-        starts = [(np.array([1.0, 1.0]), run_rng(0)), (np.zeros(2), run_rng(1))]
-        grow, rest = sgd._run_loop(obj, None, starts, config, None,
-                                   lambda W: sgd.row_norms(obj.gradient(W)), lambda W: [np.nan] * len(W))
+        starts = [(np.array([1.0, 1.0]), run_rng(0), obj, None), (np.zeros(2), run_rng(1), obj, None)]
+        grow, rest = sgd._run_loop(starts, config, None, sgd._gradient_norms)
         assert grow.diverged and "diverged" in grow.message and grow.n_steps < 800
         assert not rest.diverged and rest.n_steps == 800
         np.testing.assert_array_equal(rest.final_point, np.zeros(2))
