@@ -14,8 +14,6 @@ from . import analysis, cli, ica, manifold, objectives, sgd, tensor4
 from .analysis import (
     CheckResult,
     MinimaCatalog,
-    SaddleReport,
-    classify_point,
     coupling_closed_form,
     enumerate_minima,
     escape_statistics,
@@ -24,7 +22,7 @@ from .analysis import (
     run_checks,
 )
 from .ica import IcaModel, IcaSampler, SimpleSampler, gen_ica_samples
-from .manifold import SaddleParams, SphereProduct, lagrange_multipliers, min_tangent_eig, tangent_gradient
+from .manifold import SphereProduct, lagrange_multipliers, min_tangent_eig, tangent_gradient
 from .objectives import (
     ConstrainedProblem,
     QuadraticObjective,
@@ -46,8 +44,6 @@ __all__ = [
     "tensor4",
     "CheckResult",
     "MinimaCatalog",
-    "SaddleReport",
-    "classify_point",
     "coupling_closed_form",
     "enumerate_minima",
     "escape_statistics",
@@ -58,7 +54,6 @@ __all__ = [
     "IcaSampler",
     "SimpleSampler",
     "gen_ica_samples",
-    "SaddleParams",
     "SphereProduct",
     "lagrange_multipliers",
     "min_tangent_eig",

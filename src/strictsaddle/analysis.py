@@ -1,11 +1,10 @@
 """Verification engine: numerical oracles and saddle-structure diagnostics.
 
-Finite-difference derivative oracles, classification of feasible points
-into the quantitative strict-saddle trichotomy (large tangent gradient /
-negative tangent curvature / near a known local minimum), local-minima
-enumeration by multi-start search, escape statistics from exact saddles,
-and the exact closed form for SGD on a quadratic model driven by a known
-perturbation stream.
+Finite-difference derivative oracles, local-minima enumeration by
+multi-start search (each endpoint certified by its tangent gradient and
+curvature), escape statistics from exact saddles, the exact closed form
+for SGD on a quadratic model driven by a known perturbation stream, and
+the invariant battery behind ``strictsaddle verify``.
 """
 
 import itertools
@@ -30,9 +29,6 @@ from .sgd import (
 __all__ = [
     "fd_gradient",
     "fd_hessian",
-    "SaddleReport",
-    "classify_point",
-    "AxisMatcher",
     "SignedPermutationMatcher",
     "CatalogEntry",
     "MinimaCatalog",
@@ -99,20 +95,6 @@ def fd_hessian(f, w):
     return 0.5 * (H + H.T)
 
 
-class AxisMatcher:
-    """Nearest candidate among the signed components {+-a_i} (one sphere)."""
-
-    def __init__(self, basis):
-        self.basis = basis
-
-    def nearest(self, u):
-        u = np.asarray(u, dtype=float)
-        coeff = self.basis.vectors @ u
-        i = int(np.argmax(np.abs(coeff)))
-        cand = math.copysign(1.0, coeff[i]) * self.basis.vectors[i]
-        return cand, float(np.linalg.norm(u - cand))
-
-
 class SignedPermutationMatcher:
     """Nearest signed permutation of the basis rows, in Frobenius distance.
 
@@ -134,78 +116,6 @@ class SignedPermutationMatcher:
         for i, j in zip(rows, cols):
             V[i] = math.copysign(1.0, corr[i, j]) * self.basis.vectors[j]
         return V.reshape(-1), float(np.linalg.norm(w - V.reshape(-1)))
-
-
-@dataclass
-class SaddleReport:
-    """Classification of one feasible point with its numeric evidence."""
-
-    point: np.ndarray
-    classification: str
-    chi_norm: float
-    min_eig: float | None = None
-    witness: np.ndarray | None = None
-    matched_minimum: np.ndarray | None = None
-    match_distance: float | None = None
-    neighborhood_min_eig: float | None = None
-    params: manifold.SaddleParams | None = None
-
-
-def classify_point(problem, w, params, matcher=None, rng=None):
-    """Sort a feasible point into the strict-saddle trichotomy.
-
-    Branch order: ||chi(w)|| >= epsilon, then minimum tangent eigenvalue
-    <= -gamma, then a catalogued minimum within delta.  The third branch
-    additionally samples the 2*delta neighborhood of the matched minimum
-    at four points and requires every probed tangent Hessian to stay
-    >= alpha; a probe below alpha vetoes the match (the sampling can
-    certify violation but only give evidence of satisfaction).
-    """
-    w = np.asarray(w, dtype=float)
-    chi = manifold.tangent_gradient(problem, w)
-    chi_norm = float(np.linalg.norm(chi))
-    if chi_norm >= params.epsilon:
-        return SaddleReport(w, "LargeGradient", chi_norm, params=params)
-
-    eig, witness = manifold.min_tangent_eig(problem, w)
-    if eig <= -params.gamma:
-        return SaddleReport(w, "NegativeCurvature", chi_norm, min_eig=eig, witness=witness, params=params)
-
-    if matcher is not None:
-        cand, dist = matcher.nearest(w)
-        if cand is not None and dist <= params.delta:
-            nbhd = _neighborhood_min_eig(problem, cand, 2.0 * params.delta, rng)
-            nbhd = min(nbhd, eig)
-            if nbhd >= params.alpha:
-                return SaddleReport(
-                    w,
-                    "NearLocalMinimum",
-                    chi_norm,
-                    min_eig=eig,
-                    witness=witness,
-                    matched_minimum=cand,
-                    match_distance=dist,
-                    neighborhood_min_eig=nbhd,
-                    params=params,
-                )
-
-    return SaddleReport(w, "Unclassified", chi_norm, min_eig=eig, witness=witness, params=params)
-
-
-def _neighborhood_min_eig(problem, center, radius, rng):
-    """Min tangent eigenvalue over sampled feasible points near a minimum."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    points = [center]
-    for _ in range(4):
-        step = radius * rng.random() * unit_sphere_noise(center.size, rng)
-        try:
-            point = problem.constraints.project(center + step)
-        except ValueError:
-            continue
-        if np.linalg.norm(point - center) <= radius:
-            points.append(point)
-    return float(np.min(manifold.min_tangent_eig(problem, np.array(points))[0]))
 
 
 @dataclass
@@ -235,15 +145,6 @@ class MinimaCatalog:
 
     def __len__(self):
         return len(self.entries)
-
-    def min_pairwise_distance(self):
-        if len(self.entries) < 2:
-            return np.inf
-        best = np.inf
-        for i in range(len(self.entries)):
-            for j in range(i + 1, len(self.entries)):
-                best = min(best, float(np.linalg.norm(self.entries[i].point - self.entries[j].point)))
-        return best
 
     def sorted_points(self):
         """Entries sorted lexicographically, for order-independent comparison."""
@@ -501,13 +402,13 @@ def pairing_expectation_check(d, n_forms, rng):
     """Exact expectation identity behind the ICA estimator.
 
     Over the 2^d equiprobable sign sources x, the empirical mean of
-    (1/2)(Z - y^{(4)}) applied as a form must equal the form of the
-    orthogonal tensor built from the mixing rows, exactly up to
-    round-off.
+    (1/2)(Z - y^{(4)}) applied as the form (u,u,v,v) must equal
+    T(u,u,v,v) of the orthogonal tensor whose components are the mixing
+    columns, exactly up to round-off.  T(u,u,v,v) is evaluated through
+    the decomposition basis; no tensor is built.
     """
     model = ica.IcaModel.random(d, rng)
     basis = model.component_basis()
-    T = tensor4.make_orthogonal_tensor(basis)
     signs = exhaustive_sign_vectors(d)
     ys = signs @ model.A.T
     worst = 0.0
@@ -515,7 +416,7 @@ def pairing_expectation_check(d, n_forms, rng):
         u = rng.standard_normal(d)
         v = rng.standard_normal(d)
         mean = np.mean([ica.z_minus_y4_form(y, u, v) for y in ys])
-        want = float(u @ tensor4.form_pair_vector(T, u, v))
+        want = tensor4.basis_form_scalar(basis, u, u, v, v)
         worst = max(worst, abs(mean - want))
     return worst
 

@@ -18,13 +18,10 @@ alone.  The generic pseudo-inverse solve survives only as the test oracle
 in :mod:`strictsaddle.analysis`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SphereProduct",
-    "SaddleParams",
     "lagrange_multipliers",
     "tangent_gradient",
     "lagrangian_hessian",
@@ -249,23 +246,3 @@ def min_tangent_eig(problem, w):
     direction = np.einsum("...pi,...i->...p", B, vecs[..., 0])
     direction /= np.sqrt(np.einsum("...p,...p->...", direction, direction))[..., None]
     return (float(vals[0]) if w.ndim == 1 else vals[..., 0]), direction
-
-
-@dataclass(frozen=True)
-class SaddleParams:
-    """Quantitative strict-saddle thresholds.
-
-    alpha: strong-convexity floor near local minima; gamma: required
-    negative-curvature magnitude; epsilon: large-gradient threshold;
-    delta: matching radius to a catalogued minimum.
-    """
-
-    alpha: float
-    gamma: float
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        for name in ("alpha", "gamma", "epsilon", "delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")

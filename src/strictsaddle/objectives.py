@@ -14,29 +14,22 @@ Three equality-constrained problems over products of unit spheres:
   the per-sample gradient oracles in :mod:`strictsaddle.ica` estimate.
 
 Each problem exposes analytic value/gradient/Hessian in ambient
-coordinates, each on a (..., n) stack of points.  A
-problem is built from the decomposition basis (``basis=``) and works in
-the coordinates X = U A^T, never forming the d^4 tensor.  Given only a
-dense tensor ``T`` it contracts the entries instead (the forms of
-:mod:`strictsaddle.tensor4`); that path checks T's symmetry and is the
-oracle the basis path is tested against.  The coordinate closed forms
-of the certification quantities (``*_coords`` functions) are
-cross-checked in tests.
+coordinates, each on a (..., n) stack of points.  A problem is built
+from the decomposition basis (``basis=``) and works in the coordinates
+X = U A^T, never forming the d^4 tensor.  The factories still take a
+first argument ``T``, which is never read.  The dense contractions the
+basis forms replace are the test oracle in ``tests/dense_oracle.py``,
+which builds the same problems from its own forms.
 """
 
 import numpy as np
 
 from .manifold import SphereProduct
 from .tensor4 import (
-    Tensor4,
     basis_coords,
     basis_form_matrix,
     basis_form_scalar,
     basis_form_vector,
-    form_matrix,
-    form_scalar,
-    form_vector,
-    reconstruction_error,
     reconstruction_error_from_basis,
 )
 
@@ -46,12 +39,8 @@ __all__ = [
     "maxeig_objective",
     "reconstruction_objective",
     "correlation_objective",
-    "maxeig_value_coords",
     "maxeig_multiplier_coords",
-    "correlation_value_coords",
-    "correlation_psi",
     "correlation_multipliers_coords",
-    "correlation_lagrangian_hessian_coords",
 ]
 
 
@@ -174,60 +163,26 @@ class _BasisForms:
         return np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)
 
 
-class _DenseForms:
-    """T(.) by contracting the dense entries of a fully symmetric T."""
-
-    def __init__(self, T):
-        T = T if isinstance(T, Tensor4) else Tensor4(T)
-        if not T.is_symmetric(tol=1e-10):
-            raise ValueError("objective requires a fully symmetric tensor")
-        self.T = T
-        self.d = T.d
-        self.norm2 = T.norm() ** 2
-
-    def recon_error(self, U):
-        return reconstruction_error(self.T, U)
-
-    def quartic(self, u):
-        return form_scalar(self.T, u, u, u, u)
-
-    def cubic(self, u):
-        return form_vector(self.T, u)
-
-    def matrix(self, u):
-        return form_matrix(self.T, u)
-
-    def pair_matrices(self, U):
-        """T(I,u_i,u_j,I) for every pair of rows, contracting one slot at a time."""
-        y = np.einsum("pqrs,...jr->...jpqs", self.T.entries, U)
-        return np.einsum("...jpqs,...iq->...ijps", y, U)
-
-    def cross_vectors(self, U):
-        """sum_l T(I,u_i,u_l,u_l) - T(I,u_i,u_i,u_i), through T(I,I,U^T U)."""
-        outer = np.einsum("...lr,...ls->...rs", U, U)
-        m = np.einsum("pqrs,...rs->...pq", self.T.entries, outer)
-        return np.einsum("...pq,...iq->...ip", m, U) - self.cubic(U)
-
-    def cross_value(self, U):
-        return np.einsum("...ip,...ip->...", U, self.cross_vectors(U))
+def _basis_forms(basis):
+    if basis is None:
+        raise ValueError("objective needs the decomposition basis (basis=)")
+    return _BasisForms(basis)
 
 
-def _forms(T, basis):
-    """The tensor's forms: through the basis when given (T is then not read),
-    else through the dense entries of T."""
-    if basis is not None:
-        return _BasisForms(basis)
-    if T is None:
-        raise ValueError("objective needs the decomposition basis or a dense tensor T")
-    return _DenseForms(T)
+# Each factory passes _BasisForms to the builder that follows it; the
+# dense oracle of the tests passes its own forms to the same builders.
 
 
 def maxeig_objective(T=None, basis=None):
     """Single-component problem: minimize -T(u,u,u,u) on the unit sphere.
 
-    gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).
+    gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).  ``T`` is never read:
+    the problem is built from ``basis``, which is required.
     """
-    forms = _forms(T, basis)
+    return _maxeig(_basis_forms(basis))
+
+
+def _maxeig(forms):
     constraints = SphereProduct([forms.d])
 
     def value(u):
@@ -246,9 +201,13 @@ def reconstruction_objective(T=None, basis=None):
     """Full-decomposition problem: minimize ||T - sum_i u_i^{(x)4}||_F^2.
 
     Expanded as ||T||^2 - 2 sum_i T(u_i,u_i,u_i,u_i) + sum_{i,l} (u_i.u_l)^4,
-    so no dense d^4 residual is ever formed.
+    so no dense d^4 residual is ever formed.  ``T`` is never read: the
+    problem is built from ``basis``, which is required.
     """
-    forms = _forms(T, basis)
+    return _reconstruction(_basis_forms(basis))
+
+
+def _reconstruction(forms):
     d = forms.d
     constraints = SphereProduct.spheres(d, d)
 
@@ -288,9 +247,13 @@ def correlation_objective(T=None, basis=None, halved=False):
     whole problem by 1/2 (the unordered-pair sum); all derivatives scale
     with it.  The halved view is the one whose least-squares multipliers
     equal sum_{j != i} h(u_j, u_i) exactly and whose gradient the ICA
-    oracle estimates without bias.
+    oracle estimates without bias.  ``T`` is never read: the problem is
+    built from ``basis``, which is required.
     """
-    forms = _forms(T, basis)
+    return _correlation(_basis_forms(basis), halved)
+
+
+def _correlation(forms, halved):
     d = forms.d
     constraints = SphereProduct.spheres(d, d)
     scale = 0.5 if halved else 1.0
@@ -355,16 +318,10 @@ class QuadraticObjective:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms in the decomposition basis.  All of them assume the point is
-# feasible (unit-norm blocks); they are the cross-check targets for the
-# generic machinery in strictsaddle.manifold.
+# Closed-form multipliers in the decomposition basis.  Both assume the point
+# is feasible (unit-norm blocks); the verify battery checks the multipliers
+# of strictsaddle.manifold against them.
 # ---------------------------------------------------------------------------
-
-
-def maxeig_value_coords(x):
-    """f(x) = -sum_i x_i^4 for coordinates x on the unit sphere."""
-    x = np.asarray(x, dtype=float)
-    return -float(np.sum(x**4))
 
 
 def maxeig_multiplier_coords(x):
@@ -373,49 +330,9 @@ def maxeig_multiplier_coords(x):
     return -2.0 * float(np.sum(x**4))
 
 
-def _pairwise_h(U):
-    """H[j, i] = h(u_j, u_i) = sum_k U_jk^2 U_ik^2."""
-    sq = U**2
-    return sq @ sq.T
-
-
-def correlation_value_coords(U, halved=False):
-    """Coordinate value sum_{i != j} h(u_i, u_j), optionally halved."""
-    U = np.asarray(U, dtype=float)
-    h = _pairwise_h(U)
-    total = float(np.sum(h) - np.trace(h))
-    return 0.5 * total if halved else total
-
-
 def correlation_multipliers_coords(U):
-    """Multipliers of the halved problem: lambda_i = sum_{j != i} h(u_j, u_i)."""
-    U = np.asarray(U, dtype=float)
-    h = _pairwise_h(U)
+    """Multipliers of the halved problem: lambda_i = sum_{j != i} h(u_j, u_i),
+    where h(u_j, u_i) = sum_k U_jk^2 U_ik^2."""
+    sq = np.asarray(U, dtype=float) ** 2
+    h = sq @ sq.T
     return h.sum(axis=0) - np.diag(h)
-
-
-def correlation_psi(U):
-    """psi_ik = sum_{j != i} (U_jk^2 - h(u_j, u_i)), the halved-problem stencil."""
-    U = np.asarray(U, dtype=float)
-    sq = U**2
-    col = sq.sum(axis=0)
-    lam = correlation_multipliers_coords(U)
-    return (col[None, :] - sq) - lam[:, None]
-
-
-def correlation_lagrangian_hessian_coords(U):
-    """Lagrangian Hessian of the halved problem.
-
-    Entry ((i,k), (i',k')): 2 psi_ik when (i,k)=(i',k'); 4 U_{i'k} U_{ik}
-    when k=k' and i != i'; zero otherwise.
-    """
-    U = np.asarray(U, dtype=float)
-    d = U.shape[0]
-    psi = correlation_psi(U)
-    M = np.zeros((d * d, d * d))
-    for k in range(d):
-        idx = np.arange(d) * d + k
-        block = 4.0 * np.outer(U[:, k], U[:, k])
-        np.fill_diagonal(block, 2.0 * psi[:, k])
-        M[np.ix_(idx, idx)] = block
-    return M

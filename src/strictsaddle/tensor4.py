@@ -1,15 +1,15 @@
-"""Dense symmetric 4th-order tensors and orthogonal decompositions.
+"""Symmetric 4th-order tensors given by their orthogonal decomposition.
 
-A 4th-order tensor over R^d is stored as a dense (d, d, d, d) array.  The
-tensors of interest here have an orthogonal decomposition
+The tensors of interest here have an orthogonal decomposition
 
     T = sum_i a_i (x) a_i (x) a_i (x) a_i,
 
 with orthonormal a_1..a_d, and are fully symmetric under all 24 index
-permutations.  Multilinear forms T(u,v,w,z), T(I,u,u,u) and T(I,I,u,u) are
-provided both as dense contractions (the oracle path) and as O(d^2)
-closed forms that use the known decomposition basis.  The scalar, vector
-and matrix forms also take (..., d) stacks of vectors, one result per row.
+permutations.  The multilinear forms T(u,v,w,z), T(I,u,u,u) and
+T(I,I,u,u) and the reconstruction error are closed forms in the
+decomposition basis, so no d^4 array is formed; each form also takes
+(..., d) stacks of vectors, one result per row.  The dense contractions
+they replace are kept as the test oracle in ``tests/dense_oracle.py``.
 """
 
 from itertools import permutations
@@ -20,15 +20,10 @@ __all__ = [
     "Tensor4",
     "OrthoBasis",
     "make_orthogonal_tensor",
-    "form_scalar",
-    "form_vector",
-    "form_matrix",
-    "form_pair_vector",
     "basis_coords",
     "basis_form_scalar",
     "basis_form_vector",
     "basis_form_matrix",
-    "reconstruction_error",
     "reconstruction_error_from_basis",
 ]
 
@@ -37,6 +32,11 @@ ORTHO_TOL = 1e-10
 
 class Tensor4:
     """Dense 4th-order tensor on R^d.
+
+    The library itself never builds one: every problem is built from the
+    decomposition basis.  The type remains for callers that want the
+    d^4 entries, such as the benchmark's set-ups and the tests' dense
+    oracle.
 
     Parameters
     ----------
@@ -60,10 +60,6 @@ class Tensor4:
         self.entries = arr
         self.d = arr.shape[0]
 
-    def norm(self):
-        """Frobenius norm sqrt(sum of squared entries)."""
-        return float(np.linalg.norm(self.entries.ravel()))
-
     def is_symmetric(self, tol=1e-12):
         """True when entries are finite and invariant under all 24 index permutations."""
         base = self.entries
@@ -73,9 +69,6 @@ class Tensor4:
             if not np.max(np.abs(np.transpose(base, perm) - base)) <= tol:
                 return False
         return True
-
-    def __repr__(self):
-        return f"Tensor4(d={self.d})"
 
 
 class OrthoBasis:
@@ -127,7 +120,9 @@ class OrthoBasis:
 
 
 def make_orthogonal_tensor(basis):
-    """Build T = sum_i a_i^{(x)4} from an orthonormal basis.
+    """Build the dense T = sum_i a_i^{(x)4} from an orthonormal basis.
+
+    The library itself never calls this; see :class:`Tensor4`.
 
     Parameters
     ----------
@@ -143,65 +138,12 @@ def make_orthogonal_tensor(basis):
     return Tensor4(entries)
 
 
-def _as_tensor_entries(T):
-    return T.entries if isinstance(T, Tensor4) else np.asarray(T, dtype=float)
-
-
-def _check_last_axis(t, **vecs):
-    """Each vector must be (d,) or a (..., d) stack."""
-    for name, vec in vecs.items():
-        if np.shape(vec)[-1:] != (t.shape[0],):
-            raise ValueError(f"vector {name} has shape {np.shape(vec)}, expected (..., {t.shape[0]})")
-
-
-def _outer_flat(u, v):
-    """Row-wise outer products u (x) v, flattened to (..., d*d)."""
-    uv = np.asarray(u, dtype=float)[..., :, None] * np.asarray(v, dtype=float)[..., None, :]
-    return uv.reshape(*uv.shape[:-2], -1)
-
-
 def _scalar(s):
     return float(s) if np.ndim(s) == 0 else s
 
 
-# The forms below that take (..., d) stacks contract with einsum only, never
-# BLAS, so each row's result does not depend on the rows stacked with it;
-# the dense ones contract through u (x) v, so no d^3 temporary is formed.
-
-
-def form_scalar(T, u, v, w, z):
-    """Full contraction T(u, v, w, z) = sum T[p,q,r,s] u_p v_q w_r z_s.
-
-    Vectors (d,) give a float; (..., d) stacks give one value per row.
-    """
-    t = _as_tensor_entries(T)
-    _check_last_axis(t, u=u, v=v, w=w, z=z)
-    d = t.shape[0]
-    m = np.einsum("mn,...n->...m", t.reshape(d * d, d * d), _outer_flat(w, z))
-    return _scalar(np.einsum("...m,...m->...", _outer_flat(u, v), m))
-
-
-def form_vector(T, u):
-    """One free slot: the vector T(I, u, u, u), per row of a (..., d) stack."""
-    t = _as_tensor_entries(T)
-    _check_last_axis(t, u=u)
-    d = t.shape[0]
-    y = np.einsum("pqm,...m->...pq", t.reshape(d, d, d * d), _outer_flat(u, u))
-    return np.einsum("...pq,...q->...p", y, u)
-
-
-def form_matrix(T, u):
-    """Two free slots: the matrix T(I, I, u, u), per row of a (..., d) stack."""
-    t = _as_tensor_entries(T)
-    _check_last_axis(t, u=u)
-    d = t.shape[0]
-    return np.einsum("pqm,...m->...pq", t.reshape(d, d, d * d), _outer_flat(u, u))
-
-
-def form_pair_vector(T, a, b):
-    """Mixed contraction T(I, a, b, b); equals T(I,I,b,b) @ a for symmetric T."""
-    t = _as_tensor_entries(T)
-    return np.einsum("pqrs,q,r,s->p", t, a, b, b, optimize=True)
+# The forms contract with einsum only, never BLAS, so each row's result
+# does not depend on the rows stacked with it.
 
 
 def basis_coords(basis, u):
@@ -235,31 +177,6 @@ def basis_form_matrix(basis, u):
     x = basis_coords(basis, u)
     a = basis.vectors
     return np.einsum("...jp,jq->...pq", (x * x)[..., None] * a, a)
-
-
-def reconstruction_error(T, U):
-    """Normalized reconstruction error of a candidate decomposition.
-
-    epsilon = ||T - sum_i u_i^{(x)4}||_F^2 / ||T||_F^2
-
-    Parameters
-    ----------
-    T : Tensor4
-    U : (d, d) array of candidate rows.
-
-    Raises
-    ------
-    ValueError
-        If T has zero norm (the metric is undefined).
-    """
-    t = _as_tensor_entries(T)
-    rows = np.asarray(U, dtype=float)
-    denom = float(np.sum(t * t))
-    if denom == 0.0:
-        raise ValueError("reconstruction error undefined for a zero tensor")
-    approx = np.einsum("ip,iq,ir,is->pqrs", rows, rows, rows, rows, optimize=True)
-    diff = t - approx
-    return float(np.sum(diff * diff)) / denom
 
 
 def reconstruction_error_from_basis(basis, U):

@@ -33,7 +33,7 @@ from strictsaddle.objectives import (
     maxeig_objective,
 )
 from strictsaddle.sgd import SgdConfig, projected_noisy_sgd, run_rng
-from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
+from strictsaddle.tensor4 import OrthoBasis
 
 
 def report(name, ok, detail):
@@ -43,8 +43,7 @@ def report(name, ok, detail):
 
 def make_problems(d, rng):
     basis = OrthoBasis.random(d, rng)
-    T = make_orthogonal_tensor(basis)
-    return basis, maxeig_objective(T, basis=basis), correlation_objective(T, basis=basis, halved=True)
+    return basis, maxeig_objective(basis=basis), correlation_objective(basis=basis, halved=True)
 
 
 def test_01_derivatives_match_finite_differences():
@@ -106,7 +105,7 @@ def test_05_saddle_curvature_constants():
     worst_saddle, worst_min, n_saddles = 0.0, np.inf, 0
     for d in range(2, 11):
         basis = OrthoBasis.standard(d)
-        prob = maxeig_objective(make_orthogonal_tensor(basis), basis=basis)
+        prob = maxeig_objective(basis=basis)
         saddles = []
         for p in range(2, d + 1):
             for support in itertools.combinations(range(d), p):
@@ -130,7 +129,7 @@ def test_06_census_finds_all_eight_minima():
     exactly 8 distinct minima, all within 1e-4 of signed permutations,
     each with tangent curvature >= 1."""
     basis = OrthoBasis.standard(2)
-    prob = correlation_objective(make_orthogonal_tensor(basis), basis=basis, halved=True)
+    prob = correlation_objective(basis=basis, halved=True)
     config = SgdConfig(eta=0.05, iterations=1200, noise_scale=0.5, seed=0, record_every=1200)
     catalog = enumerate_minima(prob, 200, config)
     matcher = SignedPermutationMatcher(basis)
@@ -151,7 +150,7 @@ def test_07_decomposition_converges_across_seeds():
     for seed in range(10):
         rng = run_rng(seed)
         basis = OrthoBasis.random(10, rng)
-        prob = correlation_objective(make_orthogonal_tensor(basis), basis=basis, halved=True)
+        prob = correlation_objective(basis=basis, halved=True)
         sampler = SimpleSampler(basis, kind="correlation")
         w0 = prob.random_feasible(rng)
         config = SgdConfig(eta=0.01, iterations=10_000, noise_scale=1.0,
@@ -185,7 +184,7 @@ def test_09_saddle_stasis_and_noisy_escape():
     does not move (1e-12 over 1e3 steps) while noisy SGD decreases f by
     >= 0.05 within 1e4 steps in >= 95 of 100 trials."""
     basis = OrthoBasis.standard(10)
-    prob = maxeig_objective(make_orthogonal_tensor(basis), basis=basis)
+    prob = maxeig_objective(basis=basis)
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
 
     still = SgdConfig(eta=0.01, iterations=1000, noise_scale=0.0, seed=0, record_every=1)

@@ -1,14 +1,15 @@
-"""Tests for the verification engine: oracles, classifier, census, coupling."""
+"""Tests for the verification engine: oracles, census, escape, coupling."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from dense_oracle import AxisMatcher
 from strictsaddle.analysis import (
-    AxisMatcher,
     CheckResult,
     MinimaCatalog,
     SignedPermutationMatcher,
-    classify_point,
     coupling_check,
     coupling_closed_form,
     derivative_check,
@@ -25,28 +26,25 @@ from strictsaddle.analysis import (
     simple_sampler_check,
 )
 from strictsaddle import ica
-from strictsaddle.manifold import SaddleParams, SphereProduct, tangent_gradient
+from strictsaddle.manifold import SphereProduct, tangent_gradient
 from strictsaddle.objectives import correlation_objective, maxeig_objective, reconstruction_objective
 from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
 from strictsaddle.objectives import QuadraticObjective
-from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
-
-
-def single_sphere_params(d):
-    """The quantitative strict-saddle constants for the one-component
-    problem: gamma=7/d, alpha=3, epsilon and delta from the same proof."""
-    eps0 = (10.0 * d) ** -4
-    return SaddleParams(alpha=3.0, gamma=7.0 / d, epsilon=4.0 * eps0**2, delta=2.0 * d * eps0)
+from strictsaddle.tensor4 import OrthoBasis
 
 
 def standard_maxeig(d):
     basis = OrthoBasis.standard(d)
-    return maxeig_objective(make_orthogonal_tensor(basis), basis=basis), basis
+    return maxeig_objective(basis=basis), basis
 
 
 def standard_correlation(d):
     basis = OrthoBasis.standard(d)
-    return correlation_objective(make_orthogonal_tensor(basis), basis=basis, halved=True), basis
+    return correlation_objective(basis=basis, halved=True), basis
+
+
+def min_pairwise_distance(catalog):
+    return min(np.linalg.norm(a.point - b.point) for a, b in itertools.combinations(catalog.entries, 2))
 
 
 # ------------------------------------------------------------------ #
@@ -148,71 +146,6 @@ class TestMatchers:
 
 
 # ------------------------------------------------------------------ #
-# Classifier                                                           #
-# ------------------------------------------------------------------ #
-
-
-class TestClassifier:
-    def test_minimum_is_near_local_minimum(self):
-        prob, basis = standard_maxeig(4)
-        report = classify_point(prob, np.eye(4)[0], single_sphere_params(4),
-                                matcher=AxisMatcher(basis))
-        assert report.classification == "NearLocalMinimum"
-        assert report.match_distance == 0.0
-        assert report.neighborhood_min_eig >= 3.0
-
-    def test_balanced_saddle_is_negative_curvature(self):
-        prob, _ = standard_maxeig(4)
-        w = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
-        report = classify_point(prob, w, single_sphere_params(4))
-        assert report.classification == "NegativeCurvature"
-        assert report.min_eig <= -7.0 / 4.0
-
-    def test_generic_point_is_large_gradient(self):
-        prob, _ = standard_maxeig(4)
-        w = np.array([0.9, 0.436, 0.0, 0.0])
-        w /= np.linalg.norm(w)
-        report = classify_point(prob, w, single_sphere_params(4))
-        assert report.classification == "LargeGradient"
-        assert report.chi_norm >= single_sphere_params(4).epsilon
-
-    def test_near_minimum_without_matcher_is_unclassified(self):
-        prob, _ = standard_maxeig(3)
-        report = classify_point(prob, np.eye(3)[0], single_sphere_params(3))
-        assert report.classification == "Unclassified"
-
-    def test_neighborhood_veto(self):
-        """A matched candidate whose neighborhood curvature dips below alpha
-        is rejected rather than certified."""
-        prob, _ = standard_maxeig(3)
-        saddle = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-
-        class SaddleMatcher:
-            def nearest(self, w):
-                return saddle, float(np.linalg.norm(w - saddle))
-
-        params = SaddleParams(alpha=3.0, gamma=100.0, epsilon=1.0, delta=0.1)
-        report = classify_point(prob, saddle, params, matcher=SaddleMatcher())
-        assert report.classification == "Unclassified"
-
-    def test_circle_grid_is_fully_classified(self):
-        """At d=2 the trichotomy covers a dense grid of the whole sphere."""
-        prob, basis = standard_maxeig(2)
-        params = single_sphere_params(2)
-        matcher = AxisMatcher(basis)
-        rng = np.random.default_rng(4)
-        thetas = 2.0 * np.pi * np.arange(10_000) / 10_000
-        seen = set()
-        for th in thetas:
-            w = np.array([np.cos(th), np.sin(th)])
-            w /= np.linalg.norm(w)
-            report = classify_point(prob, w, params, matcher=matcher, rng=rng)
-            seen.add(report.classification)
-            assert report.classification != "Unclassified"
-        assert seen == {"LargeGradient", "NegativeCurvature", "NearLocalMinimum"}
-
-
-# ------------------------------------------------------------------ #
 # Catalog and polish                                                   #
 # ------------------------------------------------------------------ #
 
@@ -226,11 +159,7 @@ class TestCatalog:
         assert entry.hits == 2
         catalog.add(np.array([0.0, 1.0]), min_eig=4.0)
         assert len(catalog) == 2
-        assert catalog.min_pairwise_distance() > 1e-3
-
-    def test_min_pairwise_with_single_entry(self):
-        catalog = MinimaCatalog()
-        assert catalog.min_pairwise_distance() == np.inf
+        assert min_pairwise_distance(catalog) > 1e-3
 
     def test_csv_output(self, tmp_path):
         catalog = MinimaCatalog()
@@ -264,7 +193,7 @@ class TestEnumerate:
                                seed=seed, record_every=1200)
             catalog = enumerate_minima(prob, 60, config)
             assert len(catalog) == 8
-            assert catalog.min_pairwise_distance() > 1e-3
+            assert min_pairwise_distance(catalog) > 1e-3
             for entry in catalog.entries:
                 assert matcher.nearest(entry.point)[1] <= 1e-4
                 assert entry.min_eig >= 1.0

@@ -419,8 +419,9 @@ class TestNoDenseTensor:
         ["ica", "--batch", "5", *TINY],
         ["escape", "--trials", "3", *TINY],
         ["minima", "--starts", "3", *TINY],
+        ["verify", "--d", "2"],
     ], ids=["decompose-correlation", "decompose-reconstruction", "decompose-maxeig", "ica", "escape",
-            "minima"])
+            "minima", "verify"])
     def test_command_builds_no_dense_tensor(self, argv, tmp_path, monkeypatch):
         """Problems come from the decomposition basis; the d^4 tensor is never formed."""
         def refuse(self, entries):

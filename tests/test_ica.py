@@ -207,9 +207,7 @@ class TestIcaGradient:
             rng = np.random.default_rng(14 + d)
             model = IcaModel.random(d, rng)
             basis = model.component_basis()
-            problem = correlation_objective(
-                make_orthogonal_tensor(basis), basis=basis, halved=True
-            )
+            problem = correlation_objective(basis=basis, halved=True)
             ys = all_signs(d) @ model.A.T
             for _ in range(5):
                 w = problem.random_feasible(rng)
@@ -333,7 +331,7 @@ class TestSimpleSampler:
     def test_correlation_estimator_exact_mean(self):
         d = 3
         basis = OrthoBasis.random(d, np.random.default_rng(23))
-        problem = correlation_objective(make_orthogonal_tensor(basis), halved=True)
+        problem = correlation_objective(basis=basis, halved=True)
         rng = np.random.default_rng(24)
         atoms = d**0.25 * basis.vectors
         for _ in range(5):
@@ -347,7 +345,7 @@ class TestSimpleSampler:
     def test_maxeig_estimator_exact_mean(self):
         d = 4
         basis = OrthoBasis.random(d, np.random.default_rng(25))
-        problem = maxeig_objective(make_orthogonal_tensor(basis))
+        problem = maxeig_objective(basis=basis)
         rng = np.random.default_rng(26)
         atoms = d**0.25 * basis.vectors
         for _ in range(5):
@@ -358,7 +356,7 @@ class TestSimpleSampler:
     def test_reconstruction_estimator_exact_mean(self):
         d = 3
         basis = OrthoBasis.random(d, np.random.default_rng(27))
-        problem = reconstruction_objective(make_orthogonal_tensor(basis))
+        problem = reconstruction_objective(basis=basis)
         rng = np.random.default_rng(28)
         atoms = d**0.25 * basis.vectors
         for _ in range(5):

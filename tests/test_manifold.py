@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import correlation_lagrangian_hessian_coords, correlation_psi
 from strictsaddle.analysis import fd_hessian
 from strictsaddle.manifold import (
     CQ_SIGMA_MIN,
-    SaddleParams,
     SphereProduct,
     lagrange_multipliers,
     lagrangian_hessian,
@@ -18,14 +18,12 @@ from strictsaddle.manifold import (
     tangent_gradient,
 )
 from strictsaddle.objectives import (
-    correlation_lagrangian_hessian_coords,
     correlation_multipliers_coords,
     correlation_objective,
-    correlation_psi,
     maxeig_multiplier_coords,
     maxeig_objective,
 )
-from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
+from strictsaddle.tensor4 import OrthoBasis
 
 
 def maxeig_problem(d, seed=None):
@@ -34,7 +32,7 @@ def maxeig_problem(d, seed=None):
         basis = OrthoBasis.standard(d)
     else:
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
-    return maxeig_objective(make_orthogonal_tensor(basis)), basis
+    return maxeig_objective(basis=basis), basis
 
 
 def correlation_problem(d, seed=None, halved=True):
@@ -42,7 +40,7 @@ def correlation_problem(d, seed=None, halved=True):
         basis = OrthoBasis.standard(d)
     else:
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
-    return correlation_objective(make_orthogonal_tensor(basis), halved=halved), basis
+    return correlation_objective(basis=basis, halved=halved), basis
 
 
 # ------------------------------------------------------------------ #
@@ -369,16 +367,6 @@ class TestGeometryBounds:
                 moved = cs.project(w0 + eta * v)
                 surrogate = w0 + eta * cs.tangent_project(w0, v)
                 assert np.linalg.norm(moved - surrogate) <= 4.0 * eta**2 + 1e-12
-
-
-class TestSaddleParams:
-    def test_requires_strictly_positive(self):
-        params = SaddleParams(alpha=1.0, gamma=0.5, epsilon=0.1, delta=0.05)
-        assert params.gamma == 0.5
-        with pytest.raises(ValueError):
-            SaddleParams(alpha=0.0, gamma=0.5, epsilon=0.1, delta=0.05)
-        with pytest.raises(ValueError):
-            SaddleParams(alpha=1.0, gamma=-1.0, epsilon=0.1, delta=0.05)
 
 
 # ------------------------------------------------------------------ #

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense
+from dense_oracle import correlation_value_coords, form_matrix, maxeig_value_coords
 from strictsaddle.analysis import fd_gradient
 from strictsaddle.objectives import (
     correlation_objective,
-    correlation_value_coords,
     maxeig_objective,
-    maxeig_value_coords,
     QuadraticObjective,
     reconstruction_objective,
 )
-from strictsaddle.tensor4 import OrthoBasis, form_matrix, make_orthogonal_tensor
+from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
 
 # ------------------------------------------------------------------ #
 # Fixtures                                                             #
@@ -31,7 +31,8 @@ def random_problemset(d, seed):
 
 
 # The block-by-block Hessians below are the oracle for the einsum Hessians
-# of the objectives; they contract the dense tensor one point at a time.
+# of the objectives and of the dense oracle's problems; they contract the
+# dense tensor one point at a time.
 
 
 def loop_reconstruction_hessian(T, w):
@@ -81,19 +82,19 @@ def loop_correlation_hessian(T, w, scale):
 
 class TestMaxeig:
     def test_value_at_component(self):
-        T, basis, _ = random_problemset(4, 0)
-        prob = maxeig_objective(T)
+        _, basis, _ = random_problemset(4, 0)
+        prob = maxeig_objective(basis=basis)
         np.testing.assert_allclose(prob.value(basis.vectors[0]), -1.0, atol=1e-12)
 
     def test_value_at_balanced_two_support(self):
-        T, basis, _ = random_problemset(4, 1)
-        prob = maxeig_objective(T)
+        _, basis, _ = random_problemset(4, 1)
+        prob = maxeig_objective(basis=basis)
         u = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
         np.testing.assert_allclose(prob.value(u), -0.5, atol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
-        T, _, rng = random_problemset(4, 2)
-        prob = maxeig_objective(T)
+        _, basis, rng = random_problemset(4, 2)
+        prob = maxeig_objective(basis=basis)
         for _ in range(10):
             u = prob.random_feasible(rng)
             fd = fd_gradient(prob.value, u)
@@ -102,8 +103,8 @@ class TestMaxeig:
 
     def test_coordinate_closed_form(self):
         """Ambient value equals -||x||_4^4 in decomposition coordinates."""
-        T, basis, rng = random_problemset(5, 3)
-        prob = maxeig_objective(T)
+        _, basis, rng = random_problemset(5, 3)
+        prob = maxeig_objective(basis=basis)
         for _ in range(10):
             u = prob.random_feasible(rng)
             x = basis.vectors @ u
@@ -113,12 +114,12 @@ class TestMaxeig:
 
     def test_basis_shortcut_matches_dense(self):
         T, basis, rng = random_problemset(4, 4)
-        dense = maxeig_objective(T)
-        fast = maxeig_objective(T, basis=basis)
-        u = dense.random_feasible(rng)
-        np.testing.assert_allclose(fast.value(u), dense.value(u), rtol=1e-10)
-        np.testing.assert_allclose(fast.gradient(u), dense.gradient(u), rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(fast.hessian(u), dense.hessian(u), rtol=1e-9, atol=1e-12)
+        dense_prob = dense.maxeig_objective(T)
+        fast = maxeig_objective(basis=basis)
+        u = dense_prob.random_feasible(rng)
+        np.testing.assert_allclose(fast.value(u), dense_prob.value(u), rtol=1e-10)
+        np.testing.assert_allclose(fast.gradient(u), dense_prob.gradient(u), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(fast.hessian(u), dense_prob.hessian(u), rtol=1e-9, atol=1e-12)
 
 
 # ------------------------------------------------------------------ #
@@ -128,18 +129,18 @@ class TestMaxeig:
 
 class TestReconstruction:
     def test_zero_at_ground_truth(self):
-        T, basis, _ = random_problemset(3, 5)
-        prob = reconstruction_objective(T)
+        _, basis, _ = random_problemset(3, 5)
+        prob = reconstruction_objective(basis=basis)
         np.testing.assert_allclose(prob.value(basis.vectors.ravel()), 0.0, atol=1e-12)
 
     def test_d1_sign_flip_is_exact(self):
-        T, basis, _ = random_problemset(1, 6)
-        prob = reconstruction_objective(T)
+        _, basis, _ = random_problemset(1, 6)
+        prob = reconstruction_objective(basis=basis)
         np.testing.assert_allclose(prob.value(-basis.vectors.ravel()), 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
-        T, _, rng = random_problemset(3, 7)
-        prob = reconstruction_objective(T)
+        _, basis, rng = random_problemset(3, 7)
+        prob = reconstruction_objective(basis=basis)
         for _ in range(5):
             w = prob.random_feasible(rng)
             fd = fd_gradient(prob.value, w)
@@ -147,8 +148,8 @@ class TestReconstruction:
             assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
 
     def test_recon_metric_attached(self):
-        T, basis, rng = random_problemset(3, 8)
-        prob = reconstruction_objective(T)
+        _, basis, rng = random_problemset(3, 8)
+        prob = reconstruction_objective(basis=basis)
         assert prob.recon_error(basis.vectors.ravel()) <= 1e-12
         w = prob.random_feasible(rng)
         assert prob.recon_error(w) >= 0.0
@@ -161,39 +162,39 @@ class TestReconstruction:
 
 class TestCorrelation:
     def test_zero_at_signed_permutation(self):
-        T, basis, _ = random_problemset(3, 9)
-        prob = correlation_objective(T)
+        _, basis, _ = random_problemset(3, 9)
+        prob = correlation_objective(basis=basis)
         rows = basis.vectors[[1, 2, 0]] * np.array([[-1.0], [1.0], [-1.0]])
         np.testing.assert_allclose(prob.value(rows.ravel()), 0.0, atol=1e-12)
 
     def test_coincident_rows_d2(self):
         """u_1 = u_2 = a_1 contributes h=1 from both ordered pairs."""
-        T, basis, _ = random_problemset(2, 10)
+        _, basis, _ = random_problemset(2, 10)
         rows = np.vstack([basis.vectors[0], basis.vectors[0]])
         np.testing.assert_allclose(
-            correlation_objective(T).value(rows.ravel()), 2.0, atol=1e-12
+            correlation_objective(basis=basis).value(rows.ravel()), 2.0, atol=1e-12
         )
         np.testing.assert_allclose(
-            correlation_objective(T, halved=True).value(rows.ravel()), 1.0, atol=1e-12
+            correlation_objective(basis=basis, halved=True).value(rows.ravel()), 1.0, atol=1e-12
         )
 
     def test_nonnegative(self):
-        T, _, rng = random_problemset(3, 11)
-        prob = correlation_objective(T)
+        _, basis, rng = random_problemset(3, 11)
+        prob = correlation_objective(basis=basis)
         for _ in range(20):
             assert prob.value(prob.random_feasible(rng)) >= 0.0
 
     def test_default_is_twice_halved(self):
-        T, _, rng = random_problemset(3, 12)
-        full = correlation_objective(T)
-        half = correlation_objective(T, halved=True)
+        _, basis, rng = random_problemset(3, 12)
+        full = correlation_objective(basis=basis)
+        half = correlation_objective(basis=basis, halved=True)
         w = full.random_feasible(rng)
         np.testing.assert_allclose(full.value(w), 2.0 * half.value(w), rtol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
-        T, _, rng = random_problemset(3, 13)
+        _, basis, rng = random_problemset(3, 13)
         for halved in (False, True):
-            prob = correlation_objective(T, halved=halved)
+            prob = correlation_objective(basis=basis, halved=halved)
             for _ in range(5):
                 w = prob.random_feasible(rng)
                 fd = fd_gradient(prob.value, w)
@@ -201,8 +202,8 @@ class TestCorrelation:
                 assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
 
     def test_coordinate_closed_form(self):
-        T, basis, rng = random_problemset(4, 14)
-        prob = correlation_objective(T)
+        _, basis, rng = random_problemset(4, 14)
+        prob = correlation_objective(basis=basis)
         for _ in range(5):
             w = prob.random_feasible(rng)
             coords = w.reshape(4, 4) @ basis.vectors.T
@@ -212,8 +213,8 @@ class TestCorrelation:
 
     def test_symmetry_under_row_relabeling(self):
         """Permuting rows permutes the sum over ordered pairs; value is equal."""
-        T, _, rng = random_problemset(3, 15)
-        prob = correlation_objective(T)
+        _, basis, rng = random_problemset(3, 15)
+        prob = correlation_objective(basis=basis)
         rows = rng.standard_normal((3, 3))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         signs = np.array([[-1.0], [1.0], [-1.0]])
@@ -264,12 +265,18 @@ BUILDERS = {
     "reconstruction": reconstruction_objective,
     "correlation": lambda T=None, basis=None: correlation_objective(T, basis=basis, halved=True),
 }
-# a problem's inputs: the dense tensor alone, tensor and basis, or the basis alone
-SOURCES = ("dense", "both", "basis")
+# the same problems built from the dense tensor by the dense oracle
+DENSE_BUILDERS = {
+    "maxeig": dense.maxeig_objective,
+    "reconstruction": dense.reconstruction_objective,
+    "correlation": lambda T: dense.correlation_objective(T, halved=True),
+}
+# a problem's inputs: the dense tensor (the oracle) or the basis (the library)
+SOURCES = ("dense", "basis")
 
 
 def build(kind, source, T, basis):
-    return BUILDERS[kind](None if source == "basis" else T, basis=None if source == "dense" else basis)
+    return DENSE_BUILDERS[kind](T) if source == "dense" else BUILDERS[kind](basis=basis)
 
 
 # BUILDERS' correlation problem is the halved one
@@ -285,10 +292,9 @@ class TestStacks:
            st.integers(0, 2**32 - 1))
     def test_stack_rows_equal_row_calls_and_fd(self, kind, source, d, k, seed):
         """value/gradient/hessian of a (K, n) stack equal the per-row calls
-        bit for bit, on the basis and the dense path, and each row's
-        gradient matches finite differences at the tolerances used above.
-        Built from the basis alone, a problem equals the (T, basis) build
-        bit for bit: given a basis, T is not read."""
+        bit for bit, on the basis path and the dense oracle's, and each
+        row's gradient matches finite differences at the tolerances used
+        above."""
         T, basis, rng = random_problemset(d, seed)
         prob = build(kind, source, T, basis)
         W = np.array([prob.random_feasible(rng) for _ in range(k)])
@@ -300,15 +306,25 @@ class TestStacks:
             np.testing.assert_array_equal(prob.hessian(W[i]), hessians[i])
             fd = fd_gradient(prob.value, W[i])
             assert np.linalg.norm(grads[i] - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
-        if source == "basis":
-            both = build(kind, "both", T, basis)
-            np.testing.assert_array_equal(both.value(W), values)
-            np.testing.assert_array_equal(both.gradient(W), grads)
-            np.testing.assert_array_equal(both.hessian(W), hessians)
-            for w in W:
-                assert both.recon_error(w) == prob.recon_error(w)
 
-    @pytest.mark.parametrize("source", ["dense", "basis"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(BUILDERS)), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_basis_path_matches_dense_oracle(self, kind, d, k, seed):
+        """On a (K, n) stack the basis-built problem's value, gradient,
+        Hessian and reconstruction error match the dense oracle's at the
+        tolerance of TestBasisFastPaths (rtol 1e-10, atol 1e-12)."""
+        T, basis, rng = random_problemset(d, seed)
+        fast, slow = build(kind, "basis", T, basis), build(kind, "dense", T, basis)
+        W = np.array([fast.random_feasible(rng) for _ in range(k)])
+        for method in ("value", "gradient", "hessian"):
+            np.testing.assert_allclose(getattr(fast, method)(W), getattr(slow, method)(W), rtol=1e-10, atol=1e-12)
+        for w in W:
+            if kind == "maxeig":
+                assert fast.recon_error(w) is None and slow.recon_error(w) is None
+            else:
+                np.testing.assert_allclose(fast.recon_error(w), slow.recon_error(w), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("kind", sorted(LOOP_HESSIANS))
     def test_hessian_matches_block_loop(self, kind, source):
         """The einsum Hessians equal the block-by-block loop to 1e-12 relative."""
@@ -322,17 +338,37 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_factory_rejects_bad_inputs(self, kind):
-        asymmetric = np.zeros((2,) * 4)
-        asymmetric[0, 1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="fully symmetric"):
-            BUILDERS[kind](asymmetric)
+        """A factory needs the basis, even given the dense tensor."""
+        T, _, _ = random_problemset(2, 17)
+        with pytest.raises(ValueError, match="basis"):
+            BUILDERS[kind](T)
         with pytest.raises(ValueError, match="basis"):
             BUILDERS[kind]()
 
-    @pytest.mark.parametrize("build", [reconstruction_objective, correlation_objective])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_first_argument_is_never_read(self, kind):
+        """Given a basis, a factory builds the same problem bit for bit
+        whatever its first argument is."""
+        _, basis, rng = random_problemset(3, 18)
+        prob, unread = BUILDERS[kind](basis=basis), BUILDERS[kind](object(), basis=basis)
+        W = np.array([prob.random_feasible(rng) for _ in range(4)])
+        for method in ("value", "gradient", "hessian"):
+            np.testing.assert_array_equal(getattr(unread, method)(W), getattr(prob, method)(W))
+        for w in W:
+            assert unread.recon_error(w) == prob.recon_error(w)
+
+    @pytest.mark.parametrize("kind", sorted(DENSE_BUILDERS))
+    def test_dense_oracle_rejects_asymmetric_tensor(self, kind):
+        asymmetric = np.zeros((2,) * 4)
+        asymmetric[0, 1, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="fully symmetric"):
+            DENSE_BUILDERS[kind](asymmetric)
+
+    @pytest.mark.parametrize("build", [dense.reconstruction_objective, dense.correlation_objective])
     def test_dense_stack_memory_is_cubic_per_point(self, build):
-        """On the dense path a stack of K points at d=32 needs at most 4 d^3
-        floats of temporaries per point (one d^4 temporary would be 32)."""
+        """On the dense oracle's path a stack of K points at d=32 needs at
+        most 4 d^3 floats of temporaries per point (one d^4 temporary would
+        be 32)."""
         d, k = 32, 4
         T, _, rng = random_problemset(d, 5)
         prob = build(T)

@@ -28,11 +28,11 @@ from strictsaddle.sgd import (
     unit_sphere_noise,
     write_run_csv,
 )
-from strictsaddle.tensor4 import OrthoBasis, make_orthogonal_tensor
+from strictsaddle.tensor4 import OrthoBasis
 
 
 def standard_maxeig(d):
-    return maxeig_objective(make_orthogonal_tensor(OrthoBasis.standard(d)))
+    return maxeig_objective(basis=OrthoBasis.standard(d))
 
 
 # ------------------------------------------------------------------ #
@@ -235,7 +235,7 @@ class TestProjectedSgd:
 
     def test_stays_at_exact_minimum_without_noise(self):
         basis = OrthoBasis.standard(3)
-        prob = correlation_objective(make_orthogonal_tensor(basis), halved=True)
+        prob = correlation_objective(basis=basis, halved=True)
         w0 = (basis.vectors[[1, 2, 0]] * np.array([[-1.0], [1.0], [1.0]])).ravel()
         config = SgdConfig(eta=0.01, iterations=200, noise_scale=0.0, record_every=50)
         rec = projected_noisy_sgd(prob, None, w0, config)
@@ -287,7 +287,7 @@ class TestProjectedSgd:
 PROBLEMS = {
     "maxeig": maxeig_objective,
     "reconstruction": reconstruction_objective,
-    "correlation": lambda T=None, basis=None: correlation_objective(T, basis=basis, halved=True),
+    "correlation": lambda basis: correlation_objective(basis=basis, halved=True),
 }
 
 
@@ -301,7 +301,7 @@ def assert_same_run(got, want):
 
 class TestStackedTrials:
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["dense", "both", "basis", "per-row"]),
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["shared", "per-row"]),
            sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(1, 3),
            k=st.integers(1, 8), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
            noise=st.sampled_from([0.0, 1.0]), stopping=st.booleans(), iters=st.integers(1, 80),
@@ -317,8 +317,7 @@ class TestStackedTrials:
 
         def trial(rng):
             basis = OrthoBasis.random(d, rng)
-            T = make_orthogonal_tensor(basis) if source in ("dense", "both") else None
-            prob = PROBLEMS[kind](T, basis=None if source == "dense" else basis)
+            prob = PROBLEMS[kind](basis=basis)
             sampler = {None: None,
                        "simple": SimpleSampler(basis, kind=kind),
                        "ica": IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]

@@ -1,7 +1,9 @@
-"""Tests for dense 4th-order tensors and multilinear forms.
+"""Tests for 4th-order tensors, their multilinear forms and the dense oracle.
 
 The quadruple-loop contractions below are the ground-truth oracle for
-every einsum-based form; they are deliberately slow and obvious.
+the dense einsum forms of tests/dense_oracle.py, which in turn are the
+oracle for the decomposition-basis forms of the library; the loops are
+deliberately slow and obvious.
 """
 
 import itertools
@@ -9,17 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_oracle import form_matrix, form_scalar, form_vector, reconstruction_error
 from strictsaddle.tensor4 import (
     OrthoBasis,
     Tensor4,
     basis_form_matrix,
     basis_form_scalar,
     basis_form_vector,
-    form_matrix,
-    form_scalar,
-    form_vector,
     make_orthogonal_tensor,
-    reconstruction_error,
     reconstruction_error_from_basis,
 )
 
