@@ -124,6 +124,8 @@ class _BasisForms:
     """
 
     def __init__(self, basis):
+        if basis is None:
+            raise ValueError("objective needs the decomposition basis (basis=)")
         self.basis = basis
         self.d = basis.d
         self.norm2 = float(basis.d)
@@ -163,12 +165,6 @@ class _BasisForms:
         return np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)
 
 
-def _basis_forms(basis):
-    if basis is None:
-        raise ValueError("objective needs the decomposition basis (basis=)")
-    return _BasisForms(basis)
-
-
 # Each factory passes _BasisForms to the builder that follows it; the
 # dense oracle of the tests passes its own forms to the same builders.
 
@@ -179,7 +175,7 @@ def maxeig_objective(T=None, basis=None):
     gradient -4 T(I,u,u,u); Hessian -12 T(I,I,u,u).  ``T`` is never read:
     the problem is built from ``basis``, which is required.
     """
-    return _maxeig(_basis_forms(basis))
+    return _maxeig(_BasisForms(basis))
 
 
 def _maxeig(forms):
@@ -204,7 +200,7 @@ def reconstruction_objective(T=None, basis=None):
     so no dense d^4 residual is ever formed.  ``T`` is never read: the
     problem is built from ``basis``, which is required.
     """
-    return _reconstruction(_basis_forms(basis))
+    return _reconstruction(_BasisForms(basis))
 
 
 def _reconstruction(forms):
@@ -250,7 +246,7 @@ def correlation_objective(T=None, basis=None, halved=False):
     oracle estimates without bias.  ``T`` is never read: the problem is
     built from ``basis``, which is required.
     """
-    return _correlation(_basis_forms(basis), halved)
+    return _correlation(_BasisForms(basis), halved)
 
 
 def _correlation(forms, halved):

@@ -75,12 +75,6 @@ def form_matrix(T, u):
     return np.einsum("pqm,...m->...pq", t.reshape(d, d, d * d), _outer_flat(u, u))
 
 
-def form_pair_vector(T, a, b):
-    """Mixed contraction T(I, a, b, b); equals T(I,I,b,b) @ a for symmetric T."""
-    t = _as_tensor_entries(T)
-    return np.einsum("pqrs,q,r,s->p", t, a, b, b, optimize=True)
-
-
 def reconstruction_error(T, U):
     """Normalized reconstruction error ||T - sum_i u_i^{(x)4}||_F^2 / ||T||_F^2.
 

@@ -1,0 +1,132 @@
+"""Mutation check: each listed source edit must make a named test fail.
+
+For every mutant the script copies ``src/`` and ``tests/`` to a temporary
+directory, applies the mutant's edit there (an exact text replacement
+that must match the source once), and runs the mutant's tests on the
+copy.  A mutant is caught when at least one of its tests fails.  First
+the same tests run on an unmutated copy, and must pass.  The repository
+itself is never edited.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+Prints one line per mutant and exits 0 when every mutant is caught, 1
+when one is missed, and 2 when an edit no longer matches the source
+(STALE) or the tests fail unmutated.
+It runs outside the tier-1 suite: each mutant costs one pytest run.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+_DIVERGENCE_TEST = """\
+        if not np.einsum("ij,ij->", W, W) <= DIVERGENCE_LIMIT**2:
+            bad = ~(row_norms(W) <= DIVERGENCE_LIMIT)
+            if bad.any():
+                leave(bad, t, lambda i: f"iterate diverged at step {t}")
+"""
+_PROJECTION = """\
+        if constraints is not None:
+            try:
+                W = constraints.project(W)
+            except ValueError:
+                bad = ~(constraints.block_norms(W).min(axis=-1) >= manifold.DEGENERATE_BLOCK_NORM)
+                leave(bad, t, lambda i: f"degenerate projection at step {t}")
+                W = constraints.project(W)
+"""
+_ORACLE_CALL = "sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))"
+
+MUTANTS = [
+    Mutant("divergence-test-after-projection", "src/strictsaddle/sgd.py",
+           _DIVERGENCE_TEST + _PROJECTION, _PROJECTION + _DIVERGENCE_TEST,
+           ("tests/test_sgd.py::TestNoisySgd::test_overflowing_projected_step_diverges",
+            "tests/test_cli.py::TestDivergedRuns")),
+    Mutant("flipped-json-margin", "src/strictsaddle/cli.py",
+           '"margin": float(r.tolerance - r.value)', '"margin": float(r.value - r.tolerance)',
+           ("tests/test_cli.py::TestVerify::test_json_report_holds_every_margin",)),
+    Mutant("per-row-oracle-calls", "src/strictsaddle/sgd.py", _ORACLE_CALL,
+           "sg = np.concatenate([oracle.gradient(W[i : i + 1], s.draw(rng)[None])"
+           " for i, (s, rng) in enumerate(zip(samplers, rngs))])",
+           ("tests/test_sgd.py::TestStackedTrials::test_one_oracle_call_per_step_on_the_whole_stack",)),
+    Mutant("every-row-draws-from-row-0-sampler", "src/strictsaddle/sgd.py", _ORACLE_CALL,
+           "sg = oracle.gradient(W, np.array([samplers[0].draw(rng) for rng in rngs]))",
+           ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",
+            "tests/test_cli.py::TestDecompose::test_seed_trace_same_alone_or_in_batch")),
+    Mutant("cross-vectors-sign-flip", "src/strictsaddle/objectives.py",
+           'return np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)',
+           'return -np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)',
+           ("tests/test_objectives.py::TestStacks::test_basis_path_matches_dense_oracle",)),
+    Mutant("basis-recon-error-coefficient", "src/strictsaddle/tensor4.py",
+           "return (d - 2.0 * cross + ss) / d", "return (d - 1.0 * cross + ss) / d",
+           ("tests/test_objectives.py::TestStacks::test_basis_path_matches_dense_oracle",
+            "tests/test_golden.py")),
+]
+
+
+def _copy(workdir):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(REPO, name), os.path.join(workdir, name), ignore=ignore)
+    shutil.copy(os.path.join(REPO, "pyproject.toml"), workdir)
+
+
+def _pytest(tests, mutant=None):
+    """Run ``tests`` on a copy with ``mutant`` applied: True when they all pass,
+    None when the mutant's edit does not match the source once."""
+    with tempfile.TemporaryDirectory() as workdir:
+        _copy(workdir)
+        if mutant is not None:
+            path = os.path.join(workdir, mutant.path)
+            with open(path) as fh:
+                text = fh.read()
+            if text.count(mutant.old) != 1:
+                return None
+            with open(path, "w") as fh:
+                fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                              cwd=workdir, env=env, capture_output=True, text=True)
+    # pytest exits 1 when a test failed; any other code means the run itself broke
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {proc.returncode} on {tests}\n{proc.stdout}{proc.stderr}")
+    return proc.returncode == 0
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    control = sorted({test for m in chosen for test in m.tests})
+    if not _pytest(control):
+        print("the named tests fail without any mutant; nothing can be checked", file=sys.stderr)
+        return 2
+    outcomes = []
+    for mutant in chosen:
+        passed = _pytest(mutant.tests, mutant)
+        outcomes.append("STALE" if passed is None else "MISSED" if passed else "caught")
+        print(f"{outcomes[-1]:7} {mutant.name}", flush=True)
+    print(f"{outcomes.count('caught')}/{len(chosen)} mutants caught")
+    if "STALE" in outcomes:
+        return 2
+    return 0 if outcomes.count("caught") == len(chosen) else 1
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
