@@ -8,11 +8,9 @@ the invariant battery behind ``strictsaddle verify``.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import ica, manifold, objectives, tensor4
 from .sgd import (
@@ -100,7 +98,9 @@ class SignedPermutationMatcher:
 
     Minimizing sum_i ||u_i - kappa_i a_{pi(i)}||^2 over signs kappa and
     permutations pi is the assignment problem maximizing
-    sum_i |<u_i, a_{pi(i)}>|; solved exactly by the Hungarian method.
+    sum_i |<u_i, a_{pi(i)}>|, with kappa_i the sign of <u_i, a_{pi(i)}>.
+    It is solved exactly by scoring all d! permutations (the first best
+    one wins), which costs d! sums of d terms: every caller has d <= 4.
     """
 
     def __init__(self, basis):
@@ -111,10 +111,9 @@ class SignedPermutationMatcher:
         d = self.basis.d
         U = w.reshape(d, d)
         corr = U @ self.basis.vectors.T
-        rows, cols = linear_sum_assignment(-np.abs(corr))
-        V = np.empty_like(U)
-        for i, j in zip(rows, cols):
-            V[i] = math.copysign(1.0, corr[i, j]) * self.basis.vectors[j]
+        rows = np.arange(d)
+        perm = max(itertools.permutations(range(d)), key=lambda p: np.abs(corr[rows, p]).sum())
+        V = np.copysign(1.0, corr[rows, perm])[:, None] * self.basis.vectors[list(perm)]
         return V.reshape(-1), float(np.linalg.norm(w - V.reshape(-1)))
 
 
@@ -260,8 +259,8 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
     the saddle must be feasible to 1e-10 (ValueError otherwise), and a
     recorded iterate off the feasible set or a perturbation over the
     oracle bound raises RuntimeError.  Escape and f decrease are read from
-    f at each trial's final point; a diverged trial has not escaped and
-    its f decrease is nan.  ``diverged`` counts those trials.
+    each record's ``final_f``, f at its final point; a diverged trial has
+    not escaped and its f decrease is nan.  ``diverged`` counts those trials.
     """
     w_star = np.asarray(saddle_point, dtype=float)
     f0 = problem.value(w_star)
@@ -271,9 +270,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
 
     records = projected_trials(n_trials, lambda k: (w_star, trial_rng(config.seed, k), problem, None),
                                config, stop=lambda W: problem.value(W) <= target)
-    ok = np.array([not r.diverged for r in records])
-    f_final = np.full(n_trials, np.nan)
-    f_final[ok] = problem.value(np.array([r.final_point for r in records])[ok])
+    f_final = np.array([np.nan if r.diverged else r.final_f for r in records])
     first_passage = [r.n_steps if f <= target else None for r, f in zip(records, f_final.tolist())]
     decreases = (f0 - f_final).tolist()
 
@@ -285,7 +282,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
         "threshold": threshold,
         "per_trial_steps": first_passage,
         "per_trial_decrease": decreases,
-        "diverged": int(n_trials - ok.sum()),
+        "diverged": sum(r.diverged for r in records),
     }
 
 

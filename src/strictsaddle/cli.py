@@ -160,11 +160,14 @@ def _parse(key, text):
     """A config-file value as its setting's type."""
     try:
         if _kind(key) is bool:
-            return text.lower() in ("1", "true", "yes")
+            return {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}[text.lower()]
         if key == "seeds" and "," in text:
-            return tuple(int(v) for v in text.split(",") if v.strip())
+            seeds = tuple(int(v) for v in text.split(",") if v.strip())
+            if not seeds:
+                raise ValueError("no seeds listed")
+            return seeds
         return _kind(key)(text)
-    except ValueError:
+    except (KeyError, ValueError):
         raise CliError(f"bad value for {key}: {text!r}") from None
 
 

@@ -76,6 +76,9 @@ MUTANTS = [
            "return (d - 2.0 * cross + ss) / d", "return (d - 1.0 * cross + ss) / d",
            ("tests/test_objectives.py::TestStacks::test_basis_path_matches_dense_oracle",
             "tests/test_golden.py")),
+    Mutant("matcher-farthest-permutation", "src/strictsaddle/analysis.py",
+           "perm = max(itertools.permutations(range(d))", "perm = min(itertools.permutations(range(d))",
+           ("tests/test_analysis.py::TestMatchers::test_signed_permutation_matcher_exact",)),
 ]
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import AxisMatcher
 from strictsaddle.analysis import (
@@ -143,6 +145,34 @@ class TestMatchers:
         cand, dist = matcher.nearest(w)
         np.testing.assert_array_equal(cand, target.ravel())
         assert dist <= 1e-2
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           noise=st.one_of(st.none(), st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 0.5, 2.0])))
+    def test_signed_permutation_matcher_matches_assignment_oracle(self, d, seed, noise):
+        """The d! enumeration agrees with the Hungarian method it replaced,
+        on random feasible points (noise None) and on perturbed signed
+        permutations of the basis: the same distance, and the same nearest
+        point wherever the best permutation is unique."""
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(seed)
+        basis = OrthoBasis.random(d, rng)
+        problem = correlation_objective(basis=basis, halved=True)
+        if noise is None:
+            w = problem.random_feasible(rng)
+        else:
+            signs = rng.choice([-1.0, 1.0], size=(d, 1))
+            U = signs * basis.vectors[rng.permutation(d)] + noise * rng.standard_normal((d, d))
+            w = problem.constraints.project(U.ravel())
+        corr = w.reshape(d, d) @ basis.vectors.T
+        rows, cols = linear_sum_assignment(-np.abs(corr))
+        want = (np.copysign(1.0, corr[rows, cols])[:, None] * basis.vectors[cols]).ravel()
+
+        cand, dist = SignedPermutationMatcher(basis).nearest(w)
+        assert dist == pytest.approx(float(np.linalg.norm(w - want)), rel=1e-12, abs=1e-12)
+        scores = sorted(np.abs(corr[np.arange(d), p]).sum() for p in itertools.permutations(range(d)))
+        if d == 1 or scores[-1] - scores[-2] > 1e-9:
+            np.testing.assert_array_equal(cand, want)
 
 
 # ------------------------------------------------------------------ #

@@ -109,6 +109,8 @@ class TestConfigHandling:
         (["decompose", "--config", "seeds=2,-1"], "non-negative"),
         (["ica", "--eta", "1e308"], "eta must be finite"),
         (["minima", "--d", "1"], "d >= 2"),
+        (["decompose", "--config", "seeds=,"], "bad value for seeds: ','"),
+        (["decompose", "--config", "overwrite=banana"], "bad value for overwrite: 'banana'"),
     ])
     def test_validation_errors_exit_2(self, tmp_path, capsys, argv, needle):
         if "--config" in argv:
@@ -440,6 +442,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.strip() == f"strictsaddle {strictsaddle.__version__}"
+
+    def test_numpy_is_the_only_dependency(self, tmp_path):
+        """Importing the package and running the battery load no scipy module."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(strictsaddle.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = ("import sys, strictsaddle\n"
+                  "code = strictsaddle.cli.main(['verify', '--d', '2'])\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--seeds", "--out", "--d", "--eta", "--iters",
