@@ -1,10 +1,11 @@
 """Verification engine: numerical oracles and saddle-structure diagnostics.
 
 Finite-difference derivative oracles, local-minima enumeration by
-multi-start search (each endpoint certified by its tangent gradient and
-curvature), escape statistics from exact saddles, the exact closed form
-for SGD on a quadratic model driven by a known perturbation stream, and
-the invariant battery behind ``strictsaddle verify``.
+multi-start search (each endpoint polished through the sgd run loop,
+then certified by its tangent gradient and curvature), escape statistics
+from exact saddles, the exact closed form for SGD on a quadratic model
+driven by a known perturbation stream, and the invariant battery behind
+``strictsaddle verify``.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from .sgd import (
     row_norms,
     trial_rng,
     unit_sphere_noise,
+    write_csv,
 )
 
 __all__ = [
@@ -39,6 +41,12 @@ __all__ = [
     "CheckResult",
     "run_checks",
 ]
+
+# Catalog entries closer than this are one minimum.
+DEDUP_RADIUS = 1e-3
+# Polish: noise-free projected descent until ||chi|| <= POLISH_TOL.
+POLISH_CONFIG = SgdConfig(eta=0.02, iterations=500, noise_scale=0.0, record_every=500)
+POLISH_TOL = 1e-11
 
 # The finite differences call f on (K, n) stacks of points, each formed as
 # w + e_i (+ e_j) with e_i = h * (row i of I), as a one-point loop forms it;
@@ -128,14 +136,13 @@ class CatalogEntry:
 class MinimaCatalog:
     """Distinct local minima found by multi-start search; ``diverged`` starts."""
 
-    dedup: float = 1e-3
     entries: list = field(default_factory=list)
     diverged: int = field(default=0, init=False)
 
     def add(self, point, min_eig):
         """Insert or merge a minimum; returns the matching entry."""
         for entry in self.entries:
-            if np.linalg.norm(point - entry.point) <= self.dedup:
+            if np.linalg.norm(point - entry.point) <= DEDUP_RADIUS:
                 entry.hits += 1
                 return entry
         entry = CatalogEntry(np.array(point, dtype=float), float(min_eig))
@@ -150,32 +157,29 @@ class MinimaCatalog:
         return sorted(self.entries, key=lambda e: tuple(np.round(e.point, 9)))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            dim = self.entries[0].point.size if self.entries else 0
-            cols = ",".join(f"w{k}" for k in range(dim))
-            fh.write(f"min_eig,hits,{cols}\n" if dim else "min_eig,hits\n")
-            for e in self.sorted_points():
-                coords = ",".join(repr(float(v)) for v in e.point)
-                fh.write(f"{e.min_eig!r},{e.hits},{coords}\n")
+        dim = self.entries[0].point.size if self.entries else 0
+        write_csv(path, ["min_eig", "hits"] + [f"w{k}" for k in range(dim)],
+                  ([e.min_eig, e.hits, *e.point.tolist()] for e in self.sorted_points()))
 
 
 def polish(problem, w):
-    """Noise-free projected gradient descent to sharpen endpoints.
+    """Noise-free projected gradient descent to sharpen feasible endpoints.
 
-    ``w`` is one point or a (K, n) stack, given up to 500 steps of size
-    0.02.  Before every step each row checks ||chi|| <= 1e-11 and stops
-    once it holds, so every row ends where it would when polished alone.
+    ``w`` is one point or a (K, n) stack.  Rows already at ||chi|| <=
+    POLISH_TOL are kept; the others run as exact-gradient trials under
+    POLISH_CONFIG, each stopping after the step that reaches POLISH_TOL.
     """
     W = np.array(w, dtype=float)
     rows = W.reshape(-1, W.shape[-1])
-    active = np.arange(rows.shape[0])
-    for _ in range(500):
-        V = rows[active]
-        moving = ~(row_norms(manifold.tangent_gradient(problem, V)) <= 1e-11)
-        active, V = active[moving], V[moving]
-        if not active.size:
-            break
-        rows[active] = problem.constraints.project(V - 0.02 * problem.gradient(V))
+
+    def converged(V):
+        return row_norms(manifold.tangent_gradient(problem, V)) <= POLISH_TOL
+
+    moving = np.flatnonzero(~converged(rows))
+    records = projected_trials(moving.size, lambda k: (rows[moving[k]], None, problem, None), POLISH_CONFIG,
+                               stop=converged)
+    for i, record in zip(moving, records):
+        rows[i] = record.final_point
     return W
 
 

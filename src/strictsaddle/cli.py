@@ -22,12 +22,12 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__, analysis, ica, objectives, tensor4
-from .sgd import SgdConfig, projected_trials, run_rng, write_run_csv
+from .sgd import SgdConfig, projected_trials, run_rng, write_csv, write_run_csv
 
 OBJECTIVES = ("correlation", "reconstruction", "maxeig")
 SAMPLERS = ("simple", "ica")
@@ -42,11 +42,12 @@ ENV_OUT = "STRICTSADDLE_OUT"
 ANNEAL_BOOST = 10.0
 
 # Default logging stride for the ica command.  The plateau summary reads
-# the trailing fifth of the recorded trace; with mini-batch estimates the
-# pointwise error wobbles about 20% around its mean, so the trace is
-# logged sparsely enough that the window holds a couple of decorrelated
-# plateau samples rather than a dense sweep of the wobble.
+# the trailing PLATEAU_FRACTION of the recorded trace; with mini-batch
+# estimates the pointwise error wobbles about 20% around its mean, so the
+# trace is logged sparsely enough that the window holds a couple of
+# decorrelated plateau samples rather than a dense sweep of the wobble.
 ICA_RECORD_EVERY = 1250
+PLATEAU_FRACTION = 0.2
 
 
 class CliError(Exception):
@@ -272,12 +273,11 @@ def build_sampler(config, basis):
     return ica.IcaSampler(model, batch_size=config.batch)
 
 
-def _final_error(record):
-    return float(record.recon_errors[-1]) if record.recon_errors.size else float("nan")
+def seed_start(config):
+    """``start(k)`` for :func:`sgd.projected_trials`, trial k the k-th of ``config.seeds()``.
 
-
-def cmd_decompose(config, out_dir):
-    """Projected noisy SGD with every seed a row of one stack; per-seed trace plus summary."""
+    Seed s's generator ``run_rng(s)`` draws the basis, then the start.
+    """
     seeds = config.seeds()
 
     def start(k):
@@ -287,28 +287,29 @@ def cmd_decompose(config, out_dir):
         sampler = build_sampler(config, basis)
         return problem.random_feasible(rng), rng, problem, sampler
 
-    records = projected_trials(len(seeds), start, config.sgd_config(config.seed))
-    outputs = [os.path.join(out_dir, f"seed{seed}.csv") for seed in seeds]
-    for record, path in zip(records, outputs):
-        write_run_csv(record, path)
+    return start
 
+
+def cmd_decompose(config, out_dir):
+    """Projected noisy SGD with every seed a row of one stack; per-seed trace plus summary."""
+    seeds = config.seeds()
+    records = projected_trials(len(seeds), seed_start(config), config.sgd_config(config.seed))
+    outputs, rows = [], []
+    for seed, record in zip(seeds, records):
+        outputs.append(os.path.join(out_dir, f"seed{seed}.csv"))
+        write_run_csv(record, outputs[-1])
+        error = record.recon_errors[-1]
+        rows.append((seed, record.final_f, record.grad_norms[-1], error, record.n_steps, int(record.diverged)))
+        print(f"seed {seed}: f={record.final_f:.6g} error={error:.6g} [{'diverged' if record.diverged else 'ok'}]")
     outputs.append(os.path.join(out_dir, "summary.csv"))
-    failed = 0
-    with open(outputs[-1], "w") as fh:
-        fh.write("seed,final_f,final_grad_norm,final_recon_error,n_steps,diverged\n")
-        for seed, record in zip(seeds, records):
-            fh.write(f"{seed},{float(record.final_f)!r},{float(record.grad_norms[-1])!r},"
-                     f"{_final_error(record)!r},{record.n_steps},{int(record.diverged)}\n")
-            status = "diverged" if record.diverged else "ok"
-            print(f"seed {seed}: f={record.final_f:.6g} error={_final_error(record):.6g} [{status}]")
-            failed += int(record.diverged)
-    return (1 if failed else 0), outputs
+    write_csv(outputs[-1], ("seed", "final_f", "final_grad_norm", "final_recon_error", "n_steps", "diverged"), rows)
+    return (1 if any(r.diverged for r in records) else 0), outputs
 
 
-def trailing_window_stats(values, fraction=0.2):
-    """Mean and range of the trailing fraction of a trace."""
+def trailing_window_stats(values):
+    """Mean and range of the trailing PLATEAU_FRACTION of a trace."""
     values = np.asarray(values, dtype=float)
-    k = max(1, int(round(fraction * values.size)))
+    k = max(1, int(round(PLATEAU_FRACTION * values.size)))
     tail = values[-k:]
     return float(np.mean(tail)), float(np.max(tail) - np.min(tail))
 
@@ -320,44 +321,34 @@ def cmd_ica(config, out_dir):
     decaying schedule, matching the protocol of holding the step size
     until the error plateaus and then letting it decay.  A constant run
     that diverged has no feasible endpoint, so it gets no continuation.
-    The constant runs advance as one stack, then the continuations.
+    The constant runs advance as one stack, then the continuations; each is
+    that seed's ``decompose --sampler ica --objective correlation`` run.
     """
     seeds = config.seeds()
-    trials = []
-    for seed in seeds:
-        rng = run_rng(seed)
-        model = ica.IcaModel.random(config.d, rng)
-        problem = objectives.correlation_objective(basis=model.component_basis(), halved=True)
-        trials.append((problem.random_feasible(rng), rng, problem, ica.IcaSampler(model, batch_size=config.batch)))
+    start = seed_start(replace(config, objective="correlation", sampler="ica"))
+    trials = [start(k) for k in range(len(seeds))]
     consts = projected_trials(len(trials), trials.__getitem__, config.sgd_config(config.seed, "constant"))
     go_on = [(rec.final_point, *trial[1:]) for rec, trial in zip(consts, trials) if not rec.diverged]
     anneal_config = config.sgd_config(config.seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
     anneals = iter(projected_trials(len(go_on), go_on.__getitem__, anneal_config))
 
-    outputs, records = [], []
+    outputs, rows = [], []
     for seed, rec_const in zip(seeds, consts):
         rec_anneal = None if rec_const.diverged else next(anneals)
         for name, record in ((f"seed{seed}-constant.csv", rec_const), (f"seed{seed}-invt.csv", rec_anneal)):
             if record is not None:
                 outputs.append(os.path.join(out_dir, name))
                 write_run_csv(record, outputs[-1])
-        records.append((seed, rec_const, rec_anneal))
-
+        plateau_mean, plateau_range = trailing_window_stats(rec_const.recon_errors)
+        e_anneal = float("nan") if rec_anneal is None else rec_anneal.recon_errors[-1]
+        improved = int(e_anneal < plateau_mean)
+        diverged = int(rec_anneal is None or rec_anneal.diverged)
+        rows.append((seed, plateau_mean, plateau_range, rec_const.recon_errors[-1], e_anneal, improved, diverged))
+        print(f"seed {seed}: plateau={plateau_mean:.3e} annealed={e_anneal:.3e} improved={bool(improved)}")
     outputs.append(os.path.join(out_dir, "summary.csv"))
-    failed = 0
-    with open(outputs[-1], "w") as fh:
-        fh.write("seed,plateau_mean,plateau_range,final_error_constant,final_error_invt,improved,diverged\n")
-        for seed, rec_const, rec_anneal in records:
-            plateau_mean, plateau_range = trailing_window_stats(rec_const.recon_errors)
-            e_const = _final_error(rec_const)
-            e_anneal = float("nan") if rec_anneal is None else _final_error(rec_anneal)
-            improved = int(e_anneal < plateau_mean)
-            diverged = int(rec_anneal is None or rec_anneal.diverged)
-            failed += diverged
-            fh.write(f"{seed},{plateau_mean!r},{plateau_range!r},{e_const!r},{e_anneal!r},"
-                     f"{improved},{diverged}\n")
-            print(f"seed {seed}: plateau={plateau_mean:.3e} annealed={e_anneal:.3e} improved={bool(improved)}")
-    return (1 if failed else 0), outputs
+    write_csv(outputs[-1], ("seed", "plateau_mean", "plateau_range", "final_error_constant", "final_error_invt",
+                            "improved", "diverged"), rows)
+    return (1 if any(diverged for *_, diverged in rows) else 0), outputs
 
 
 def cmd_verify(config, out_dir):
@@ -389,10 +380,9 @@ def cmd_escape(config, out_dir):
     stats = analysis.escape_statistics(problem, saddle, config.trials, config.sgd_config(config.seed))
 
     path = os.path.join(out_dir, "escape.csv")
-    with open(path, "w") as fh:
-        fh.write("trial,steps,f_decrease\n")
-        for k, (steps, dec) in enumerate(zip(stats["per_trial_steps"], stats["per_trial_decrease"])):
-            fh.write(f"{k},{-1 if steps is None else steps},{float(dec)!r}\n")
+    write_csv(path, ("trial", "steps", "f_decrease"),
+              ((k, -1 if steps is None else steps, dec)
+               for k, (steps, dec) in enumerate(zip(stats["per_trial_steps"], stats["per_trial_decrease"]))))
     med = stats["median_steps"]
     print(f"escaped {stats['escape_fraction']:.0%} of {config.trials} trials"
           f" (median steps {'n/a' if med is None else int(med)},"

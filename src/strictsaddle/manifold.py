@@ -70,11 +70,6 @@ class SphereProduct:
         """m unit spheres of equal dimension block_dim."""
         return cls([block_dim] * m)
 
-    def blocks(self):
-        """Iterate (start, stop) index pairs of the blocks."""
-        for i in range(self.m):
-            yield self.offsets[i], self.offsets[i + 1]
-
     def _block_sums(self, x):
         """Per-block sums along the last axis: (..., n) -> (..., m)."""
         return np.add.reduceat(x, self._starts, axis=-1)
@@ -92,8 +87,9 @@ class SphereProduct:
         w = np.asarray(w, dtype=float)
         return self._block_sums(w * w) - 1.0
 
-    def feasible(self, w, tol=FEASIBLE_TOL):
-        return bool(np.max(np.abs(self.c(w))) <= tol)
+    def feasible(self, w):
+        """True when every constraint holds to FEASIBLE_TOL."""
+        return bool(np.max(np.abs(self.c(w))) <= FEASIBLE_TOL)
 
     def constraint_gradients(self, w):
         """The n x m matrix C(w) whose i-th column is grad c_i(w) = 2 w_i."""

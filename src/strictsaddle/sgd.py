@@ -43,6 +43,7 @@ __all__ = [
     "run_rng",
     "trial_rng",
     "RecordedPerturbations",
+    "write_csv",
     "write_run_csv",
 ]
 
@@ -159,7 +160,6 @@ class RunRecord:
     n_steps: int
     diverged: bool = False
     message: str = ""
-    wall_time_ms: float = 0.0
 
 
 class RecordedPerturbations:
@@ -196,7 +196,7 @@ def _check_noise_bound(q, xi, noise, noise_scale):
 
 
 @np.errstate(over="ignore")
-def _run_loop(starts, config, constraints, grad_norms, stop=None):
+def _run_loop(starts, config, constraints, stop=None):
     """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
     Each step draws every active trial's oracle sample, then every trial's
@@ -213,8 +213,8 @@ def _run_loop(starts, config, constraints, grad_norms, stop=None):
     Overflow raises no numpy warning: it leaves an inf or nan in its row,
     which the divergence tests catch.
 
-    ``grad_norms(problem, W)`` maps a stack to one value per row; it runs
-    on recorded steps only.  Returns one RunRecord per trial, in order.
+    Recorded steps log ||chi|| with ``constraints``, else ||grad f||.
+    Returns one RunRecord per trial, in order.
     """
     # each row's generator, problem and sampler leave the stack with the row
     w0s, rngs, problems, samplers = (list(column) for column in zip(*starts))
@@ -226,6 +226,7 @@ def _run_loop(starts, config, constraints, grad_norms, stop=None):
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
+    grad_norms = _gradient_norms if constraints is None else _chi_norms
     start = time.perf_counter()
 
     def by_problem(fn, rows=slice(None)):
@@ -245,7 +246,6 @@ def _run_loop(starts, config, constraints, grad_norms, stop=None):
     def leave(rows, n_steps, message=None):
         """Close the records of the selected rows and drop them from the stack."""
         nonlocal W, ids, rngs, problems, samplers, noise_buf
-        wall = (time.perf_counter() - start) * 1e3
         for i in np.flatnonzero(rows):
             k = ids[i]
             # every trial is recorded at t=0, so its trace is never empty
@@ -261,7 +261,6 @@ def _run_loop(starts, config, constraints, grad_norms, stop=None):
                 n_steps=n_steps,
                 diverged=message is not None,
                 message="" if message is None else message(i),
-                wall_time_ms=wall,
             )
         keep = ~rows
         W, ids = W[keep], ids[keep]
@@ -348,7 +347,7 @@ def noisy_sgd(objective, sampler, w0, config, rng=None):
     """Unconstrained runner: w <- w - eta_t (SG(w) + n)."""
     if rng is None:
         rng = run_rng(config.seed)
-    return _run_loop([(w0, rng, objective, sampler)], config, None, _gradient_norms)[0]
+    return _run_loop([(w0, rng, objective, sampler)], config, None)[0]
 
 
 def projected_trials(n_trials, start, config, stop=None):
@@ -371,7 +370,7 @@ def projected_trials(n_trials, start, config, stop=None):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
         if not all(problem.constraints.feasible(w0) for w0, _, problem, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
-        records += _run_loop(starts, config, starts[0][2].constraints, _chi_norms, stop)
+        records += _run_loop(starts, config, starts[0][2].constraints, stop)
     return records
 
 
@@ -386,17 +385,26 @@ def projected_noisy_sgd(problem, sampler, w0, config, rng=None):
     return projected_trials(1, lambda k: (w0, rng, problem, sampler), config)[0]
 
 
+def write_csv(path, header, rows):
+    """CSV of the column names ``header`` and the cell sequences ``rows``.
+
+    Floats (np.float64 included) are written as the round-trip
+    ``repr(float(v))``, any other cell with ``str``.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in rows)
+
+
 def write_run_csv(record, path):
     """Trace CSV: header ``iter,f,grad_norm,recon_error,elapsed_ms``.
 
-    Numeric cells are written with shortest round-trip float formatting,
-    so identical runs produce identical bytes in every column except
-    elapsed_ms (wall clock is not reproducible).
+    Identical runs produce identical bytes in every column except
+    elapsed_ms, written in ms to three decimals (wall clock is not
+    reproducible).
     """
-    with open(path, "w") as fh:
-        fh.write("iter,f,grad_norm,recon_error,elapsed_ms\n")
-        for k in range(record.iters.size):
-            fh.write(
-                f"{int(record.iters[k])},{float(record.f_values[k])!r},{float(record.grad_norms[k])!r},"
-                f"{float(record.recon_errors[k])!r},{float(record.elapsed_ms[k]):.3f}\n"
-            )
+    elapsed = [f"{ms:.3f}" for ms in record.elapsed_ms.tolist()]
+    write_csv(path, ("iter", "f", "grad_norm", "recon_error", "elapsed_ms"),
+              zip(record.iters.tolist(), record.f_values.tolist(), record.grad_norms.tolist(),
+                  record.recon_errors.tolist(), elapsed))

@@ -78,19 +78,17 @@ class OrthoBasis:
     ----------
     vectors : array_like
         (d, d) array whose i-th row is a_i.
-    tol : float
-        Orthonormality tolerance on input validation.
 
     Raises
     ------
     ValueError
         If an entry is not finite or the rows are not orthonormal to
-        within ``tol``.
+        within ORTHO_TOL.
     """
 
     __slots__ = ("vectors", "d")
 
-    def __init__(self, vectors, tol=ORTHO_TOL):
+    def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square (d,d) array, got shape {arr.shape}")
@@ -98,8 +96,8 @@ class OrthoBasis:
             raise ValueError("basis has non-finite entries")
         gram = arr @ arr.T
         err = np.max(np.abs(gram - np.eye(arr.shape[0])))
-        if not err <= tol:
-            raise ValueError(f"rows are not orthonormal: max Gram deviation {err:.3e} > {tol:.1e}")
+        if not err <= ORTHO_TOL:
+            raise ValueError(f"rows are not orthonormal: max Gram deviation {err:.3e} > {ORTHO_TOL:.1e}")
         self.vectors = arr
         self.d = arr.shape[0]
 

@@ -30,7 +30,7 @@ from strictsaddle.analysis import (
 from strictsaddle import ica
 from strictsaddle.manifold import SphereProduct, tangent_gradient
 from strictsaddle.objectives import correlation_objective, maxeig_objective, reconstruction_objective
-from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, trial_rng
+from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, row_norms, trial_rng
 from strictsaddle.objectives import QuadraticObjective
 from strictsaddle.tensor4 import OrthoBasis
 
@@ -43,6 +43,13 @@ def standard_maxeig(d):
 def standard_correlation(d):
     basis = OrthoBasis.standard(d)
     return correlation_objective(basis=basis, halved=True), basis
+
+
+FACTORIES = {
+    "maxeig": lambda basis: maxeig_objective(basis=basis),
+    "reconstruction": lambda basis: reconstruction_objective(basis=basis),
+    "correlation": lambda basis: correlation_objective(basis=basis, halved=True),
+}
 
 
 def min_pairwise_distance(catalog):
@@ -180,9 +187,25 @@ class TestMatchers:
 # ------------------------------------------------------------------ #
 
 
+def loop_polish(problem, w):
+    """Oracle for polish: a plain loop of projected descent steps of 0.02,
+    at most 500, each row stopping before a step once ||chi|| <= 1e-11."""
+    W = np.array(w, dtype=float)
+    rows = W.reshape(-1, W.shape[-1])
+    active = np.arange(rows.shape[0])
+    for _ in range(500):
+        V = rows[active]
+        moving = ~(row_norms(tangent_gradient(problem, V)) <= 1e-11)
+        active, V = active[moving], V[moving]
+        if not active.size:
+            break
+        rows[active] = problem.constraints.project(V - 0.02 * problem.gradient(V))
+    return W
+
+
 class TestCatalog:
     def test_add_merges_within_threshold(self):
-        catalog = MinimaCatalog(dedup=1e-3)
+        catalog = MinimaCatalog()
         catalog.add(np.array([1.0, 0.0]), min_eig=4.0)
         entry = catalog.add(np.array([1.0, 1e-4]), min_eig=4.0)
         assert len(catalog) == 1
@@ -209,6 +232,32 @@ class TestCatalog:
         polished = polish(prob, rough)
         assert np.linalg.norm(tangent_gradient(prob, polished)) <= 1e-9
         assert np.linalg.norm(polished - basis.vectors[0]) <= 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(FACTORIES)), st.integers(2, 4),
+           st.lists(st.sampled_from(("random", "near", "polished")), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_polish_matches_loop_oracle(self, objective, d, kinds, seed):
+        """Bit for bit the per-row-stop loop, on stacks that mix random
+        points, points near a minimum and points the loop already polished
+        (mostly at ||chi|| <= 1e-11, which polish must leave as they are)."""
+        rng = np.random.default_rng(seed)
+        basis = OrthoBasis.random(d, rng)
+        problem = FACTORIES[objective](basis)
+
+        def near(scale):
+            """A minimum (a signed permutation of the basis rows, or one
+            signed row for maxeig) moved by ``scale`` off it."""
+            rows = rng.choice([-1.0, 1.0], size=(d, 1)) * basis.vectors[rng.permutation(d)]
+            minimum = rows[0] if objective == "maxeig" else rows.ravel()
+            return problem.constraints.project(minimum + scale * rng.standard_normal(problem.dim))
+
+        W = np.array([problem.random_feasible(rng) if kind == "random" else near(0.05 if kind == "near" else 1e-4)
+                      for kind in kinds])
+        done = np.array(kinds) == "polished"
+        W[done] = loop_polish(problem, W[done])
+        np.testing.assert_array_equal(polish(problem, W), loop_polish(problem, W))
+        np.testing.assert_array_equal(polish(problem, W[0]), loop_polish(problem, W[0]))
 
 
 class TestEnumerate:

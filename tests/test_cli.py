@@ -142,7 +142,7 @@ class TestConfigHandling:
         mean, spread = trailing_window_stats([10.0, 10.0, 10.0, 10.0, 2.0, 4.0, 3.0, 3.0, 2.0, 4.0])
         np.testing.assert_allclose(mean, 3.0)
         np.testing.assert_allclose(spread, 2.0)
-        mean_one, spread_one = trailing_window_stats([7.0], fraction=0.2)
+        mean_one, spread_one = trailing_window_stats([7.0])
         assert (mean_one, spread_one) == (7.0, 0.0)
 
 
@@ -262,6 +262,18 @@ class TestIca:
         assert read_manifest(out)["config"]["record_every"] == 25
         trace = (out / "seed0-constant.csv").read_text().strip().split("\n")
         assert len(trace) == 1 + 5  # header + records at 0,25,50,75,100
+
+    def test_constant_phase_is_the_decompose_ica_run(self, tmp_path):
+        """Seed k's constant trace is ``decompose --sampler ica --objective
+        correlation``'s trace of seed k, apart from elapsed_ms."""
+        argv = ["--d", "3", "--iters", "200", "--eta", "0.05", "--batch", "20", "--record-every", "50",
+                "--seed", "4", "--seeds", "2"]
+        assert main(["ica", *argv, "--out", str(tmp_path / "ica")]) == 0
+        assert main(["decompose", "--sampler", "ica", "--objective", "correlation", *argv,
+                     "--out", str(tmp_path / "decompose")]) == 0
+        for seed in (4, 5):
+            assert (strip_elapsed(tmp_path / "ica" / f"seed{seed}-constant.csv")
+                    == strip_elapsed(tmp_path / "decompose" / f"seed{seed}.csv"))
 
     def test_ica_continues_only_the_constant_runs_that_survived(self, tmp_path):
         """A seed whose constant run diverged gets no row in the annealed

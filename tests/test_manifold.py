@@ -280,7 +280,7 @@ class TestTangentFrame:
         B = tangent_basis(cs, w)
         got = B @ (B.T @ v)
         want = v.copy()
-        for a, b in cs.blocks():
+        for a, b in zip(cs.offsets, cs.offsets[1:]):
             want[a:b] -= (w[a:b] @ v[a:b]) * w[a:b]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -426,7 +426,7 @@ class TestSphereProductProperties:
         cs = SphereProduct(dims)
         v = np.random.default_rng(seed).standard_normal(cs.n)
         w = cs.project(v)
-        loop = np.concatenate([v[a:b] / np.linalg.norm(v[a:b]) for a, b in cs.blocks()])
+        loop = np.concatenate([v[a:b] / np.linalg.norm(v[a:b]) for a, b in zip(cs.offsets, cs.offsets[1:])])
         np.testing.assert_allclose(w, loop, rtol=0.0, atol=1e-15)
         assert cs.feasible(w)
         np.testing.assert_allclose(cs.project(w), w, rtol=0.0, atol=1e-15)
@@ -440,7 +440,7 @@ class TestSphereProductProperties:
         w = cs.random_point(rng)
         v = rng.standard_normal(cs.n)
         t, n = cs.tangent_project(w, v), cs.normal_project(w, v)
-        loop = np.concatenate([v[a:b] - (v[a:b] @ w[a:b]) * w[a:b] for a, b in cs.blocks()])
+        loop = np.concatenate([v[a:b] - (v[a:b] @ w[a:b]) * w[a:b] for a, b in zip(cs.offsets, cs.offsets[1:])])
         np.testing.assert_allclose(t, loop, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(t + n, v, atol=1e-14)
         assert abs(t @ n) <= 1e-12 * (v @ v)
@@ -469,7 +469,7 @@ class TestSphereProductProperties:
         rng = np.random.default_rng(seed)
         w = cs.random_point(rng) * np.repeat(scales, dims)
         problem = LinearProblem(cs, rng.standard_normal(cs.n))
-        norms = [np.linalg.norm(w[a:b]) for a, b in cs.blocks()]
+        norms = [np.linalg.norm(w[a:b]) for a, b in zip(cs.offsets, cs.offsets[1:])]
         if 2.0 * min(norms) < CQ_SIGMA_MIN:
             with pytest.raises(ValueError, match="constraint qualification"):
                 lagrange_multipliers(problem, w)

@@ -26,6 +26,7 @@ from strictsaddle.sgd import (
     run_rng,
     trial_rng,
     unit_sphere_noise,
+    write_csv,
     write_run_csv,
 )
 from strictsaddle.tensor4 import OrthoBasis
@@ -397,7 +398,7 @@ class TestStackedTrials:
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), -np.eye(2))
         config = SgdConfig(eta=0.05, iterations=800, noise_scale=0.0, record_every=100)
         starts = [(np.array([1.0, 1.0]), run_rng(0), obj, None), (np.zeros(2), run_rng(1), obj, None)]
-        grow, rest = sgd._run_loop(starts, config, None, sgd._gradient_norms)
+        grow, rest = sgd._run_loop(starts, config, None)
         assert grow.diverged and "diverged" in grow.message and grow.n_steps < 800
         assert not rest.diverged and rest.n_steps == 800
         np.testing.assert_array_equal(rest.final_point, np.zeros(2))
@@ -446,6 +447,15 @@ class TestCsv:
         assert len(lines) == 1 + rec.iters.size
         fs = np.array([float(line.split(",")[1]) for line in lines[1:]])
         np.testing.assert_array_equal(fs, rec.f_values)
+
+    def test_write_csv_cells(self, tmp_path):
+        """Floats, np.float64 too, round-trip as repr; other cells are str."""
+        path = tmp_path / "cells.csv"
+        third = np.float64(1.0) / 3.0
+        write_csv(path, ("a", "b", "c", "d", "e"),
+                  [(third, float("nan"), np.inf, 7, "1.500"), (-0.0, np.float64(-np.inf), 1e-300, np.int64(3), "x")])
+        assert path.read_text() == "a,b,c,d,e\n0.3333333333333333,nan,inf,7,1.500\n-0.0,-inf,1e-300,3,x\n"
+        assert float(path.read_text().split("\n")[1].split(",")[0]) == third
 
     def test_byte_identical_except_elapsed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
