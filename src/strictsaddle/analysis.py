@@ -165,22 +165,16 @@ class MinimaCatalog:
 def polish(problem, w):
     """Noise-free projected gradient descent to sharpen feasible endpoints.
 
-    ``w`` is one point or a (K, n) stack.  Rows already at ||chi|| <=
-    POLISH_TOL are kept; the others run as exact-gradient trials under
-    POLISH_CONFIG, each stopping after the step that reaches POLISH_TOL.
+    ``w`` is one point or a (K, n) stack.  Every row runs as an
+    exact-gradient trial under POLISH_CONFIG and ends at its first point,
+    the start included, with ||chi|| <= POLISH_TOL, so a row already
+    there is returned as it is.
     """
-    W = np.array(w, dtype=float)
+    W = np.asarray(w, dtype=float)
     rows = W.reshape(-1, W.shape[-1])
-
-    def converged(V):
-        return row_norms(manifold.tangent_gradient(problem, V)) <= POLISH_TOL
-
-    moving = np.flatnonzero(~converged(rows))
-    records = projected_trials(moving.size, lambda k: (rows[moving[k]], None, problem, None), POLISH_CONFIG,
-                               stop=converged)
-    for i, record in zip(moving, records):
-        rows[i] = record.final_point
-    return W
+    records = projected_trials(len(rows), lambda k: (rows[k], None, problem, None), POLISH_CONFIG,
+                               stop=lambda V: row_norms(manifold.tangent_gradient(problem, V)) <= POLISH_TOL)
+    return np.array([record.final_point for record in records]).reshape(W.shape)
 
 
 def enumerate_minima(problem, n_starts, config):
@@ -255,7 +249,8 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
     """Monte-Carlo escape behaviour of projected noisy SGD from a saddle.
 
     A trial escapes when f drops below f(saddle) - threshold within the
-    step budget; it then stops early, so ``median_steps`` is the median
+    step budget; the test runs before every step, so a trial stops at the
+    first point that passes and ``median_steps`` is the median
     first-passage time over escaping trials.  Default threshold is
     0.1 * |f(saddle)| floored at 1e-3.  Trial k uses the substream
     ``trial_rng(config.seed, k)``; the trials run as one stack, with exact

@@ -27,11 +27,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, analysis, ica, objectives, tensor4
-from .sgd import SgdConfig, projected_trials, run_rng, write_csv, write_run_csv
+from .sgd import SCHEDULES, SgdConfig, projected_trials, run_rng, write_csv, write_run_csv
 
 OBJECTIVES = ("correlation", "reconstruction", "maxeig")
 SAMPLERS = ("simple", "ica")
-SCHEDULE_NAMES = {"constant": "constant", "inv-t": "inverse_t"}
 ENV_OUT = "STRICTSADDLE_OUT"
 
 # Base step for the annealed ica continuation, as a multiple of eta.
@@ -121,12 +120,11 @@ class ExperimentConfig:
         return list(range(self.seed, self.seed + self.n_seeds))
 
     def sgd_config(self, seed, schedule=None, eta=None):
-        name = SCHEDULE_NAMES[schedule or self.schedule]
         step = eta if eta is not None else self.eta
         # an explicitly requested step (e.g. the boosted annealing start)
         # widens the safety rail rather than tripping it
         return SgdConfig(eta=step, eta_max=max(step, 0.1), iterations=self.iters,
-                         schedule=name, noise_scale=self.noise, seed=seed,
+                         schedule=schedule or self.schedule, noise_scale=self.noise, seed=seed,
                          record_every=self.record_every)
 
 
@@ -141,7 +139,7 @@ SETTINGS = {
     "d": ("problem dimension", None, None),
     "eta": ("step size", None, None),
     "iters": ("iteration budget", None, None),
-    "schedule": ("step-size schedule", tuple(SCHEDULE_NAMES), None),
+    "schedule": ("step-size schedule", SCHEDULES, None),
     "batch": ("mini-batch size (ica sampler)", None, None),
     "objective": ("objective function", OBJECTIVES, None),
     "sampler": ("stochastic gradient source", SAMPLERS, None),

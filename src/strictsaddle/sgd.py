@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-SCHEDULES = ("constant", "inverse_t")
+SCHEDULES = ("constant", "inv-t")
 NOISE_NORM_FLOOR = 1e-12
 # Trials advanced together in one stack.  Bounds the stack's memory and the
 # number of live generators for any trial count; a row's result does not
@@ -208,10 +208,12 @@ def _run_loop(starts, config, constraints, stop=None):
     All kernels act row by row, so every row's result is independent of K
     and of which other trials are still active.  With ``constraints`` every
     step is projected onto them; a row with a block stepped onto its centre
-    has no projection and diverges.  A trial leaves the stack when it
-    diverges or, after a step, when ``stop(W)`` is True for its row.
-    Overflow raises no numpy warning: it leaves an inf or nan in its row,
-    which the divergence tests catch.
+    has no projection and diverges.  Before every step a row ends where
+    it stands, its point there the final one, once its budget is spent or
+    ``stop(W)`` is True for it; a row whose start meets ``stop`` takes no
+    step.  A row that diverges leaves at its step.  Overflow raises no
+    numpy warning: it leaves an inf or nan in its row, which the
+    divergence tests catch.
 
     Recorded steps log ||chi|| with ``constraints``, else ||grad f||.
     Returns one RunRecord per trial, in order.
@@ -269,7 +271,15 @@ def _run_loop(starts, config, constraints, stop=None):
             noise_buf = noise_buf[: ids.size]
 
     t = 0
-    while t < config.iterations and ids.size:
+    while ids.size:
+        # a row ends where it stands: its budget is spent or stop(W) holds
+        if stop is not None or t == config.iterations:
+            ends = np.asarray(stop(W), dtype=bool) if t < config.iterations else np.ones(ids.size, dtype=bool)
+            if ends.any():
+                record(t, ends)
+                leave(ends, t)
+                if not ids.size:
+                    break
         on_record = t % config.record_every == 0
         if on_record:
             fs = record(t, slice(None))
@@ -305,15 +315,6 @@ def _run_loop(starts, config, constraints, stop=None):
                 leave(bad, t, lambda i: f"degenerate projection at step {t}")
                 W = constraints.project(W)
         t += 1
-        if stop is not None and ids.size:
-            hit = np.asarray(stop(W), dtype=bool)
-            if hit.any():
-                record(t, hit)
-                leave(hit, t)
-
-    if ids.size:
-        record(config.iterations, slice(None))
-        leave(np.ones(ids.size, dtype=bool), t)
     return records
 
 
@@ -343,11 +344,9 @@ def _chi_norms(problem, W):
     return row_norms(manifold.tangent_gradient(problem, W))
 
 
-def noisy_sgd(objective, sampler, w0, config, rng=None):
-    """Unconstrained runner: w <- w - eta_t (SG(w) + n)."""
-    if rng is None:
-        rng = run_rng(config.seed)
-    return _run_loop([(w0, rng, objective, sampler)], config, None)[0]
+def noisy_sgd(objective, sampler, w0, config):
+    """Unconstrained runner: w <- w - eta_t (SG(w) + n), on the generator run_rng(config.seed)."""
+    return _run_loop([(w0, run_rng(config.seed), objective, sampler)], config, None)[0]
 
 
 def projected_trials(n_trials, start, config, stop=None):
@@ -356,11 +355,13 @@ def projected_trials(n_trials, start, config, stop=None):
     ``start(k)`` returns trial k's feasible starting point, its own
     generator, its problem and its sampler (None for exact gradients).
     Trials may share one problem or each carry their own, on one sphere
-    product and with samplers of one kind.  ``stop``, when given, maps the (K, n) stack to one bool per row after
-    every step; a row that reads True ends there, with its current point
-    as the final one.  Trials run in blocks of STACK_ROWS rows, so memory
-    and live generators stay bounded; trial k's record is the same
-    whatever the block and whatever trials run beside it.
+    product and with samplers of one kind.  ``stop``, when given, maps
+    the (K, n) stack to one bool per row and is tested before every step,
+    the first at the start; a row that reads True ends there, with its
+    current point as the final one, and a row that never does ends at
+    the budget.  Trials run in blocks of STACK_ROWS rows, so memory and
+    live generators stay bounded; trial k's record is the same whatever
+    the block and whatever trials run beside it.
 
     Every recorded iterate is feasibility-checked to 1e-10.  Returns one
     RunRecord per trial, in trial order.

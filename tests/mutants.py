@@ -79,9 +79,10 @@ MUTANTS = [
     Mutant("matcher-farthest-permutation", "src/strictsaddle/analysis.py",
            "perm = max(itertools.permutations(range(d))", "perm = min(itertools.permutations(range(d))",
            ("tests/test_analysis.py::TestMatchers::test_signed_permutation_matcher_exact",)),
-    Mutant("polish-steps-converged-rows", "src/strictsaddle/analysis.py",
-           "moving = np.flatnonzero(~converged(rows))", "moving = np.arange(len(rows))",
-           ("tests/test_analysis.py::TestCatalog::test_polish_matches_loop_oracle",)),
+    Mutant("stop-untested-at-start", "src/strictsaddle/sgd.py",
+           "if stop is not None or t == config.iterations:", "if stop is not None and t > 0 or t == config.iterations:",
+           ("tests/test_analysis.py::TestCatalog::test_polish_matches_loop_oracle",
+            "tests/test_sgd.py::TestStackedTrials::test_stop_predicate_ends_a_row_at_its_step")),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

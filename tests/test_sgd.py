@@ -68,7 +68,7 @@ class TestConfig:
 
     def test_lr_schedule(self):
         const = SgdConfig(eta=0.02, schedule="constant")
-        decay = SgdConfig(eta=0.02, schedule="inverse_t")
+        decay = SgdConfig(eta=0.02, schedule="inv-t")
         assert lr_schedule(const, 999) == 0.02
         assert lr_schedule(decay, 0) == 0.02
         np.testing.assert_allclose(lr_schedule(decay, 9), 0.002, rtol=1e-15)
@@ -382,16 +382,42 @@ class TestStackedTrials:
         assert calls == [((k, d * d), sample_shape)] * iters
 
     def test_stop_predicate_ends_a_row_at_its_step(self):
+        """A row ends at the first point where stop holds: after some step,
+        at its start (with no step taken) or at the budget's last point (with
+        one trace row there); the other rows run as they do alone."""
         prob = standard_maxeig(4)
         saddle = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
         target = prob.value(saddle) - 0.05
         config = SgdConfig(eta=0.02, iterations=3000, noise_scale=1.0, seed=4, record_every=500)
-        records = projected_trials(6, lambda j: (saddle, trial_rng(4, j), prob, None), config,
-                                   stop=lambda W: prob.value(W) <= target)
+
+        def escaped(W):
+            return prob.value(W) <= target
+
+        records = projected_trials(6, lambda j: (saddle, trial_rng(4, j), prob, None), config, stop=escaped)
         for rec in records:
             assert rec.final_f <= target < rec.f_values[-2]
             assert rec.iters[-1] == rec.n_steps < 3000
             assert prob.value(rec.final_point) == rec.final_f
+
+        minimum = np.array([1.0, 0.0, 0.0, 0.0])
+
+        def start(j):
+            return (minimum if j == 2 else saddle), trial_rng(4, j), prob, None
+
+        mixed = projected_trials(4, start, config, stop=escaped)
+        assert (mixed[2].n_steps, mixed[2].iters.tolist()) == (0, [0])
+        np.testing.assert_array_equal(mixed[2].final_point, minimum)
+        for j in (0, 1, 3):
+            assert_same_run(mixed[j], projected_trials(1, lambda _: start(j), config, stop=escaped)[0])
+
+        short = SgdConfig(eta=0.02, iterations=200, noise_scale=1.0, seed=5, record_every=50)
+        plain = projected_trials(3, lambda j: (saddle, trial_rng(5, j), prob, None), short)
+        end = plain[1].final_point
+        stopped = projected_trials(3, lambda j: (saddle, trial_rng(5, j), prob, None), short,
+                                   stop=lambda W: np.all(W == end, axis=1))
+        for got, want in zip(stopped, plain):
+            assert_same_run(got, want)
+        assert stopped[1].iters.tolist().count(200) == 1
 
     def test_diverged_row_leaves_others_running(self):
         """A row that diverges is closed at its step; the others finish."""
