@@ -168,12 +168,16 @@ def polish(problem, w):
     ``w`` is one point or a (K, n) stack.  Every row runs as an
     exact-gradient trial under POLISH_CONFIG and ends at its first point,
     the start included, with ||chi|| <= POLISH_TOL, so a row already
-    there is returned as it is.
+    there is returned as it is.  The stop reads chi from the gradient the
+    step then takes, so each step evaluates the gradient once.
     """
     W = np.asarray(w, dtype=float)
     rows = W.reshape(-1, W.shape[-1])
-    records = projected_trials(len(rows), lambda k: (rows[k], None, problem, None), POLISH_CONFIG,
-                               stop=lambda V: row_norms(manifold.tangent_gradient(problem, V)) <= POLISH_TOL)
+
+    def polished(V, f, G):
+        return row_norms(manifold.chi_from_gradient(problem.constraints, V, G)) <= POLISH_TOL
+
+    records = projected_trials(len(rows), lambda k: (rows[k], None, problem, None), POLISH_CONFIG, stop=polished)
     return np.array([record.final_point for record in records]).reshape(W.shape)
 
 
@@ -250,7 +254,8 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
 
     A trial escapes when f drops below f(saddle) - threshold within the
     step budget; the test runs before every step, so a trial stops at the
-    first point that passes and ``median_steps`` is the median
+    first point that passes, read from the value the step's exact gradient
+    is evaluated with, and ``median_steps`` is the median
     first-passage time over escaping trials.  Default threshold is
     0.1 * |f(saddle)| floored at 1e-3.  Trial k uses the substream
     ``trial_rng(config.seed, k)``; the trials run as one stack, with exact
@@ -268,7 +273,7 @@ def escape_statistics(problem, saddle_point, n_trials, config, threshold=None):
     target = f0 - threshold
 
     records = projected_trials(n_trials, lambda k: (w_star, trial_rng(config.seed, k), problem, None),
-                               config, stop=lambda W: problem.value(W) <= target)
+                               config, stop=lambda W, f, G: f <= target)
     f_final = np.array([np.nan if r.diverged else r.final_f for r in records])
     first_passage = [r.n_steps if f <= target else None for r, f in zip(records, f_final.tolist())]
     decreases = (f0 - f_final).tolist()

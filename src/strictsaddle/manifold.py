@@ -24,6 +24,7 @@ __all__ = [
     "SphereProduct",
     "lagrange_multipliers",
     "tangent_gradient",
+    "chi_from_gradient",
     "lagrangian_hessian",
     "tangent_basis",
     "min_tangent_eig",
@@ -183,8 +184,15 @@ def tangent_gradient(problem, w):
     projection of grad f(w).  Takes one point or a (..., n) stack.
     """
     w = np.asarray(w, dtype=float)
-    constraints = problem.constraints
-    g = problem.gradient(w)
+    return chi_from_gradient(problem.constraints, w, problem.gradient(w))
+
+
+def chi_from_gradient(constraints, w, g):
+    """chi = g - 2 lambda_i w_i per block, from a gradient g already taken at w.
+
+    The least-squares multipliers of :func:`_multipliers`; one point or a
+    (..., n) stack with one gradient per row.
+    """
     lam = _multipliers(constraints, w, g)
     return g - constraints._per_entry(2.0 * lam) * w
 

@@ -14,9 +14,12 @@ Three equality-constrained problems over products of unit spheres:
   the per-sample gradient oracles in :mod:`strictsaddle.ica` estimate.
 
 Each problem exposes analytic value/gradient/Hessian in ambient
-coordinates, each on a (..., n) stack of points.  A problem is built
-from the decomposition basis (``basis=``) and works in the coordinates
-X = U A^T, never forming the d^4 tensor.  The factories still take a
+coordinates, each on a (..., n) stack of points, and ``value_and_gradient``,
+the pair from one evaluation of the point: its coordinate map X = U A^T
+(and, for reconstruction, its Gram matrix) is formed once and read by
+both formulas, so the pair is bit for bit the two separate calls.  A
+problem is built from the decomposition basis (``basis=``) and works in
+the coordinates X, never forming the d^4 tensor.  The factories still take a
 first argument ``T``, which is never read.  The dense contractions the
 basis forms replace are the test oracle in ``tests/dense_oracle.py``,
 which builds the same problems from its own forms.
@@ -27,9 +30,9 @@ import numpy as np
 from .manifold import SphereProduct
 from .tensor4 import (
     basis_coords,
-    basis_form_matrix,
-    basis_form_scalar,
-    basis_form_vector,
+    coords_form_matrix,
+    coords_form_scalar,
+    coords_form_vector,
     reconstruction_error_from_basis,
 )
 
@@ -47,10 +50,13 @@ __all__ = [
 class ConstrainedProblem:
     """Equality-constrained objective with analytic derivatives.
 
-    ``value``, ``gradient`` and ``hessian`` take one point (n,) or a stack
-    (..., n) and act on each row alone, so a row's result does not depend
-    on the rest of the stack; ``value`` returns a float for one point and
-    ``hessian`` one (n, n) matrix per row.
+    ``value``, ``gradient``, ``value_and_gradient`` and ``hessian`` take
+    one point (n,) or a stack (..., n) and act on each row alone, so a
+    row's result does not depend on the rest of the stack; ``value``
+    returns a float for one point and ``hessian`` one (n, n) matrix per
+    row.  Each call evaluates the point once with ``point_fn`` (the
+    coordinate map and what else the formulas share), and the value and
+    gradient formulas read that evaluation; ``hessian_fn`` takes the point.
 
     Attributes
     ----------
@@ -60,9 +66,10 @@ class ConstrainedProblem:
         Ambient dimension (constraints.n).
     """
 
-    def __init__(self, name, constraints, value_fn, gradient_fn, hessian_fn, recon_metric=None):
+    def __init__(self, name, constraints, point_fn, value_fn, gradient_fn, hessian_fn, recon_metric=None):
         self.name = name
         self.constraints = constraints
+        self._point = point_fn
         self._value = value_fn
         self._gradient = gradient_fn
         self._hessian = hessian_fn
@@ -74,14 +81,23 @@ class ConstrainedProblem:
 
     def value(self, w):
         w = np.asarray(w, dtype=float)
-        f = self._value(w)
-        return float(f) if w.ndim == 1 else f
+        return self._f(w, self._point(w))
 
     def gradient(self, w):
-        return self._gradient(np.asarray(w, dtype=float))
+        return self._gradient(self._point(np.asarray(w, dtype=float)))
+
+    def value_and_gradient(self, w):
+        """(value(w), gradient(w)) from one evaluation of the point."""
+        w = np.asarray(w, dtype=float)
+        p = self._point(w)
+        return self._f(w, p), self._gradient(p)
 
     def hessian(self, w):
         return self._hessian(np.asarray(w, dtype=float))
+
+    def _f(self, w, p):
+        f = self._value(p)
+        return float(f) if w.ndim == 1 else f
 
     def recon_error(self, w):
         """Normalized reconstruction error at w, or None when undefined."""
@@ -109,6 +125,11 @@ def _rows(w, d):
     return w.reshape(*w.shape[:-1], d, d)
 
 
+def _flat(U):
+    """View (..., d, d) component rows as a (..., d*d) stack."""
+    return U.reshape(*U.shape[:-2], U.shape[-2] * U.shape[-1])
+
+
 def _block_hessian(blocks, diag):
     """The (..., d*d, d*d) Hessian at a d x d point from its d x d blocks:
     ``blocks[..., i, j]`` off the diagonal, ``diag[..., i]`` on it."""
@@ -120,7 +141,9 @@ def _block_hessian(blocks, diag):
 class _BasisForms:
     """T(.) through the decomposition basis (rows a_j), in coordinates X = U A^T.
 
-    ``norm2`` is ||T||_F^2 = sum_ij (a_i.a_j)^4 = d for orthonormal rows.
+    ``coords`` maps points to X once; every other form reads X (the cross
+    terms read ``cross_weights(X)``).  ``norm2`` is ||T||_F^2 =
+    sum_ij (a_i.a_j)^4 = d for orthonormal rows.
     """
 
     def __init__(self, basis):
@@ -133,35 +156,37 @@ class _BasisForms:
     def recon_error(self, U):
         return reconstruction_error_from_basis(self.basis, U)
 
-    def quartic(self, u):
-        return basis_form_scalar(self.basis, u, u, u, u)
+    def coords(self, U):
+        return basis_coords(self.basis, U)
 
-    def cubic(self, u):
-        return basis_form_vector(self.basis, u)
+    def quartic(self, x):
+        return coords_form_scalar(x, x, x, x)
 
-    def matrix(self, u):
-        return basis_form_matrix(self.basis, u)
+    def cubic(self, x):
+        return coords_form_vector(self.basis, x)
 
-    def pair_matrices(self, U):
+    def matrix(self, x):
+        return coords_form_matrix(self.basis, x)
+
+    def pair_matrices(self, x):
         """T(I,u_i,u_j,I) = sum_k X_ik X_jk a_k a_k^T for every pair of rows: (..., i, j, p, q)."""
-        x = basis_coords(self.basis, U)
         a = self.basis.vectors
         xx = x[..., :, None, :, None] * x[..., None, :, :, None]
         return np.einsum("...ijkp,kq->...ijpq", xx * a, a)
 
-    def _cross_weights(self, U):
-        x = basis_coords(self.basis, U)
+    def cross_weights(self, x):
+        """X, X^2 and S - X^2, with S_j = sum_i X_ij^2: what the cross terms read."""
         x2 = x * x
         return x, x2, np.einsum("...ij->...j", x2)[..., None, :] - x2
 
-    def cross_value(self, U):
+    def cross_value(self, weights):
         """sum_i sum_{l != i} T(u_i,u_i,u_l,u_l) = sum_ij X_ij^2 (S_j - X_ij^2)."""
-        _, x2, rest = self._cross_weights(U)
+        _, x2, rest = weights
         return np.einsum("...ij,...ij->...", x2, rest)
 
-    def cross_vectors(self, U):
+    def cross_vectors(self, weights):
         """Rows sum_{l != i} T(I,u_i,u_l,u_l) = ((S - X^2) o X) A."""
-        x, _, rest = self._cross_weights(U)
+        x, _, rest = weights
         return np.einsum("...ij,jk->...ik", rest * x, self.basis.vectors)
 
 
@@ -181,16 +206,16 @@ def maxeig_objective(T=None, basis=None):
 def _maxeig(forms):
     constraints = SphereProduct([forms.d])
 
-    def value(u):
-        return -forms.quartic(u)
+    def value(x):
+        return -forms.quartic(x)
 
-    def gradient(u):
-        return -4.0 * forms.cubic(u)
+    def gradient(x):
+        return -4.0 * forms.cubic(x)
 
     def hessian(u):
-        return -12.0 * forms.matrix(u)
+        return -12.0 * forms.matrix(forms.coords(u))
 
-    return ConstrainedProblem("maxeig", constraints, value, gradient, hessian)
+    return ConstrainedProblem("maxeig", constraints, forms.coords, value, gradient, hessian)
 
 
 def reconstruction_objective(T=None, basis=None):
@@ -207,32 +232,32 @@ def _reconstruction(forms):
     d = forms.d
     constraints = SphereProduct.spheres(d, d)
 
-    def gram(U):
-        return np.einsum("...ik,...lk->...il", U, U)
-
-    def value(w):
+    def point(w):
+        """The rows U, their coordinates and their Gram matrix."""
         U = _rows(w, d)
-        g2 = gram(U) ** 2
-        return forms.norm2 - 2.0 * forms.quartic(U).sum(axis=-1) + np.einsum("...il,...il->...", g2, g2)
+        return U, forms.coords(U), np.einsum("...ik,...lk->...il", U, U)
 
-    def gradient(w):
-        U = _rows(w, d)
-        out = -8.0 * forms.cubic(U) + 8.0 * np.einsum("...il,...lk->...ik", gram(U) ** 3, U)
-        return out.reshape(w.shape)
+    def value(p):
+        _, x, g = p
+        g2 = g**2
+        return forms.norm2 - 2.0 * forms.quartic(x).sum(axis=-1) + np.einsum("...il,...il->...", g2, g2)
+
+    def gradient(p):
+        U, x, g = p
+        return _flat(-8.0 * forms.cubic(x) + 8.0 * np.einsum("...il,...lk->...ik", g**3, U))
 
     def hessian(w):
-        U = _rows(w, d)
-        g = gram(U)
+        U, x, g = point(w)
         g2 = g * g
         # block (i, j) is 8 (3 G_ij^2 u_j u_i^T + G_ij^3 I); the diagonal
         # blocks add -24 T(I,I,u_i,u_i) + 24 sum_l G_il^2 u_l u_l^T
         blocks = (np.einsum("...ij,...jp,...iq->...ijpq", 24.0 * g2, U, U)
                   + (8.0 * g2 * g)[..., None, None] * np.eye(d))
-        diag = (np.einsum("...iipq->...ipq", blocks) - 24.0 * forms.matrix(U)
+        diag = (np.einsum("...iipq->...ipq", blocks) - 24.0 * forms.matrix(x)
                 + np.einsum("...il,...lp,...lq->...ipq", 24.0 * g2, U, U))
         return _block_hessian(blocks, diag)
 
-    return ConstrainedProblem("reconstruction", constraints, value, gradient, hessian,
+    return ConstrainedProblem("reconstruction", constraints, point, value, gradient, hessian,
                               recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
 
 
@@ -254,21 +279,24 @@ def _correlation(forms, halved):
     constraints = SphereProduct.spheres(d, d)
     scale = 0.5 if halved else 1.0
 
-    def value(w):
-        return scale * forms.cross_value(_rows(w, d))
+    def point(w):
+        return forms.cross_weights(forms.coords(_rows(w, d)))
 
-    def gradient(w):
-        return (scale * 4.0 * forms.cross_vectors(_rows(w, d))).reshape(w.shape)
+    def value(weights):
+        return scale * forms.cross_value(weights)
+
+    def gradient(weights):
+        return _flat(scale * 4.0 * forms.cross_vectors(weights))
 
     def hessian(w):
         # block (i, j) is 8 T(I,u_i,u_j,I); block (i, i) is
         # 4 sum_{l != i} T(I,I,u_l,u_l), with T(I,u_i,u_i,I) = T(I,I,u_i,u_i)
-        pairs = forms.pair_matrices(_rows(w, d))
+        pairs = forms.pair_matrices(forms.coords(_rows(w, d)))
         M = np.einsum("...iipq->...ipq", pairs)
         return _block_hessian(scale * 8.0 * pairs, scale * 4.0 * (M.sum(axis=-3, keepdims=True) - M))
 
     name = "correlation-halved" if halved else "correlation"
-    return ConstrainedProblem(name, constraints, value, gradient, hessian,
+    return ConstrainedProblem(name, constraints, point, value, gradient, hessian,
                               recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
 
 
@@ -300,14 +328,24 @@ class QuadraticObjective:
 
     def value(self, w):
         """f at one point (float) or at each row of a (..., n) stack."""
-        delta = np.asarray(w, dtype=float) - self.w0
-        hd = np.einsum("ij,...j->...i", self.H, delta)
-        f = self.f0 + np.einsum("i,...i->...", self.g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
-        return float(f) if delta.ndim == 1 else f
+        return self._f(*self._point(w))
 
     def gradient(self, w):
+        return self.g + self._point(w)[1]
+
+    def value_and_gradient(self, w):
+        """(value(w), gradient(w)) from one evaluation of the point."""
+        delta, hd = self._point(w)
+        return self._f(delta, hd), self.g + hd
+
+    def _point(self, w):
+        """w - w0 and H (w - w0), what f and its gradient read."""
         delta = np.asarray(w, dtype=float) - self.w0
-        return self.g + np.einsum("ij,...j->...i", self.H, delta)
+        return delta, np.einsum("ij,...j->...i", self.H, delta)
+
+    def _f(self, delta, hd):
+        f = self.f0 + np.einsum("i,...i->...", self.g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
+        return float(f) if delta.ndim == 1 else f
 
     def hessian(self, w):
         return self.H

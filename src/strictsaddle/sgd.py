@@ -203,19 +203,23 @@ def _run_loop(starts, config, constraints, stop=None):
     noise, trial k from its own sampler and generator, so its stream is the
     one it sees when run alone; one ``gradient(W, samples)`` call of the
     samplers' shared oracle (it reads no basis) then answers for the whole
-    stack.  What reads a row's problem (exact gradients, recorded values)
-    is one call for a stack sharing one problem, else one call per row.
+    stack.  The exact value and gradient (f, G) at the current point are
+    one ``value_and_gradient`` call of the problems, taken when something
+    first reads them at that point and held until the step moves it: the
+    stop test, the exact-gradient step, the trace record and the noise-bound
+    check all read the held pair, and rows that leave are dropped from it.
+    It is one call for a stack sharing one problem, else one call per row.
     All kernels act row by row, so every row's result is independent of K
     and of which other trials are still active.  With ``constraints`` every
     step is projected onto them; a row with a block stepped onto its centre
     has no projection and diverges.  Before every step a row ends where
     it stands, its point there the final one, once its budget is spent or
-    ``stop(W)`` is True for it; a row whose start meets ``stop`` takes no
-    step.  A row that diverges leaves at its step.  Overflow raises no
-    numpy warning: it leaves an inf or nan in its row, which the
+    ``stop(W, f, G)`` is True for it; a row whose start meets ``stop``
+    takes no step.  A row that diverges leaves at its step.  Overflow
+    raises no numpy warning: it leaves an inf or nan in its row, which the
     divergence tests catch.
 
-    Recorded steps log ||chi|| with ``constraints``, else ||grad f||.
+    Recorded steps log ||chi|| (from G) with ``constraints``, else ||G||.
     Returns one RunRecord per trial, in order.
     """
     # each row's generator, problem and sampler leave the stack with the row
@@ -228,18 +232,30 @@ def _run_loop(starts, config, constraints, stop=None):
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
-    grad_norms = _gradient_norms if constraints is None else _chi_norms
+    held = None  # (f, G) at W once read there, one entry per active row
     start = time.perf_counter()
 
-    def by_problem(fn, rows=slice(None)):
+    def evaluate():
+        """(f, G) at W, evaluated on the first read at each point."""
+        nonlocal held
+        if held is None:
+            if shared:
+                held = problems[0].value_and_gradient(W)
+            else:
+                pairs = [problem.value_and_gradient(W[i : i + 1]) for i, problem in enumerate(problems)]
+                held = tuple(np.concatenate(column) for column in zip(*pairs))
+        return held
+
+    def by_problem(fn, rows):
         """``fn(problem, W)`` on the selected rows, each with its own problem."""
         if shared:
             return fn(problems[0], W[rows])
         return np.concatenate([fn(problems[i], W[i : i + 1]) for i in np.arange(ids.size)[rows]])
 
     def record(t, rows):
-        fs = by_problem(_value, rows)
-        columns = (fs.tolist(), by_problem(grad_norms, rows).tolist(), by_problem(_recons, rows).tolist())
+        fs, G = (column[rows] for column in evaluate())
+        norms = row_norms(G) if constraints is None else _chi_norms(constraints, W[rows], G)
+        columns = (fs.tolist(), norms.tolist(), by_problem(_recons, rows).tolist())
         ms = (time.perf_counter() - start) * 1e3
         for k, f, g, r in zip(ids[rows].tolist(), *columns):
             traces[k].append((t, f, g, r, ms))
@@ -247,7 +263,7 @@ def _run_loop(starts, config, constraints, stop=None):
 
     def leave(rows, n_steps, message=None):
         """Close the records of the selected rows and drop them from the stack."""
-        nonlocal W, ids, rngs, problems, samplers, noise_buf
+        nonlocal W, ids, rngs, problems, samplers, noise_buf, held
         for i in np.flatnonzero(rows):
             k = ids[i]
             # every trial is recorded at t=0, so its trace is never empty
@@ -266,15 +282,17 @@ def _run_loop(starts, config, constraints, stop=None):
             )
         keep = ~rows
         W, ids = W[keep], ids[keep]
+        if held is not None:
+            held = tuple(column[keep] for column in held)
         rngs, problems, samplers = ([x for x, kept in zip(xs, keep) if kept] for xs in (rngs, problems, samplers))
         if noise_buf is not None:
             noise_buf = noise_buf[: ids.size]
 
     t = 0
     while ids.size:
-        # a row ends where it stands: its budget is spent or stop(W) holds
+        # a row ends where it stands: its budget is spent or stop(W, f, G) holds
         if stop is not None or t == config.iterations:
-            ends = np.asarray(stop(W), dtype=bool) if t < config.iterations else np.ones(ids.size, dtype=bool)
+            ends = np.asarray(stop(W, *evaluate()), dtype=bool) if t < config.iterations else np.ones(ids.size, bool)
             if ends.any():
                 record(t, ends)
                 leave(ends, t)
@@ -290,16 +308,16 @@ def _run_loop(starts, config, constraints, stop=None):
                     break
         eta_t = lr_schedule(config, t)
         if oracle is None:
-            sg = by_problem(_gradient)
+            sg = evaluate()[1]
         else:
             sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))
         noise = None
         if noise_buf is not None:
             noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
         if on_record and q is not None:
-            _check_noise_bound(q, sg - by_problem(_gradient), noise, config.noise_scale)
+            _check_noise_bound(q, sg - evaluate()[1], noise, config.noise_scale)
         step = sg if noise is None else sg + noise
-        W = W - eta_t * step
+        W, held = W - eta_t * step, None
         # before projection, which rescales an overflowed row to zeros; the
         # stack's total bounds every row's squared norm (and is nan or inf
         # when a row is), so rows are only looked at when it is too big
@@ -318,18 +336,6 @@ def _run_loop(starts, config, constraints, stop=None):
     return records
 
 
-def _value(problem, W):
-    return problem.value(W)
-
-
-def _gradient(problem, W):
-    return problem.gradient(W)
-
-
-def _gradient_norms(problem, W):
-    return row_norms(problem.gradient(W))
-
-
 def _recons(problem, W):
     """Per-row normalized reconstruction error of a stack (nan when undefined)."""
     if not hasattr(problem, "recon_error"):
@@ -337,11 +343,11 @@ def _recons(problem, W):
     return np.array([np.nan if r is None else r for r in map(problem.recon_error, W)], dtype=float)
 
 
-def _chi_norms(problem, W):
-    """||chi|| of each row, after checking the rows are feasible to 1e-10."""
-    if np.max(np.abs(problem.constraints.c(W))) > manifold.FEASIBLE_TOL:
+def _chi_norms(constraints, W, G):
+    """||chi|| of each row from its gradient G, after checking the rows are feasible to 1e-10."""
+    if np.max(np.abs(constraints.c(W))) > manifold.FEASIBLE_TOL:
         raise RuntimeError("iterate left the feasible set beyond tolerance")
-    return row_norms(manifold.tangent_gradient(problem, W))
+    return row_norms(manifold.chi_from_gradient(constraints, W, G))
 
 
 def noisy_sgd(objective, sampler, w0, config):
@@ -355,13 +361,16 @@ def projected_trials(n_trials, start, config, stop=None):
     ``start(k)`` returns trial k's feasible starting point, its own
     generator, its problem and its sampler (None for exact gradients).
     Trials may share one problem or each carry their own, on one sphere
-    product and with samplers of one kind.  ``stop``, when given, maps
-    the (K, n) stack to one bool per row and is tested before every step,
-    the first at the start; a row that reads True ends there, with its
-    current point as the final one, and a row that never does ends at
-    the budget.  Trials run in blocks of STACK_ROWS rows, so memory and
-    live generators stay bounded; trial k's record is the same whatever
-    the block and whatever trials run beside it.
+    product and with samplers of one kind.  ``stop``, when given, is
+    called as ``stop(W, f, G)`` with the (K, n) stack, its exact values
+    (K,) and its exact gradients (K, n), the evaluation the step reuses;
+    it returns one bool per row and reads nothing else of the problem.  It
+    is tested before every step, the first at the start; a row that reads
+    True ends there, with its current point as the final one, and a row
+    that never does ends at the budget.  Trials run in blocks of
+    STACK_ROWS rows, so memory and live generators stay bounded; trial
+    k's record is the same whatever the block and whatever trials run
+    beside it.
 
     Every recorded iterate is feasibility-checked to 1e-10.  Returns one
     RunRecord per trial, in trial order.

@@ -8,7 +8,9 @@ with orthonormal a_1..a_d, and are fully symmetric under all 24 index
 permutations.  The multilinear forms T(u,v,w,z), T(I,u,u,u) and
 T(I,I,u,u) and the reconstruction error are closed forms in the
 decomposition basis, so no d^4 array is formed; each form also takes
-(..., d) stacks of vectors, one result per row.  The dense contractions
+(..., d) stacks of vectors, one result per row.  The ``coords_form_*``
+kernels take the coordinates x = A u instead, so a caller that needs
+several forms at one point maps it once.  The dense contractions
 they replace are kept as the test oracle in ``tests/dense_oracle.py``.
 """
 
@@ -21,6 +23,9 @@ __all__ = [
     "OrthoBasis",
     "make_orthogonal_tensor",
     "basis_coords",
+    "coords_form_scalar",
+    "coords_form_vector",
+    "coords_form_matrix",
     "basis_form_scalar",
     "basis_form_vector",
     "basis_form_matrix",
@@ -149,6 +154,22 @@ def basis_coords(basis, u):
     return np.einsum("...k,jk->...j", u, basis.vectors)
 
 
+def coords_form_scalar(xu, xv, xw, xz):
+    """T(u,v,w,z) = sum_i x^u_i x^v_i x^w_i x^z_i from the coordinates of the four arguments."""
+    return _scalar(np.einsum("...j,...j->...", xu * xv, xw * xz))
+
+
+def coords_form_vector(basis, x):
+    """T(I,u,u,u) = sum_i x_i^3 a_i from the coordinates x of u."""
+    return np.einsum("...j,jk->...k", x * x * x, basis.vectors)
+
+
+def coords_form_matrix(basis, x):
+    """T(I,I,u,u) = sum_i x_i^2 a_i a_i^T from the coordinates x of u."""
+    a = basis.vectors
+    return np.einsum("...jp,jq->...pq", (x * x)[..., None] * a, a)
+
+
 def basis_form_scalar(basis, u, v, w, z):
     """Decomposition-aware T(u,v,w,z) = sum_i (a_i.u)(a_i.v)(a_i.w)(a_i.z).
 
@@ -160,21 +181,17 @@ def basis_form_scalar(basis, u, v, w, z):
     for vec in (u, v, w, z):
         if id(vec) not in coords:
             coords[id(vec)] = basis_coords(basis, vec)
-    xu, xv, xw, xz = (coords[id(vec)] for vec in (u, v, w, z))
-    return _scalar(np.einsum("...j,...j->...", xu * xv, xw * xz))
+    return coords_form_scalar(*(coords[id(vec)] for vec in (u, v, w, z)))
 
 
 def basis_form_vector(basis, u):
     """Decomposition-aware T(I,u,u,u) = sum_i (a_i.u)^3 a_i, per row of a (..., d) stack."""
-    x = basis_coords(basis, u)
-    return np.einsum("...j,jk->...k", x * x * x, basis.vectors)
+    return coords_form_vector(basis, basis_coords(basis, u))
 
 
 def basis_form_matrix(basis, u):
     """Decomposition-aware T(I,I,u,u) = sum_i (a_i.u)^2 a_i a_i^T, per row of a (..., d) stack."""
-    x = basis_coords(basis, u)
-    a = basis.vectors
-    return np.einsum("...jp,jq->...pq", (x * x)[..., None] * a, a)
+    return coords_form_matrix(basis, basis_coords(basis, u))
 
 
 def reconstruction_error_from_basis(basis, U):

@@ -92,7 +92,11 @@ def reconstruction_error(T, U):
 
 class DenseForms:
     """T(.) by contracting the dense entries of a fully symmetric T; the
-    forms the problem builders of :mod:`strictsaddle.objectives` read."""
+    forms the problem builders of :mod:`strictsaddle.objectives` read.
+
+    The forms contract the points themselves, so the builders' coordinate
+    map and cross weights are the identity here.
+    """
 
     def __init__(self, T):
         T = T if isinstance(T, Tensor4) else Tensor4(T)
@@ -104,6 +108,12 @@ class DenseForms:
 
     def recon_error(self, U):
         return reconstruction_error(self.T, U)
+
+    def coords(self, U):
+        return U
+
+    def cross_weights(self, U):
+        return U
 
     def quartic(self, u):
         return form_scalar(self.T, u, u, u, u)

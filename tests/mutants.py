@@ -83,6 +83,9 @@ MUTANTS = [
            "if stop is not None or t == config.iterations:", "if stop is not None and t > 0 or t == config.iterations:",
            ("tests/test_analysis.py::TestCatalog::test_polish_matches_loop_oracle",
             "tests/test_sgd.py::TestStackedTrials::test_stop_predicate_ends_a_row_at_its_step")),
+    Mutant("held-evaluation-keeps-leaving-rows", "src/strictsaddle/sgd.py",
+           "held = tuple(column[keep] for column in held)", "held = tuple(column[: ids.size] for column in held)",
+           ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

@@ -1,6 +1,7 @@
 """Tests for the verification engine: oracles, census, escape, coupling."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,17 @@ from strictsaddle.analysis import (
     run_checks,
     simple_sampler_check,
 )
-from strictsaddle import ica
+from strictsaddle import analysis, ica, objectives, tensor4
 from strictsaddle.manifold import SphereProduct, tangent_gradient
-from strictsaddle.objectives import correlation_objective, maxeig_objective, reconstruction_objective
+from strictsaddle.objectives import (
+    ConstrainedProblem,
+    correlation_objective,
+    maxeig_objective,
+    reconstruction_objective,
+)
 from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, row_norms, trial_rng
 from strictsaddle.objectives import QuadraticObjective
-from strictsaddle.tensor4 import OrthoBasis
+from strictsaddle.tensor4 import OrthoBasis, basis_coords
 
 
 def standard_maxeig(d):
@@ -409,11 +415,65 @@ class TestEscape:
         f0 = prob.value(saddle)
         for k in range(8):
             rec = projected_trials(1, lambda _: (saddle, trial_rng(3, k), prob, None), config,
-                                   stop=lambda W: prob.value(W) <= f0 - 0.05)[0]
+                                   stop=lambda W, f, G: f <= f0 - 0.05)[0]
             f = prob.value(rec.final_point)
             assert stats["per_trial_steps"][k] == (rec.n_steps if f <= f0 - 0.05 else None)
             assert stats["per_trial_decrease"][k] == f0 - f
         assert 0.0 < stats["escape_fraction"] < 1.0
+
+
+class TestEvaluationCounts:
+    """The run loop evaluates each point once, whatever reads it there."""
+
+    def test_escape_maps_coordinates_once_per_step(self):
+        """An escape stack over T steps that never escapes maps its points
+        to coordinates once per loop step (t = 0..T, recorded steps
+        included), after the one map of the saddle's value."""
+        basis = OrthoBasis.random(6, np.random.default_rng(1))
+        prob = maxeig_objective(basis=basis)
+        saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
+        iters, trials = 40, 5
+        config = SgdConfig(eta=0.01, iterations=iters, noise_scale=1.0, seed=2, record_every=10)
+        shapes = []
+
+        def counted(basis, u):
+            shapes.append(np.shape(u))
+            return basis_coords(basis, u)
+
+        with (mock.patch.object(objectives, "basis_coords", counted),
+              mock.patch.object(tensor4, "basis_coords", counted)):
+            stats = escape_statistics(prob, saddle, trials, config, threshold=10.0)
+        assert stats["per_trial_steps"] == [None] * trials
+        assert shapes == [(6,)] + [(trials, 6)] * (iters + 1)
+
+    def test_polish_evaluates_the_gradient_once_per_step(self):
+        """Polish's stop reads chi from the gradient its step takes: one
+        evaluation per loop step and no separate gradient call."""
+        rng = np.random.default_rng(3)
+        problem = correlation_objective(basis=OrthoBasis.random(3, rng), halved=True)
+        W = np.array([problem.random_feasible(rng) for _ in range(4)])
+        records, calls = [], []
+        run = analysis.projected_trials
+
+        def spied(*args, **kwargs):
+            records.extend(run(*args, **kwargs))
+            return records
+
+        def counting(name):
+            method = getattr(ConstrainedProblem, name)
+
+            def counted(self, w):
+                calls.append(name)
+                return method(self, w)
+            return counted
+
+        with (mock.patch.object(analysis, "projected_trials", spied),
+              mock.patch.object(ConstrainedProblem, "gradient", counting("gradient")),
+              mock.patch.object(ConstrainedProblem, "value_and_gradient", counting("value_and_gradient"))):
+            polish(problem, W)
+        steps = max(record.n_steps for record in records)
+        assert steps > 0
+        assert calls == ["value_and_gradient"] * (steps + 1)
 
 
 # ------------------------------------------------------------------ #

@@ -393,3 +393,33 @@ class TestStacks:
         for i in range(k):
             assert obj.value(W[i]) == values[i]
             np.testing.assert_array_equal(obj.gradient(W[i]), grads[i])
+
+
+# every problem the library builds, the ordered-pair correlation included
+PAIR_BUILDERS = {
+    "maxeig": maxeig_objective,
+    "reconstruction": reconstruction_objective,
+    "correlation": correlation_objective,
+    "correlation-halved": lambda basis: correlation_objective(basis=basis, halved=True),
+}
+
+
+class TestValueAndGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([*sorted(PAIR_BUILDERS), "quadratic"]), st.integers(1, 5), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_pair_is_the_separate_calls(self, kind, d, k, seed):
+        """value_and_gradient equals (value, gradient) bit for bit, on a
+        (K, n) stack and on one point, where f is a float as from value."""
+        rng = np.random.default_rng(seed)
+        if kind == "quadratic":
+            A = rng.standard_normal((d, d))
+            prob = QuadraticObjective(rng.standard_normal(d), rng.standard_normal(d), A + A.T, f0=0.5)
+            W = rng.standard_normal((k, d))
+        else:
+            prob = PAIR_BUILDERS[kind](basis=OrthoBasis.random(d, rng))
+            W = np.array([prob.random_feasible(rng) for _ in range(k)])
+        for w in (W, W[0]):
+            f, G = prob.value_and_gradient(w)
+            assert np.array_equal(f, prob.value(w)) and np.array_equal(G, prob.gradient(w))
+        assert isinstance(prob.value_and_gradient(W[0])[0], float)

@@ -305,14 +305,15 @@ class TestStackedTrials:
     @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["shared", "per-row"]),
            sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(1, 3),
            k=st.integers(1, 8), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-           noise=st.sampled_from([0.0, 1.0]), stopping=st.booleans(), iters=st.integers(1, 80),
-           stride=st.integers(1, 30))
+           noise=st.sampled_from([0.0, 1.0]), stopping=st.sampled_from(["none", "coordinate", "value"]),
+           iters=st.integers(1, 80), stride=st.integers(1, 30))
     def test_row_equals_single_trial(self, kind, source, sampler_kind, d, k, block, seed, noise,
                                      stopping, iters, stride):
         """Trial k of a stack (in blocks of any height) equals its run alone,
         with exact gradients and with either sampler, whether the trials
         share one problem or each draws its own basis, problem and sampler
-        (``per-row``, as the seeds of the cli do)."""
+        (``per-row``, as the seeds of the cli do), and whether rows leave
+        early on a stop that reads the point or the held value."""
         if sampler_kind == "ica":
             kind = "correlation"  # the only gradient the ica sampler estimates
 
@@ -332,16 +333,21 @@ class TestStackedTrials:
             prob, sampler = trial(rng) if source == "per-row" else shared
             return prob.random_feasible(rng), rng, prob, sampler
 
-        # stop once the first coordinate passes the starts' median: rows
-        # leave at different steps, and the predicate reads no problem
-        target = float(np.median([start(j)[0][0] for j in range(k)]))
-        stop = (lambda W: W[:, 0] >= target) if stopping else None
+        # stop once the first coordinate passes the starts' median, or once
+        # f falls below the median of f at the starts: rows leave at
+        # different steps, and the held evaluation must leave with them
+        starts = [start(j) for j in range(k)]
+        coordinate = float(np.median([w0[0] for w0, *_ in starts]))
+        value = float(np.median([prob.value(w0) for w0, _, prob, _ in starts]))
+        stop = {"none": None,
+                "coordinate": lambda W, f, G: W[:, 0] >= coordinate,
+                "value": lambda W, f, G: f <= value}[stopping]
         with mock.patch.object(sgd, "STACK_ROWS", block):
             stacked = projected_trials(k, start, config, stop=stop)
         assert len(stacked) == k
         for j in range(k):
             assert_same_run(stacked[j], projected_trials(1, lambda _: start(j), config, stop=stop)[0])
-            if not stopping:
+            if stop is None:
                 w0, rng, prob, sampler = start(j)
                 assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
 
@@ -390,8 +396,8 @@ class TestStackedTrials:
         target = prob.value(saddle) - 0.05
         config = SgdConfig(eta=0.02, iterations=3000, noise_scale=1.0, seed=4, record_every=500)
 
-        def escaped(W):
-            return prob.value(W) <= target
+        def escaped(W, f, G):
+            return f <= target
 
         records = projected_trials(6, lambda j: (saddle, trial_rng(4, j), prob, None), config, stop=escaped)
         for rec in records:
@@ -414,7 +420,7 @@ class TestStackedTrials:
         plain = projected_trials(3, lambda j: (saddle, trial_rng(5, j), prob, None), short)
         end = plain[1].final_point
         stopped = projected_trials(3, lambda j: (saddle, trial_rng(5, j), prob, None), short,
-                                   stop=lambda W: np.all(W == end, axis=1))
+                                   stop=lambda W, f, G: np.all(W == end, axis=1))
         for got, want in zip(stopped, plain):
             assert_same_run(got, want)
         assert stopped[1].iters.tolist().count(200) == 1
