@@ -417,7 +417,8 @@ def pairing_expectation_check(d, n_forms, rng):
         u = rng.standard_normal(d)
         v = rng.standard_normal(d)
         mean = np.mean([ica.z_minus_y4_form(y, u, v) for y in ys])
-        want = tensor4.basis_form_scalar(basis, u, u, v, v)
+        xu, xv = tensor4.basis_coords(basis, u), tensor4.basis_coords(basis, v)
+        want = tensor4.coords_form_scalar(xu, xu, xv, xv)
         worst = max(worst, abs(mean - want))
     return worst
 

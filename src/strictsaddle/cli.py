@@ -58,7 +58,7 @@ MIN_D = {"escape": 2, "verify": 2, "minima": 2}
 # Commands that run every seed of ``seeds``; the others run ``seed`` alone.
 SEED_SWEEPS = ("decompose", "ica")
 # The settings SgdConfig checks that the command line names differently.
-_SGD_NAMES = {"noise_scale": "noise", "record_every": "record-every"}
+_SGD_NAMES = {"iterations": "iters", "noise_scale": "noise", "record_every": "record-every"}
 
 
 @dataclass
@@ -86,8 +86,7 @@ class ExperimentConfig:
         """Reject what ``command`` cannot run, before any output exists.
 
         The step, noise, iteration and stride rules are SgdConfig's: the
-        configs the command runs are built here (one per seed differs only
-        in the seed, which SgdConfig does not check).
+        configs the command runs are built here.
         """
         need = MIN_D.get(command, 1)
         if self.d < need:
@@ -107,9 +106,9 @@ class ExperimentConfig:
         if len(set(seeds)) < len(seeds):
             raise CliError("seeds must be distinct")
         try:
-            self.sgd_config(self.seed)
+            self.sgd_config()
             if command == "ica":
-                self.sgd_config(self.seed, "inv-t", eta=ANNEAL_BOOST * self.eta)
+                self.sgd_config("inv-t", eta=ANNEAL_BOOST * self.eta)
         except ValueError as exc:
             name, rest = str(exc).split(" ", 1)
             raise CliError(f"{_SGD_NAMES.get(name, name)} {rest}") from None
@@ -119,12 +118,12 @@ class ExperimentConfig:
             return list(self.seed_values)
         return list(range(self.seed, self.seed + self.n_seeds))
 
-    def sgd_config(self, seed, schedule=None, eta=None):
+    def sgd_config(self, schedule=None, eta=None):
         step = eta if eta is not None else self.eta
         # an explicitly requested step (e.g. the boosted annealing start)
         # widens the safety rail rather than tripping it
         return SgdConfig(eta=step, eta_max=max(step, 0.1), iterations=self.iters,
-                         schedule=schedule or self.schedule, noise_scale=self.noise, seed=seed,
+                         schedule=schedule or self.schedule, noise_scale=self.noise, seed=self.seed,
                          record_every=self.record_every)
 
 
@@ -291,7 +290,7 @@ def seed_start(config):
 def cmd_decompose(config, out_dir):
     """Projected noisy SGD with every seed a row of one stack; per-seed trace plus summary."""
     seeds = config.seeds()
-    records = projected_trials(len(seeds), seed_start(config), config.sgd_config(config.seed))
+    records = projected_trials(len(seeds), seed_start(config), config.sgd_config())
     outputs, rows = [], []
     for seed, record in zip(seeds, records):
         outputs.append(os.path.join(out_dir, f"seed{seed}.csv"))
@@ -325,9 +324,9 @@ def cmd_ica(config, out_dir):
     seeds = config.seeds()
     start = seed_start(replace(config, objective="correlation", sampler="ica"))
     trials = [start(k) for k in range(len(seeds))]
-    consts = projected_trials(len(trials), trials.__getitem__, config.sgd_config(config.seed, "constant"))
+    consts = projected_trials(len(trials), trials.__getitem__, config.sgd_config("constant"))
     go_on = [(rec.final_point, *trial[1:]) for rec, trial in zip(consts, trials) if not rec.diverged]
-    anneal_config = config.sgd_config(config.seed, "inv-t", eta=ANNEAL_BOOST * config.eta)
+    anneal_config = config.sgd_config("inv-t", eta=ANNEAL_BOOST * config.eta)
     anneals = iter(projected_trials(len(go_on), go_on.__getitem__, anneal_config))
 
     outputs, rows = [], []
@@ -375,7 +374,7 @@ def cmd_escape(config, out_dir):
     basis = tensor4.OrthoBasis.random(config.d, rng)
     problem = objectives.maxeig_objective(basis=basis)
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
-    stats = analysis.escape_statistics(problem, saddle, config.trials, config.sgd_config(config.seed))
+    stats = analysis.escape_statistics(problem, saddle, config.trials, config.sgd_config())
 
     path = os.path.join(out_dir, "escape.csv")
     write_csv(path, ("trial", "steps", "f_decrease"),
@@ -395,7 +394,7 @@ def cmd_minima(config, out_dir):
     rng = run_rng(config.seed)
     basis = tensor4.OrthoBasis.random(config.d, rng)
     problem = build_problem(config, basis)
-    catalog = analysis.enumerate_minima(problem, config.starts, config.sgd_config(config.seed))
+    catalog = analysis.enumerate_minima(problem, config.starts, config.sgd_config())
 
     path = os.path.join(out_dir, "minima.csv")
     catalog.to_csv(path)

@@ -61,10 +61,14 @@ class ConstrainedProblem:
     Attributes
     ----------
     name : str
-    constraints : SphereProduct
+    constraints : SphereProduct or None
     dim : int
-        Ambient dimension (constraints.n).
+        Ambient dimension (constraints.n; w0.size for the quadratic model).
+    oracle_bound : float or None
+        Bound Q on ||SG - grad f||, checked on a run's recorded steps (None: unchecked).
     """
+
+    oracle_bound = None
 
     def __init__(self, name, constraints, point_fn, value_fn, gradient_fn, hessian_fn, recon_metric=None):
         self.name = name
@@ -300,8 +304,8 @@ def _correlation(forms, halved):
                               recon_metric=lambda w: forms.recon_error(w.reshape(d, d)))
 
 
-class QuadraticObjective:
-    """Quadratic model f(w) = f0 + g.(w-w0) + (1/2)(w-w0).H(w-w0).
+class QuadraticObjective(ConstrainedProblem):
+    """Quadratic model f(w) = f0 + g.(w-w0) + (1/2)(w-w0).H(w-w0), unconstrained.
 
     Serves as the local second-order surrogate in the coupling analysis,
     where :class:`strictsaddle.sgd.RecordedPerturbations` adds a recorded
@@ -319,36 +323,23 @@ class QuadraticObjective:
         self.w0 = w0
         self.g = g
         self.H = H
-        self.f0 = float(f0)
+        self.f0 = f0 = float(f0)
         self.oracle_bound = oracle_bound
+
+        def point(w):
+            """w - w0 and H (w - w0), what f and its gradient read."""
+            delta = w - w0
+            return delta, np.einsum("ij,...j->...i", H, delta)
+
+        def value(p):
+            delta, hd = p
+            return f0 + np.einsum("i,...i->...", g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
+
+        super().__init__("quadratic", None, point, value, lambda p: g + p[1], lambda w: H)
 
     @property
     def dim(self):
         return self.w0.size
-
-    def value(self, w):
-        """f at one point (float) or at each row of a (..., n) stack."""
-        return self._f(*self._point(w))
-
-    def gradient(self, w):
-        return self.g + self._point(w)[1]
-
-    def value_and_gradient(self, w):
-        """(value(w), gradient(w)) from one evaluation of the point."""
-        delta, hd = self._point(w)
-        return self._f(delta, hd), self.g + hd
-
-    def _point(self, w):
-        """w - w0 and H (w - w0), what f and its gradient read."""
-        delta = np.asarray(w, dtype=float) - self.w0
-        return delta, np.einsum("ij,...j->...i", self.H, delta)
-
-    def _f(self, delta, hd):
-        f = self.f0 + np.einsum("i,...i->...", self.g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
-        return float(f) if delta.ndim == 1 else f
-
-    def hessian(self, w):
-        return self.H
 
 
 # ---------------------------------------------------------------------------

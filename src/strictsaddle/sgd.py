@@ -196,7 +196,7 @@ def _check_noise_bound(q, xi, noise, noise_scale):
 
 
 @np.errstate(over="ignore")
-def _run_loop(starts, config, constraints, stop=None):
+def _run_loop(starts, config, stop=None):
     """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
     Each step draws every active trial's oracle sample, then every trial's
@@ -210,16 +210,16 @@ def _run_loop(starts, config, constraints, stop=None):
     check all read the held pair, and rows that leave are dropped from it.
     It is one call for a stack sharing one problem, else one call per row.
     All kernels act row by row, so every row's result is independent of K
-    and of which other trials are still active.  With ``constraints`` every
+    and of which other trials are still active.  Every row has the first
+    problem's ``constraints`` and ``oracle_bound``.  With constraints every
     step is projected onto them; a row with a block stepped onto its centre
-    has no projection and diverges.  Before every step a row ends where
-    it stands, its point there the final one, once its budget is spent or
-    ``stop(W, f, G)`` is True for it; a row whose start meets ``stop``
-    takes no step.  A row that diverges leaves at its step.  Overflow
-    raises no numpy warning: it leaves an inf or nan in its row, which the
-    divergence tests catch.
+    has no projection and diverges.  A row ends where it stands, its point
+    there the final one, once its budget is spent or ``stop(W, f, G)`` is
+    True for it (tested before every step, the first at its start); a row
+    that diverges leaves at its step.  Overflow raises no numpy warning: it
+    leaves an inf or nan in its row, which the divergence tests catch.
 
-    Recorded steps log ||chi|| (from G) with ``constraints``, else ||G||.
+    Recorded steps log ||chi|| (from G) with constraints, else ||G||.
     Returns one RunRecord per trial, in order.
     """
     # each row's generator, problem and sampler leave the stack with the row
@@ -227,7 +227,7 @@ def _run_loop(starts, config, constraints, stop=None):
     W = np.array(w0s, dtype=float)
     shared = all(problem is problems[0] for problem in problems)
     oracle = samplers[0]
-    q = getattr(problems[0], "oracle_bound", None)
+    constraints, q = problems[0].constraints, problems[0].oracle_bound
     ids = np.arange(len(starts))  # trial index of each active row
     traces = [[] for _ in starts]
     records = [None] * len(starts)
@@ -338,8 +338,6 @@ def _run_loop(starts, config, constraints, stop=None):
 
 def _recons(problem, W):
     """Per-row normalized reconstruction error of a stack (nan when undefined)."""
-    if not hasattr(problem, "recon_error"):
-        return np.full(len(W), np.nan)
     return np.array([np.nan if r is None else r for r in map(problem.recon_error, W)], dtype=float)
 
 
@@ -351,8 +349,8 @@ def _chi_norms(constraints, W, G):
 
 
 def noisy_sgd(objective, sampler, w0, config):
-    """Unconstrained runner: w <- w - eta_t (SG(w) + n), on the generator run_rng(config.seed)."""
-    return _run_loop([(w0, run_rng(config.seed), objective, sampler)], config, None)[0]
+    """Unconstrained runner (the quadratic model): w <- w - eta_t (SG(w) + n), on run_rng(config.seed)."""
+    return _run_loop([(w0, run_rng(config.seed), objective, sampler)], config)[0]
 
 
 def projected_trials(n_trials, start, config, stop=None):
@@ -380,7 +378,7 @@ def projected_trials(n_trials, start, config, stop=None):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
         if not all(problem.constraints.feasible(w0) for w0, _, problem, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
-        records += _run_loop(starts, config, starts[0][2].constraints, stop)
+        records += _run_loop(starts, config, stop)
     return records
 
 

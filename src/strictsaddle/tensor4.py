@@ -26,7 +26,6 @@ __all__ = [
     "coords_form_scalar",
     "coords_form_vector",
     "coords_form_matrix",
-    "basis_form_scalar",
     "basis_form_vector",
     "basis_form_matrix",
     "reconstruction_error_from_basis",
@@ -168,20 +167,6 @@ def coords_form_matrix(basis, x):
     """T(I,I,u,u) = sum_i x_i^2 a_i a_i^T from the coordinates x of u."""
     a = basis.vectors
     return np.einsum("...jp,jq->...pq", (x * x)[..., None] * a, a)
-
-
-def basis_form_scalar(basis, u, v, w, z):
-    """Decomposition-aware T(u,v,w,z) = sum_i (a_i.u)(a_i.v)(a_i.w)(a_i.z).
-
-    Vectors (d,) give a float; (..., d) stacks give one value per row.  An
-    argument passed in several slots is mapped to coordinates once, so
-    T(u,u,u,u) costs one coordinate map.
-    """
-    coords = {}
-    for vec in (u, v, w, z):
-        if id(vec) not in coords:
-            coords[id(vec)] = basis_coords(basis, vec)
-    return coords_form_scalar(*(coords[id(vec)] for vec in (u, v, w, z)))
 
 
 def basis_form_vector(basis, u):

@@ -86,6 +86,9 @@ MUTANTS = [
     Mutant("held-evaluation-keeps-leaving-rows", "src/strictsaddle/sgd.py",
            "held = tuple(column[keep] for column in held)", "held = tuple(column[: ids.size] for column in held)",
            ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",)),
+    Mutant("quadratic-drops-oracle-bound", "src/strictsaddle/objectives.py",
+           "        self.oracle_bound = oracle_bound\n", "",
+           ("tests/test_sgd.py::TestNoiseBound::test_violation_raises",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

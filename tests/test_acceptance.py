@@ -23,8 +23,7 @@ from strictsaddle.analysis import (
     multiplier_check,
     pairing_expectation_check,
 )
-from strictsaddle.cli import main
-from strictsaddle.ica import SimpleSampler
+from strictsaddle.cli import ExperimentConfig, main, seed_start
 from strictsaddle.manifold import SphereProduct, min_tangent_eig
 from strictsaddle.objectives import (
     correlation_multipliers_coords,
@@ -32,7 +31,7 @@ from strictsaddle.objectives import (
     maxeig_multiplier_coords,
     maxeig_objective,
 )
-from strictsaddle.sgd import SgdConfig, projected_noisy_sgd, run_rng
+from strictsaddle.sgd import SgdConfig, projected_noisy_sgd, projected_trials
 from strictsaddle.tensor4 import OrthoBasis
 
 
@@ -146,17 +145,9 @@ def test_07_decomposition_converges_across_seeds():
     reconstruction error < 1e-2 within 1e4 iterations for >= 9 of 10
     seeds, under 2 minutes total."""
     t0 = time.time()
-    errs = []
-    for seed in range(10):
-        rng = run_rng(seed)
-        basis = OrthoBasis.random(10, rng)
-        prob = correlation_objective(basis=basis, halved=True)
-        sampler = SimpleSampler(basis, kind="correlation")
-        w0 = prob.random_feasible(rng)
-        config = SgdConfig(eta=0.01, iterations=10_000, noise_scale=1.0,
-                           seed=seed, record_every=10_000)
-        rec = projected_noisy_sgd(prob, sampler, w0, config, rng=rng)
-        errs.append(float(rec.recon_errors[-1]))
+    cfg = ExperimentConfig(d=10, n_seeds=10, iters=10_000, eta=0.01, noise=1.0, record_every=10_000)
+    records = projected_trials(10, seed_start(cfg), cfg.sgd_config())
+    errs = [float(rec.recon_errors[-1]) for rec in records]
     elapsed = time.time() - t0
     n_ok = sum(e < 1e-2 for e in errs)
     report("decomposition-convergence", n_ok >= 9 and elapsed < 120.0,

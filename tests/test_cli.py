@@ -97,7 +97,7 @@ class TestConfigHandling:
         assert main(["decompose", "--out", str(out), "--overwrite", *FAST]) == 0
 
     @pytest.mark.parametrize("argv,needle", [
-        (["decompose", "--iters", "0"], "iterations"),
+        (["decompose", "--iters", "0"], "iters must be >= 1"),
         (["decompose", "--sampler", "ica", "--objective", "maxeig"], "correlation"),
         (["escape", "--trials", "0"], "trials"),
         (["decompose", "--eta", "nan"], "eta must be finite"),

@@ -430,7 +430,7 @@ class TestStackedTrials:
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), -np.eye(2))
         config = SgdConfig(eta=0.05, iterations=800, noise_scale=0.0, record_every=100)
         starts = [(np.array([1.0, 1.0]), run_rng(0), obj, None), (np.zeros(2), run_rng(1), obj, None)]
-        grow, rest = sgd._run_loop(starts, config, None)
+        grow, rest = sgd._run_loop(starts, config)
         assert grow.diverged and "diverged" in grow.message and grow.n_steps < 800
         assert not rest.diverged and rest.n_steps == 800
         np.testing.assert_array_equal(rest.final_point, np.zeros(2))

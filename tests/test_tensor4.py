@@ -15,9 +15,10 @@ from dense_oracle import form_matrix, form_scalar, form_vector, reconstruction_e
 from strictsaddle.tensor4 import (
     OrthoBasis,
     Tensor4,
+    basis_coords,
     basis_form_matrix,
-    basis_form_scalar,
     basis_form_vector,
+    coords_form_scalar,
     make_orthogonal_tensor,
     reconstruction_error_from_basis,
 )
@@ -233,6 +234,11 @@ class TestForms:
 # ------------------------------------------------------------------ #
 
 
+def basis_scalar(basis, u, v, w, z):
+    """T(u,v,w,z) through the basis: the scalar form over each argument's coordinates."""
+    return coords_form_scalar(*(basis_coords(basis, x) for x in (u, v, w, z)))
+
+
 class TestBasisFastPaths:
     def test_fast_paths_match_dense(self):
         T, basis = random_tensor_and_basis(5, seed=31)
@@ -240,7 +246,7 @@ class TestBasisFastPaths:
         for _ in range(5):
             u, v, w, z = rng.standard_normal((4, 5))
             np.testing.assert_allclose(
-                basis_form_scalar(basis, u, v, w, z),
+                basis_scalar(basis, u, v, w, z),
                 form_scalar(T, u, v, w, z),
                 rtol=1e-10,
                 atol=1e-12,
@@ -264,8 +270,8 @@ class TestStackedForms:
         scalars = (
             (form_scalar(T, U, V, W, Z), lambda i: form_scalar(T, U[i], V[i], W[i], Z[i])),
             (form_scalar(T, U, U, U, U), lambda i: form_scalar(T, U[i], U[i], U[i], U[i])),
-            (basis_form_scalar(basis, U, V, W, Z), lambda i: basis_form_scalar(basis, U[i], V[i], W[i], Z[i])),
-            (basis_form_scalar(basis, U, U, U, U), lambda i: basis_form_scalar(basis, U[i], U[i], U[i], U[i])),
+            (basis_scalar(basis, U, V, W, Z), lambda i: basis_scalar(basis, U[i], V[i], W[i], Z[i])),
+            (basis_scalar(basis, U, U, U, U), lambda i: basis_scalar(basis, U[i], U[i], U[i], U[i])),
         )
         for stacked, row in scalars:
             assert stacked.shape == (7,)
