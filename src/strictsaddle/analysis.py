@@ -18,11 +18,11 @@ from .sgd import (
     STACK_ROWS,
     RecordedPerturbations,
     SgdConfig,
+    _unit_rows,
     noisy_sgd,
     projected_trials,
     row_norms,
     trial_rng,
-    unit_sphere_noise,
     write_csv,
 )
 
@@ -350,6 +350,16 @@ def geometry_check(constraints, n_pairs, etas, rng):
       (d) ||P_T0 v|| <= ||w - w0||   for unit v normal at w
       (e) ||Pi(w0 + eta v) - (w0 + eta P_T0 v)|| <= 4 eta^2  for unit v
 
+    The pairs are checked as one (n_pairs, n) stack.  One
+    ``rng.standard_normal((n_pairs, 5, n))`` call draws, pair by pair,
+    w0, w, the Gaussian projected onto the tangent space at w for (c), the
+    one projected onto its normal space for (d), and the direction for
+    (e).  A w0 or w with a block norm below 1e-12 raises ValueError, as
+    ``project`` does; a tangent or normal draw whose projection has norm
+    at most 1e-12 is skipped; a direction of norm at most 1e-12 is redrawn
+    from ``rng`` after the whole stack, pair by pair (at n >= 2 such a draw
+    is practically impossible).
+
     Returns a dict with the violation count and the worst signed margin
     (lhs - rhs, nonpositive when the bound holds) per inequality.
     """
@@ -358,38 +368,37 @@ def geometry_check(constraints, n_pairs, etas, rng):
     violations = {k: 0 for k in margins}
 
     def note(key, lhs, rhs):
-        margins[key] = max(margins[key], lhs - rhs)
-        if lhs > rhs + 1e-12:
-            violations[key] += 1
+        margins[key] = max(margins[key], float(np.max(lhs - rhs, initial=-np.inf)))
+        violations[key] += int(np.count_nonzero(lhs > rhs + 1e-12))
 
-    for _ in range(n_pairs):
-        w0 = constraints.random_point(rng)
-        w = constraints.random_point(rng)
-        delta = w - w0
-        dist = np.linalg.norm(delta)
-        normal_part = np.linalg.norm(constraints.normal_project(w0, delta))
-        note("normal_quadratic", normal_part, 0.5 * dist**2)
-        if dist < 1.0:
-            tangent_part = np.linalg.norm(constraints.tangent_project(w0, delta))
-            note("normal_by_tangent", normal_part, tangent_part**2)
+    w0, w, tangent_draw, normal_draw, direction = np.moveaxis(rng.standard_normal((n_pairs, 5, n)), 1, 0)
+    w0, w = constraints.project(w0), constraints.project(w)
+    direction = _unit_rows(direction, lambda i: rng.standard_normal(n))
 
-        v = constraints.tangent_project(w, rng.standard_normal(n))
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            v /= nrm
-            note("tangent_drift", np.linalg.norm(constraints.normal_project(w0, v)), dist)
+    delta = w - w0
+    dist = row_norms(delta)
+    normal_part = row_norms(constraints.normal_project(w0, delta))
+    note("normal_quadratic", normal_part, 0.5 * dist**2)
+    near = dist < 1.0
+    tangent_part = row_norms(constraints.tangent_project(w0[near], delta[near]))
+    note("normal_by_tangent", normal_part[near], tangent_part**2)
 
-        u = constraints.normal_project(w, rng.standard_normal(n))
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-12:
-            u /= nrm
-            note("normal_drift", np.linalg.norm(constraints.tangent_project(w0, u)), dist)
+    v = constraints.tangent_project(w, tangent_draw)
+    nrm = row_norms(v)
+    kept = nrm > 1e-12
+    v = v[kept] / nrm[kept, None]
+    note("tangent_drift", row_norms(constraints.normal_project(w0[kept], v)), dist[kept])
 
-        direction = unit_sphere_noise(n, rng)
-        for eta in etas:
-            stepped = constraints.project(w0 + eta * direction)
-            surrogate = w0 + eta * constraints.tangent_project(w0, direction)
-            note("projection_step", np.linalg.norm(stepped - surrogate), 4.0 * eta**2)
+    u = constraints.normal_project(w, normal_draw)
+    nrm = row_norms(u)
+    kept = nrm > 1e-12
+    u = u[kept] / nrm[kept, None]
+    note("normal_drift", row_norms(constraints.tangent_project(w0[kept], u)), dist[kept])
+
+    for eta in etas:
+        stepped = constraints.project(w0 + eta * direction)
+        surrogate = w0 + eta * constraints.tangent_project(w0, direction)
+        note("projection_step", row_norms(stepped - surrogate), 4.0 * eta**2)
 
     return {"violations": violations, "margins": margins, "total_violations": int(sum(violations.values()))}
 

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -438,11 +439,14 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    made = None  # the output directory, once this call has created it
     try:
         config = build_config(args)
         out_dir = None
         if args.command != "verify" or config.out:
             out_dir = resolve_out_dir(config, args.command)
+            if not os.path.exists(out_dir):
+                made = out_dir
             prepare_out_dir(out_dir, config.overwrite)
         started = _utc_stamp()
         code, outputs = args.fn(config, out_dir)
@@ -450,11 +454,16 @@ def main(argv=None):
             write_manifest(out_dir, args.command, config, started, outputs)
         return code
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
+    except MemoryError as exc:
+        # numpy refuses an allocation too large for the host, e.g. a huge --d
+        message = f"error: not enough memory: {str(exc) or 'allocation refused'}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+        message = f"i/o error: {exc}"
+    print(message, file=sys.stderr)
+    if made is not None:
+        shutil.rmtree(made, ignore_errors=True)
+    return 2
 
 
 if __name__ == "__main__":

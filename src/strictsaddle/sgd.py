@@ -10,7 +10,11 @@ spawn_key=(k,))``.
 
 Per step the runner draws the oracle sample first and the injected noise
 second; schedules only change the step length, so matched seeds see
-identical random streams under different schedules.
+identical random streams under different schedules.  A trial with no
+sampler draws nothing but noise, so it takes its Gaussian draws
+NOISE_BLOCK steps at a time, in one generator call that gives the values
+of NOISE_BLOCK one-step calls: its stream is unchanged, but its
+generator may end up to NOISE_BLOCK - 1 steps of draws past its last step.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
@@ -54,6 +58,9 @@ NOISE_NORM_FLOOR = 1e-12
 # number of live generators for any trial count; a row's result does not
 # depend on it.
 STACK_ROWS = 256
+# Steps of noise a noise-only trial draws per generator call; at STACK_ROWS
+# rows of n=40 its buffer is 640 KiB.  A row's result does not depend on it.
+NOISE_BLOCK = 8
 
 
 @dataclass
@@ -105,6 +112,18 @@ def row_norms(x, keepdims=False):
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
+def _unit_rows(x, redraw):
+    """The Gaussian rows of ``x`` normalized; a row k whose norm is at most
+    1e-12 is replaced by ``redraw(k)``, its next draw, until it is not."""
+    norms = row_norms(x, keepdims=True)
+    if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
+        for k in np.flatnonzero(norms <= NOISE_NORM_FLOOR):
+            while norms[k, 0] <= NOISE_NORM_FLOOR:
+                x[k] = redraw(k)
+                norms[k] = row_norms(x[k])
+    return x / norms
+
+
 def _sphere_rows(out, rngs):
     """Uniform unit vectors, row k drawn from ``rngs[k]``.
 
@@ -112,15 +131,13 @@ def _sphere_rows(out, rngs):
     buffer ``out``, then normalized; a row whose norm is at most 1e-12 is
     redrawn from its own generator.
     """
+    def draw(k):
+        rngs[k].standard_normal(out=out[k])
+        return out[k]
+
     for k, rng in enumerate(rngs):
         rng.standard_normal(out=out[k])
-    norms = row_norms(out, keepdims=True)
-    if not norms.min() > NOISE_NORM_FLOOR:
-        for k in np.flatnonzero(norms <= NOISE_NORM_FLOOR):
-            while norms[k, 0] <= NOISE_NORM_FLOOR:
-                rngs[k].standard_normal(out=out[k])
-                norms[k] = row_norms(out[k])
-    return out / norms
+    return _unit_rows(out, draw)
 
 
 def unit_sphere_noise(dim, rng):
@@ -201,8 +218,12 @@ def _run_loop(starts, config, stop=None):
 
     Each step draws every active trial's oracle sample, then every trial's
     noise, trial k from its own sampler and generator, so its stream is the
-    one it sees when run alone; one ``gradient(W, samples)`` call of the
-    samplers' shared oracle (it reads no basis) then answers for the whole
+    one it sees when run alone.  With no sampler a trial's generator gives
+    only noise, so it is drawn NOISE_BLOCK steps at a time into the trial's
+    block, one generator call per block, and read one step per step from
+    the trial's cursor (a redraw reads the next step too): the same values,
+    in the same order, as one draw per step.  One ``gradient(W, samples)``
+    call of the samplers' shared oracle (it reads no basis) then answers for the whole
     stack.  The exact value and gradient (f, G) at the current point are
     one ``value_and_gradient`` call of the problems, taken when something
     first reads them at that point and held until the step moves it: the
@@ -231,7 +252,12 @@ def _run_loop(starts, config, stop=None):
     ids = np.arange(len(starts))  # trial index of each active row
     traces = [[] for _ in starts]
     records = [None] * len(starts)
-    noise_buf = np.empty_like(W) if config.noise_scale > 0 else None
+    noisy = config.noise_scale > 0
+    noise_buf = np.empty_like(W) if noisy and oracle is not None else None
+    # trial k's buffered draws and the step of its next unread one; a trial
+    # that leaves leaves its block in place, unread
+    blocks = np.empty((len(starts), NOISE_BLOCK, W.shape[1])) if noisy and oracle is None else None
+    cursor = np.full(len(starts), NOISE_BLOCK)
     held = None  # (f, G) at W once read there, one entry per active row
     start = time.perf_counter()
 
@@ -245,6 +271,17 @@ def _run_loop(starts, config, stop=None):
                 pairs = [problem.value_and_gradient(W[i : i + 1]) for i, problem in enumerate(problems)]
                 held = tuple(np.concatenate(column) for column in zip(*pairs))
         return held
+
+    def buffered(rows):
+        """The next draw of each active row in the index array ``rows``,
+        refilling a spent block with one call of the row's generator."""
+        ks = ids[rows]
+        for i in rows[cursor[ks] == NOISE_BLOCK]:
+            rngs[i].standard_normal(out=blocks[ids[i]])
+            cursor[ids[i]] = 0
+        x = blocks[ks, cursor[ks]]
+        cursor[ks] += 1
+        return x
 
     def by_problem(fn, rows):
         """``fn(problem, W)`` on the selected rows, each with its own problem."""
@@ -312,7 +349,10 @@ def _run_loop(starts, config, stop=None):
         else:
             sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))
         noise = None
-        if noise_buf is not None:
+        if blocks is not None:
+            noise = config.noise_scale * _unit_rows(buffered(np.arange(ids.size)),
+                                                    lambda i: buffered(np.arange(i, i + 1))[0])
+        elif noise_buf is not None:
             noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
         if on_record and q is not None:
             _check_noise_bound(q, sg - evaluate()[1], noise, config.noise_scale)
@@ -368,7 +408,11 @@ def projected_trials(n_trials, start, config, stop=None):
     that never does ends at the budget.  Trials run in blocks of
     STACK_ROWS rows, so memory and live generators stay bounded; trial
     k's record is the same whatever the block and whatever trials run
-    beside it.
+    beside it.  Trials with no sampler draw their noise NOISE_BLOCK steps
+    per generator call, the stream of one draw per step: after the run
+    such a trial's generator may stand up to NOISE_BLOCK - 1 steps of
+    draws past its last step, so what it draws next does not continue the
+    trial's stream.
 
     Every recorded iterate is feasibility-checked to 1e-10.  Returns one
     RunRecord per trial, in trial order.

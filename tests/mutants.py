@@ -89,6 +89,17 @@ MUTANTS = [
     Mutant("quadratic-drops-oracle-bound", "src/strictsaddle/objectives.py",
            "        self.oracle_bound = oracle_bound\n", "",
            ("tests/test_sgd.py::TestNoiseBound::test_violation_raises",)),
+    Mutant("noise-blocks-refilled-from-row-0", "src/strictsaddle/sgd.py",
+           "rngs[i].standard_normal(out=blocks[ids[i]])", "rngs[0].standard_normal(out=blocks[ids[i]])",
+           ("tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws",)),
+    Mutant("noise-redraw-keeps-cursor", "src/strictsaddle/sgd.py",
+           "lambda i: buffered(np.arange(i, i + 1))[0]", "lambda i: blocks[ids[i], cursor[ids[i]]]",
+           ("tests/test_sgd.py::TestNoise::test_degenerate_draw_is_redrawn",
+            "tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws")),
+    Mutant("geometry-drift-projections-swapped", "src/strictsaddle/analysis.py",
+           'note("tangent_drift", row_norms(constraints.normal_project(w0[kept], v)), dist[kept])',
+           'note("tangent_drift", row_norms(constraints.tangent_project(w0[kept], v)), dist[kept])',
+           ("tests/test_analysis.py::TestChecks::test_geometry_check_matches_pair_loop",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

@@ -36,7 +36,15 @@ from strictsaddle.objectives import (
     maxeig_objective,
     reconstruction_objective,
 )
-from strictsaddle.sgd import RecordedPerturbations, SgdConfig, noisy_sgd, projected_trials, row_norms, trial_rng
+from strictsaddle.sgd import (
+    RecordedPerturbations,
+    SgdConfig,
+    noisy_sgd,
+    projected_trials,
+    row_norms,
+    trial_rng,
+    unit_sphere_noise,
+)
 from strictsaddle.objectives import QuadraticObjective
 from strictsaddle.tensor4 import OrthoBasis, basis_coords
 
@@ -481,6 +489,49 @@ class TestEvaluationCounts:
 # ------------------------------------------------------------------ #
 
 
+def loop_geometry_check(constraints, n_pairs, etas, rng):
+    """The per-pair geometry audit that ``geometry_check`` stacks: the test oracle."""
+    n = constraints.n
+    margins = {k: -np.inf for k in ("normal_quadratic", "normal_by_tangent", "tangent_drift", "normal_drift", "projection_step")}
+    violations = {k: 0 for k in margins}
+
+    def note(key, lhs, rhs):
+        margins[key] = max(margins[key], lhs - rhs)
+        if lhs > rhs + 1e-12:
+            violations[key] += 1
+
+    for _ in range(n_pairs):
+        w0 = constraints.random_point(rng)
+        w = constraints.random_point(rng)
+        delta = w - w0
+        dist = np.linalg.norm(delta)
+        normal_part = np.linalg.norm(constraints.normal_project(w0, delta))
+        note("normal_quadratic", normal_part, 0.5 * dist**2)
+        if dist < 1.0:
+            tangent_part = np.linalg.norm(constraints.tangent_project(w0, delta))
+            note("normal_by_tangent", normal_part, tangent_part**2)
+
+        v = constraints.tangent_project(w, rng.standard_normal(n))
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-12:
+            v /= nrm
+            note("tangent_drift", np.linalg.norm(constraints.normal_project(w0, v)), dist)
+
+        u = constraints.normal_project(w, rng.standard_normal(n))
+        nrm = np.linalg.norm(u)
+        if nrm > 1e-12:
+            u /= nrm
+            note("normal_drift", np.linalg.norm(constraints.tangent_project(w0, u)), dist)
+
+        direction = unit_sphere_noise(n, rng)
+        for eta in etas:
+            stepped = constraints.project(w0 + eta * direction)
+            surrogate = w0 + eta * constraints.tangent_project(w0, direction)
+            note("projection_step", np.linalg.norm(stepped - surrogate), 4.0 * eta**2)
+
+    return {"violations": violations, "margins": margins, "total_violations": int(sum(violations.values()))}
+
+
 class TestChecks:
     def test_sign_vectors_enumeration(self):
         signs = exhaustive_sign_vectors(3)
@@ -501,6 +552,26 @@ class TestChecks:
             "normal_quadratic", "normal_by_tangent", "tangent_drift",
             "normal_drift", "projection_step",
         }
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(2, 6), min_size=1, max_size=3), n_pairs=st.integers(0, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_geometry_check_matches_pair_loop(self, dims, n_pairs, seed):
+        """The stacked audit draws the loop's stream and leaves the generator
+        where the loop does, with the same violation counts.  Margins are
+        differences of O(1) sides whose norms are now last-axis reductions,
+        not BLAS dots, so they agree to 1e-12 relative, or to 1e-15 where a
+        bound is tight and the margin is round-off (for one sphere (a) is an
+        identity)."""
+        constraints = SphereProduct(dims)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = geometry_check(constraints, n_pairs, (1e-1, 1e-2, 1e-3), got_rng)
+        want = loop_geometry_check(constraints, n_pairs, (1e-1, 1e-2, 1e-3), want_rng)
+        assert got["violations"] == want["violations"]
+        assert got["total_violations"] == want["total_violations"]
+        for key, margin in want["margins"].items():
+            np.testing.assert_allclose(got["margins"][key], margin, rtol=1e-12, atol=1e-15, err_msg=key)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_pairing_and_sampler_checks(self):
         rng = np.random.default_rng(8)

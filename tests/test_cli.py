@@ -575,3 +575,13 @@ class TestBadInput:
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert not os.path.exists(out), argv
+
+    def test_refused_allocation_exits_2_without_output(self, tmp_path, capsys):
+        """A size numpy refuses to allocate (the basis alone would be 71 PiB)
+        is a one-line error with exit 2, and the output directory main made
+        is removed."""
+        out = tmp_path / "out"
+        assert main(["verify", "--d", "100000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory") and err.count("\n") == 1
+        assert not out.exists()

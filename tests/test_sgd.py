@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from strictsaddle import sgd
 from strictsaddle.ica import IcaModel, IcaSampler, SimpleSampler
-from strictsaddle.manifold import tangent_gradient
+from strictsaddle.manifold import chi_from_gradient, tangent_gradient
 from strictsaddle.objectives import (
     correlation_objective,
     maxeig_objective,
@@ -79,6 +79,53 @@ class TestConfig:
 # ------------------------------------------------------------------ #
 
 
+class ZeroFirstStream:
+    """A generator whose Gaussian stream opens with ``n`` zeros and goes on
+    as ``default_rng(seed)``'s, read in whatever sizes the caller asks."""
+
+    def __init__(self, n, seed):
+        self.zeros = n
+        self.rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        flat = out.reshape(-1)  # a view: ``out`` is contiguous
+        zeros = min(self.zeros, flat.size)
+        flat[:zeros] = 0.0
+        self.zeros -= zeros
+        self.rng.standard_normal(out=flat[zeros:])
+        return out
+
+
+def per_step_run(w0, rng, problem, config, stop=None):
+    """Projected noisy SGD on one trial with no sampler, one noise draw per
+    step: the test oracle for the run loop's buffered noise.  A draw of
+    norm <= 1e-12 is replaced by the generator's next one."""
+    constraints = problem.constraints
+    w = np.array(w0, dtype=float)[None]
+    n = w.shape[1]
+    trace = []
+    t = 0
+    while True:
+        f, G = problem.value_and_gradient(w)
+        ends = t == config.iterations or (stop is not None and bool(stop(w, f, G)[0]))
+        if ends or t % config.record_every == 0:
+            recon = problem.recon_error(w[0])
+            trace.append((t, f[0], sgd.row_norms(chi_from_gradient(constraints, w, G))[0],
+                          np.nan if recon is None else recon))
+        if ends:
+            break
+        z = rng.standard_normal(n)
+        while not sgd.row_norms(z) > 1e-12:
+            z = rng.standard_normal(n)
+        noise = config.noise_scale * (z / sgd.row_norms(z))
+        w = constraints.project(w - lr_schedule(config, t) * (G + noise))
+        t += 1
+    iters, fs, gnorms, recons = (np.array(column) for column in zip(*trace))
+    return sgd.RunRecord(iters=iters, f_values=fs, grad_norms=gnorms, recon_errors=recons,
+                         elapsed_ms=np.zeros(iters.size), final_point=w[0], final_f=fs[-1], n_steps=t)
+
+
 class TestNoise:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -115,6 +162,15 @@ class TestNoise:
         v = unit_sphere_noise(3, rng)
         assert rng.calls == 2
         np.testing.assert_allclose(v, np.arange(1.0, 4.0) / np.sqrt(14.0), rtol=1e-15)
+
+        # a run with no sampler reads its draws from a buffered block: the
+        # zero draw gives way to the block's next step, and the steps after
+        # it follow the stream, as one draw per step does
+        prob = standard_maxeig(2)
+        w0 = prob.random_feasible(np.random.default_rng(0))
+        config = SgdConfig(eta=0.05, iterations=3 * sgd.NOISE_BLOCK, noise_scale=1.0, record_every=1)
+        got = projected_trials(1, lambda _: (w0, ZeroFirstStream(2, 1), prob, None), config)[0]
+        assert_same_run(got, per_step_run(w0, ZeroFirstStream(2, 1), prob, config))
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -350,6 +406,33 @@ class TestStackedTrials:
             if stop is None:
                 w0, rng, prob, sampler = start(j)
                 assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), d=st.integers(1, 5), k=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.5, 1.0]),
+           stopping=st.sampled_from(["none", "coordinate", "value"]), iters=st.integers(1, 40),
+           stride=st.integers(1, 30), zero_first=st.sets(st.integers(0, 7)))
+    def test_buffered_noise_equals_per_step_draws(self, kind, d, k, seed, noise, stopping, iters, stride,
+                                                  zero_first):
+        """Rows with no sampler take NOISE_BLOCK steps of noise per generator
+        call, and their records equal, bit for bit, a loop that draws once
+        per step: with rows ending at different steps (their blocks left
+        unread) and with generators whose first draw is zero."""
+        prob = PROBLEMS[kind](basis=OrthoBasis.random(d, np.random.default_rng(seed)))
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
+        w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
+
+        def rng(j):
+            return ZeroFirstStream(prob.constraints.n, seed + j) if j in zero_first else trial_rng(seed, j)
+
+        coordinate = float(np.median([w0[0] for w0 in w0s]))
+        value = float(np.median([prob.value(w0) for w0 in w0s]))
+        stop = {"none": None,
+                "coordinate": lambda W, f, G: W[:, 0] >= coordinate,
+                "value": lambda W, f, G: f <= value}[stopping]
+        stacked = projected_trials(k, lambda j: (w0s[j], rng(j), prob, None), config, stop=stop)
+        for j in range(k):
+            assert_same_run(stacked[j], per_step_run(w0s[j], rng(j), prob, config, stop=stop))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("sampler_kind, per_row", [("simple", False), ("ica", False),
