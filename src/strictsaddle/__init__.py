@@ -11,27 +11,11 @@ the local quadratic model.
 __version__ = "0.1.0"
 
 from . import analysis, cli, ica, manifold, objectives, sgd, tensor4
-from .analysis import (
-    CheckResult,
-    MinimaCatalog,
-    coupling_closed_form,
-    enumerate_minima,
-    escape_statistics,
-    fd_gradient,
-    fd_hessian,
-    run_checks,
-)
-from .ica import IcaModel, IcaSampler, SimpleSampler, gen_ica_samples
-from .manifold import SphereProduct, lagrange_multipliers, min_tangent_eig, tangent_gradient
-from .objectives import (
-    ConstrainedProblem,
-    QuadraticObjective,
-    correlation_objective,
-    maxeig_objective,
-    reconstruction_objective,
-)
-from .sgd import RunRecord, SgdConfig, noisy_sgd, projected_noisy_sgd, projected_trials
-from .tensor4 import OrthoBasis, Tensor4, make_orthogonal_tensor
+
+# the names the benchmark's problem set-ups (perfbench/workloads.py) read
+from .ica import IcaModel, IcaSampler, SimpleSampler
+from .objectives import correlation_objective, maxeig_objective, reconstruction_objective
+from .tensor4 import OrthoBasis, make_orthogonal_tensor
 
 __all__ = [
     "__version__",
@@ -42,33 +26,12 @@ __all__ = [
     "objectives",
     "sgd",
     "tensor4",
-    "CheckResult",
-    "MinimaCatalog",
-    "coupling_closed_form",
-    "enumerate_minima",
-    "escape_statistics",
-    "fd_gradient",
-    "fd_hessian",
-    "run_checks",
     "IcaModel",
     "IcaSampler",
     "SimpleSampler",
-    "gen_ica_samples",
-    "SphereProduct",
-    "lagrange_multipliers",
-    "min_tangent_eig",
-    "tangent_gradient",
-    "ConstrainedProblem",
-    "QuadraticObjective",
     "correlation_objective",
     "maxeig_objective",
     "reconstruction_objective",
-    "RunRecord",
-    "SgdConfig",
-    "noisy_sgd",
-    "projected_noisy_sgd",
-    "projected_trials",
     "OrthoBasis",
-    "Tensor4",
     "make_orthogonal_tensor",
 ]

@@ -121,11 +121,8 @@ class ExperimentConfig:
 
     def sgd_config(self, schedule=None, eta=None):
         step = eta if eta is not None else self.eta
-        # an explicitly requested step (e.g. the boosted annealing start)
-        # widens the safety rail rather than tripping it
-        return SgdConfig(eta=step, eta_max=max(step, 0.1), iterations=self.iters,
-                         schedule=schedule or self.schedule, noise_scale=self.noise, seed=self.seed,
-                         record_every=self.record_every)
+        return SgdConfig(eta=step, iterations=self.iters, schedule=schedule or self.schedule,
+                         noise_scale=self.noise, seed=self.seed, record_every=self.record_every)
 
 
 # Every setting, declared once: config key -> (help text, choices, the one

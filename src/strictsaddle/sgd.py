@@ -28,6 +28,7 @@ stack of any height.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -71,7 +72,6 @@ class SgdConfig:
     """
 
     eta: float = 0.01
-    eta_max: float = 0.1
     iterations: int = 10_000
     schedule: str = "constant"
     noise_scale: float = 1.0
@@ -79,13 +79,13 @@ class SgdConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        for name in ("eta", "eta_max", "noise_scale"):
+        for name in ("eta", "noise_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.eta > self.eta_max:
-            raise ValueError(f"eta={self.eta} exceeds eta_max={self.eta_max}")
+        if not isinstance(self.iterations, numbers.Integral):
+            raise ValueError("iterations must be an integer")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.schedule not in SCHEDULES:
@@ -283,16 +283,11 @@ def _run_loop(starts, config, stop=None):
         cursor[ks] += 1
         return x
 
-    def by_problem(fn, rows):
-        """``fn(problem, W)`` on the selected rows, each with its own problem."""
-        if shared:
-            return fn(problems[0], W[rows])
-        return np.concatenate([fn(problems[i], W[i : i + 1]) for i in np.arange(ids.size)[rows]])
-
     def record(t, rows):
         fs, G = (column[rows] for column in evaluate())
         norms = row_norms(G) if constraints is None else _chi_norms(constraints, W[rows], G)
-        columns = (fs.tolist(), norms.tolist(), by_problem(_recons, rows).tolist())
+        recons = [problems[i].recon_error(W[i]) for i in np.arange(ids.size)[rows]]
+        columns = (fs.tolist(), norms.tolist(), [np.nan if r is None else r for r in recons])
         ms = (time.perf_counter() - start) * 1e3
         for k, f, g, r in zip(ids[rows].tolist(), *columns):
             traces[k].append((t, f, g, r, ms))
@@ -374,11 +369,6 @@ def _run_loop(starts, config, stop=None):
                 W = constraints.project(W)
         t += 1
     return records
-
-
-def _recons(problem, W):
-    """Per-row normalized reconstruction error of a stack (nan when undefined)."""
-    return np.array([np.nan if r is None else r for r in map(problem.recon_error, W)], dtype=float)
 
 
 def _chi_norms(constraints, W, G):

@@ -100,6 +100,10 @@ MUTANTS = [
            'note("tangent_drift", row_norms(constraints.normal_project(w0[kept], v)), dist[kept])',
            'note("tangent_drift", row_norms(constraints.tangent_project(w0[kept], v)), dist[kept])',
            ("tests/test_analysis.py::TestChecks::test_geometry_check_matches_pair_loop",)),
+    Mutant("recon-from-row-0-problem", "src/strictsaddle/sgd.py",
+           "problems[i].recon_error(W[i])", "problems[0].recon_error(W[i])",
+           ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",
+            "tests/test_cli.py::TestDecompose::test_seed_trace_same_alone_or_in_batch")),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

@@ -52,9 +52,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SgdConfig(eta=0.0)
         with pytest.raises(ValueError):
-            SgdConfig(eta=0.5, eta_max=0.1)
-        with pytest.raises(ValueError):
+            SgdConfig(eta=-0.5)
+        assert SgdConfig(eta=0.5).eta == 0.5  # no ceiling on the step
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
             SgdConfig(iterations=0)
+        # a budget t == iterations never reaches would never end a run
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            SgdConfig(iterations=2.5)
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            SgdConfig(iterations=float("inf"))
+        assert SgdConfig(iterations=np.int64(3)).iterations == 3
         with pytest.raises(ValueError):
             SgdConfig(schedule="cosine")
         with pytest.raises(ValueError):
@@ -63,6 +70,8 @@ class TestConfig:
             SgdConfig(record_every=0)
         with pytest.raises(ValueError, match="finite"):
             SgdConfig(eta=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            SgdConfig(eta=float("inf"))
         with pytest.raises(ValueError, match="finite"):
             SgdConfig(noise_scale=float("inf"))
 
@@ -212,7 +221,7 @@ class TestNoisySgd:
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), np.eye(2))
         w0 = np.array([1.0, -3.0])
         eta, t = 0.125, 20  # power-of-two eta keeps the recursion exact
-        config = SgdConfig(eta=eta, eta_max=0.5, iterations=t, noise_scale=0.0, record_every=1)
+        config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=1)
         rec = noisy_sgd(obj, None, w0, config)
         np.testing.assert_array_equal(rec.final_point, (1.0 - eta) ** t * w0)
 
@@ -256,7 +265,7 @@ class TestNoisySgd:
         """A row stepped onto a block's centre has no projection: it
         diverges at that step and the other rows run on."""
         prob = correlation_objective(basis=OrthoBasis.standard(1), halved=True)  # f = 0: only noise moves w
-        config = SgdConfig(eta=1.0, eta_max=1.0, iterations=2, noise_scale=1.0, seed=5, record_every=1)
+        config = SgdConfig(eta=1.0, iterations=2, noise_scale=1.0, seed=5, record_every=1)
         records = projected_trials(8, lambda j: (np.ones(1), trial_rng(5, j), prob, None), config)
         stuck = [r for r in records if r.diverged]
         assert 0 < len(stuck) < len(records)
