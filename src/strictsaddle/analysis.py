@@ -533,7 +533,7 @@ def run_checks(d=4, seed=0):
                            20, rng)
     results.append(CheckResult("multipliers-correlation", err <= 1e-8, err, 1e-8))
 
-    geo = geometry_check(manifold.SphereProduct.spheres(min(d, 3), d), 500, (1e-1, 1e-2, 1e-3), rng)
+    geo = geometry_check(manifold.SphereProduct(min(d, 3), d), 500, (1e-1, 1e-2, 1e-3), rng)
     results.append(CheckResult("geometry-bounds", geo["total_violations"] == 0,
                                float(geo["total_violations"]), 0.0,
                                f"worst margin={max(geo['margins'].values()):.2e}"))

@@ -25,6 +25,8 @@ BLAS call per point, the call a single point makes; so a point's
 gradient is bit for bit the same alone or in a stack of any height.
 """
 
+import numbers
+
 import numpy as np
 
 from .tensor4 import OrthoBasis
@@ -175,6 +177,8 @@ class IcaSampler:
     """
 
     def __init__(self, model, batch_size=100):
+        if not isinstance(batch_size, numbers.Integral):
+            raise ValueError("batch_size must be an integer")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.model = model

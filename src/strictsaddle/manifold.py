@@ -18,6 +18,8 @@ alone.  The generic pseudo-inverse solve survives only as the test oracle
 in :mod:`strictsaddle.analysis`.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -38,38 +40,22 @@ CQ_SIGMA_MIN = 1e-8
 
 
 class SphereProduct:
-    """Product of m unit spheres, embedded blockwise in R^n.
+    """Product of m unit spheres in R^k, embedded blockwise in R^n, n = m k.
 
     Every kernel is one array expression over all blocks: per-block sums
     are ``np.add.reduceat`` at the block starts and per-block scalars are
-    repeated back over the block dimensions, so equal and unequal blocks
-    take the same path.  The kernels act on the last axis, so a (..., n)
-    stack of points is handled row by row in one call; a row's result
-    does not depend on the other rows.
-
-    Parameters
-    ----------
-    block_dims : sequence of int
-        Dimension of each block; n = sum(block_dims).
+    repeated back over the k entries of their block.  The kernels act on
+    the last axis, so a (..., n) stack of points is handled row by row in
+    one call; a row's result does not depend on the other rows.
     """
 
-    __slots__ = ("block_dims", "offsets", "m", "n", "_starts", "_dims")
+    __slots__ = ("m", "k", "n", "_starts")
 
-    def __init__(self, block_dims):
-        dims = np.array(block_dims, dtype=int)
-        if dims.ndim != 1 or dims.size == 0 or dims.min() < 1:
-            raise ValueError(f"invalid block dimensions {block_dims}")
-        self.block_dims = tuple(dims.tolist())
-        self.offsets = tuple(np.cumsum([0, *self.block_dims]).tolist())
-        self.m = dims.size
-        self.n = self.offsets[-1]
-        self._starts = np.array(self.offsets[:-1])
-        self._dims = dims
-
-    @classmethod
-    def spheres(cls, m, block_dim):
-        """m unit spheres of equal dimension block_dim."""
-        return cls([block_dim] * m)
+    def __init__(self, m, k):
+        if not all(isinstance(x, numbers.Integral) and x >= 1 for x in (m, k)):
+            raise ValueError(f"a sphere product needs integers m, k >= 1, got m={m!r}, k={k!r}")
+        self.m, self.k, self.n = int(m), int(k), int(m * k)
+        self._starts = np.arange(0, self.n, self.k)
 
     def _block_sums(self, x):
         """Per-block sums along the last axis: (..., n) -> (..., m)."""
@@ -77,7 +63,7 @@ class SphereProduct:
 
     def _per_entry(self, x):
         """Repeat one value per block over its entries: (..., m) -> (..., n)."""
-        return x.repeat(self._dims, axis=-1)
+        return x.repeat(self.k, axis=-1)
 
     def block_norms(self, w):
         w = np.asarray(w, dtype=float)
@@ -96,7 +82,7 @@ class SphereProduct:
         """The n x m matrix C(w) whose i-th column is grad c_i(w) = 2 w_i."""
         w = np.asarray(w, dtype=float)
         C = np.zeros((self.n, self.m))
-        C[np.arange(self.n), self._per_entry(np.arange(self.m))] = 2.0 * w
+        C[np.arange(self.n), np.arange(self.n) // self.k] = 2.0 * w
         return C
 
     def weighted_constraint_hessian(self, lam):
@@ -118,7 +104,7 @@ class SphereProduct:
         # min() is nan when any row is nan; the per-entry test then decides
         if not nrm.min(initial=np.inf) >= DEGENERATE_BLOCK_NORM and (nrm < DEGENERATE_BLOCK_NORM).any():
             i = int(np.nanargmin(nrm)) % self.m
-            raise ValueError(f"degenerate projection: block [{self.offsets[i]}:{self.offsets[i + 1]}]"
+            raise ValueError(f"degenerate projection: block [{i * self.k}:{(i + 1) * self.k}]"
                              f" has norm {np.nanmin(nrm):.3e}")
         return v / self._per_entry(nrm)
 
@@ -138,7 +124,7 @@ class SphereProduct:
         return np.asarray(v, dtype=float) - self.tangent_project(w, v)
 
     def __repr__(self):
-        return f"SphereProduct(blocks={self.block_dims})"
+        return f"SphereProduct(m={self.m}, k={self.k})"
 
 
 def rlicq_sigma_min(constraints, w):
@@ -224,7 +210,7 @@ def tangent_basis(constraints, w):
     h = w / constraints._per_entry(constraints.block_norms(w))
     h[..., starts] += np.copysign(1.0, h[..., starts])
     u = h * constraints._per_entry(np.sqrt(2.0 / constraints._block_sums(h * h)))
-    block = constraints._per_entry(np.arange(constraints.m))
+    block = np.arange(constraints.n) // constraints.k
     Q = np.eye(constraints.n) - (block[:, None] == block) * (u[..., :, None] * u[..., None, :])
     return np.delete(Q, starts, axis=-1)
 

@@ -208,7 +208,7 @@ def maxeig_objective(T=None, basis=None):
 
 
 def _maxeig(forms):
-    constraints = SphereProduct([forms.d])
+    constraints = SphereProduct(1, forms.d)
 
     def value(x):
         return -forms.quartic(x)
@@ -234,7 +234,7 @@ def reconstruction_objective(T=None, basis=None):
 
 def _reconstruction(forms):
     d = forms.d
-    constraints = SphereProduct.spheres(d, d)
+    constraints = SphereProduct(d, d)
 
     def point(w):
         """The rows U, their coordinates and their Gram matrix."""
@@ -280,7 +280,7 @@ def correlation_objective(T=None, basis=None, halved=False):
 
 def _correlation(forms, halved):
     d = forms.d
-    constraints = SphereProduct.spheres(d, d)
+    constraints = SphereProduct(d, d)
     scale = 0.5 if halved else 1.0
 
     def point(w):
@@ -335,7 +335,8 @@ class QuadraticObjective(ConstrainedProblem):
             delta, hd = p
             return f0 + np.einsum("i,...i->...", g, delta) + 0.5 * np.einsum("...i,...i->...", delta, hd)
 
-        super().__init__("quadratic", None, point, value, lambda p: g + p[1], lambda w: H)
+        super().__init__("quadratic", None, point, value, lambda p: g + p[1],
+                         lambda w: np.broadcast_to(H, w.shape[:-1] + H.shape))
 
     @property
     def dim(self):

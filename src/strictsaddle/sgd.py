@@ -84,16 +84,17 @@ class SgdConfig:
                 raise ValueError(f"{name} must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if not isinstance(self.iterations, numbers.Integral):
-            raise ValueError("iterations must be an integer")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        for name in ("iterations", "record_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be nonnegative")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 def lr_schedule(config, t):
@@ -372,8 +373,8 @@ def _run_loop(starts, config, stop=None):
 
 
 def _chi_norms(constraints, W, G):
-    """||chi|| of each row from its gradient G, after checking the rows are feasible to 1e-10."""
-    if np.max(np.abs(constraints.c(W))) > manifold.FEASIBLE_TOL:
+    """||chi|| of each row from its gradient G, after checking the rows are feasible."""
+    if not constraints.feasible(W):
         raise RuntimeError("iterate left the feasible set beyond tolerance")
     return row_norms(manifold.chi_from_gradient(constraints, W, G))
 

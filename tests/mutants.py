@@ -104,6 +104,9 @@ MUTANTS = [
            "problems[i].recon_error(W[i])", "problems[0].recon_error(W[i])",
            ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",
             "tests/test_cli.py::TestDecompose::test_seed_trace_same_alone_or_in_batch")),
+    Mutant("tangent-mask-by-entry", "src/strictsaddle/manifold.py",
+           "np.arange(constraints.n) // constraints.k", "np.arange(constraints.n) % constraints.k",
+           ("tests/test_manifold.py::TestSphereProductProperties::test_tangent_basis_and_curvature",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

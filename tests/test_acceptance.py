@@ -202,7 +202,7 @@ def test_10_coupling_closed_form_exact():
 def test_11_geometry_bounds_hold():
     """Sphere-product geometry inequalities over 1e4 random feasible
     pairs and directions with steps {1e-1, 1e-2, 1e-3}: zero violations."""
-    res = geometry_check(SphereProduct.spheres(3, 6), 10_000, (1e-1, 1e-2, 1e-3),
+    res = geometry_check(SphereProduct(3, 6), 10_000, (1e-1, 1e-2, 1e-3),
                          np.random.default_rng(1100))
     worst = max(res["margins"].values())
     report("geometry-bounds", res["total_violations"] == 0,

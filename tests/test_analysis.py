@@ -546,7 +546,7 @@ class TestChecks:
         assert m_err <= 1e-5
 
     def test_geometry_check_no_violations(self):
-        geo = geometry_check(SphereProduct.spheres(2, 3), 200, (1e-1, 1e-2), np.random.default_rng(7))
+        geo = geometry_check(SphereProduct(2, 3), 200, (1e-1, 1e-2), np.random.default_rng(7))
         assert geo["total_violations"] == 0
         assert set(geo["violations"]) == {
             "normal_quadratic", "normal_by_tangent", "tangent_drift",
@@ -554,16 +554,15 @@ class TestChecks:
         }
 
     @settings(max_examples=40, deadline=None)
-    @given(dims=st.lists(st.integers(2, 6), min_size=1, max_size=3), n_pairs=st.integers(0, 60),
-           seed=st.integers(0, 2**32 - 1))
-    def test_geometry_check_matches_pair_loop(self, dims, n_pairs, seed):
+    @given(m=st.integers(1, 3), k=st.integers(2, 6), n_pairs=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_geometry_check_matches_pair_loop(self, m, k, n_pairs, seed):
         """The stacked audit draws the loop's stream and leaves the generator
         where the loop does, with the same violation counts.  Margins are
         differences of O(1) sides whose norms are now last-axis reductions,
         not BLAS dots, so they agree to 1e-12 relative, or to 1e-15 where a
         bound is tight and the margin is round-off (for one sphere (a) is an
         identity)."""
-        constraints = SphereProduct(dims)
+        constraints = SphereProduct(m, k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = geometry_check(constraints, n_pairs, (1e-1, 1e-2, 1e-3), got_rng)
         want = loop_geometry_check(constraints, n_pairs, (1e-1, 1e-2, 1e-3), want_rng)

@@ -389,6 +389,8 @@ class TestSamplerObjects:
         model = IcaModel(np.eye(2))
         with pytest.raises(ValueError):
             IcaSampler(model, batch_size=0)
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            IcaSampler(model, batch_size=2.5)
 
     def test_simple_sampler_kinds(self):
         basis = OrthoBasis.standard(3)

@@ -50,18 +50,18 @@ def correlation_problem(d, seed=None, halved=True):
 
 class TestProjection:
     def test_single_sphere(self):
-        cs = SphereProduct.spheres(1, 3)
+        cs = SphereProduct(1, 3)
         np.testing.assert_array_equal(
             cs.project(np.array([2.0, 0.0, 0.0])), np.array([1.0, 0.0, 0.0])
         )
 
     def test_two_blocks(self):
-        cs = SphereProduct.spheres(2, 2)
+        cs = SphereProduct(2, 2)
         got = cs.project(np.array([0.0, 3.0, -2.0, 0.0]))
         np.testing.assert_array_equal(got, np.array([0.0, 1.0, -1.0, 0.0]))
 
     def test_minimizes_distance_over_random_candidates(self):
-        cs = SphereProduct.spheres(2, 3)
+        cs = SphereProduct(2, 3)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(6)
         best = cs.project(v)
@@ -72,12 +72,22 @@ class TestProjection:
             assert np.linalg.norm(w - v) >= base - 1e-12
 
     def test_zero_block_rejected(self):
-        cs = SphereProduct.spheres(2, 2)
-        with pytest.raises(ValueError, match="block"):
+        cs = SphereProduct(2, 2)
+        with pytest.raises(ValueError, match=r"block \[2:4\]"):
             cs.project(np.array([1.0, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("m, k", [(0, 3), (3, 0), (-1, 3), (3, -2), (2.5, 3), (3, 2.0), (None, 3), ("3", 3)])
+    def test_invalid_shape_rejected(self, m, k):
+        with pytest.raises(ValueError, match="sphere product"):
+            SphereProduct(m, k)
+
+    def test_shape(self):
+        cs = SphereProduct(np.int64(3), 4)
+        assert (cs.m, cs.k, cs.n) == (3, 4, 12)
+        assert repr(cs) == "SphereProduct(m=3, k=4)"
+
     def test_feasibility_and_constraints(self):
-        cs = SphereProduct.spheres(2, 3)
+        cs = SphereProduct(2, 3)
         rng = np.random.default_rng(1)
         w = cs.random_point(rng)
         assert cs.feasible(w)
@@ -241,14 +251,14 @@ class TestLagrangianHessian:
 
 class TestTangentFrame:
     def test_single_sphere_at_pole(self):
-        cs = SphereProduct.spheres(1, 4)
+        cs = SphereProduct(1, 4)
         B = tangent_basis(cs, np.eye(4)[0])
         assert B.shape == (4, 3)
         # tangent vectors have no e_1 component
         np.testing.assert_allclose(B[0, :], np.zeros(3), atol=1e-12)
 
     def test_tangent_orthogonal_to_constraint_gradients(self):
-        cs = SphereProduct.spheres(3, 3)
+        cs = SphereProduct(3, 3)
         rng = np.random.default_rng(10)
         w = cs.random_point(rng)
         C = cs.constraint_gradients(w)
@@ -256,7 +266,7 @@ class TestTangentFrame:
 
     def test_projector_algebra(self):
         """The tangent basis and the unit constraint gradients complete each other."""
-        cs = SphereProduct.spheres(2, 4)
+        cs = SphereProduct(2, 4)
         rng = np.random.default_rng(11)
         w = cs.random_point(rng)
         B, Q = tangent_basis(cs, w), 0.5 * cs.constraint_gradients(w)
@@ -273,15 +283,15 @@ class TestTangentFrame:
 
     def test_blockwise_projection_identity(self):
         """For sphere products P_T v removes each block's radial component."""
-        cs = SphereProduct.spheres(2, 3)
+        cs = SphereProduct(2, 3)
         rng = np.random.default_rng(12)
         w = cs.random_point(rng)
         v = rng.standard_normal(6)
         B = tangent_basis(cs, w)
         got = B @ (B.T @ v)
         want = v.copy()
-        for a, b in zip(cs.offsets, cs.offsets[1:]):
-            want[a:b] -= (w[a:b] @ v[a:b]) * w[a:b]
+        for b in block_slices(cs):
+            want[b] -= (w[b] @ v[b]) * w[b]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -327,14 +337,14 @@ class TestMinTangentEig:
 
 class TestRlicq:
     def test_sphere_product_sigma_is_2(self):
-        cs = SphereProduct.spheres(3, 4)
+        cs = SphereProduct(3, 4)
         rng = np.random.default_rng(14)
         for _ in range(10):
             w = cs.random_point(rng)
             np.testing.assert_allclose(rlicq_sigma_min(cs, w), 2.0, atol=1e-12)
 
     def test_matches_svd_oracle(self):
-        cs = SphereProduct.spheres(2, 3)
+        cs = SphereProduct(2, 3)
         rng = np.random.default_rng(15)
         w = rng.standard_normal(6)  # not feasible; value still defined
         want = np.linalg.svd(cs.constraint_gradients(w), compute_uv=False)[-1]
@@ -345,7 +355,7 @@ class TestGeometryBounds:
     def test_curvature_drift_and_projection_inequalities(self):
         """Normal leakage, tangent drift, and projection displacement obey
         the sphere-product bounds (radius 1)."""
-        cs = SphereProduct.spheres(2, 3)
+        cs = SphereProduct(2, 3)
         rng = np.random.default_rng(16)
         for _ in range(200):
             w0 = cs.random_point(rng)
@@ -373,9 +383,14 @@ class TestGeometryBounds:
 # Properties over random block shapes                                  #
 # ------------------------------------------------------------------ #
 
-BLOCK_DIMS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
+SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 6))  # (m, k)
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def block_slices(cs):
+    """The slice of each block's k entries."""
+    return [slice(a, a + cs.k) for a in range(0, cs.n, cs.k)]
 
 
 class LinearProblem:
@@ -421,38 +436,38 @@ def lstsq_multipliers(problem, w):
 
 class TestSphereProductProperties:
     @PROPERTY
-    @given(BLOCK_DIMS, SEEDS)
-    def test_project_is_feasible_and_idempotent(self, dims, seed):
-        cs = SphereProduct(dims)
+    @given(SHAPES, SEEDS)
+    def test_project_is_feasible_and_idempotent(self, shape, seed):
+        cs = SphereProduct(*shape)
         v = np.random.default_rng(seed).standard_normal(cs.n)
         w = cs.project(v)
-        loop = np.concatenate([v[a:b] / np.linalg.norm(v[a:b]) for a, b in zip(cs.offsets, cs.offsets[1:])])
+        loop = np.concatenate([v[b] / np.linalg.norm(v[b]) for b in block_slices(cs)])
         np.testing.assert_allclose(w, loop, rtol=0.0, atol=1e-15)
         assert cs.feasible(w)
         np.testing.assert_allclose(cs.project(w), w, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(rlicq_sigma_min(cs, w), 2.0, atol=1e-12)
 
     @PROPERTY
-    @given(BLOCK_DIMS, SEEDS)
-    def test_tangent_and_normal_parts_are_orthogonal(self, dims, seed):
-        cs = SphereProduct(dims)
+    @given(SHAPES, SEEDS)
+    def test_tangent_and_normal_parts_are_orthogonal(self, shape, seed):
+        cs = SphereProduct(*shape)
         rng = np.random.default_rng(seed)
         w = cs.random_point(rng)
         v = rng.standard_normal(cs.n)
         t, n = cs.tangent_project(w, v), cs.normal_project(w, v)
-        loop = np.concatenate([v[a:b] - (v[a:b] @ w[a:b]) * w[a:b] for a, b in zip(cs.offsets, cs.offsets[1:])])
+        loop = np.concatenate([v[b] - (v[b] @ w[b]) * w[b] for b in block_slices(cs)])
         np.testing.assert_allclose(t, loop, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(t + n, v, atol=1e-14)
         assert abs(t @ n) <= 1e-12 * (v @ v)
         assert np.max(np.abs(cs.constraint_gradients(w).T @ t)) <= 1e-12 * np.linalg.norm(v)
 
     @PROPERTY
-    @given(BLOCK_DIMS, SEEDS)
-    def test_closed_form_multipliers_match_lstsq(self, dims, seed):
-        cs = SphereProduct(dims)
+    @given(SHAPES, SEEDS)
+    def test_closed_form_multipliers_match_lstsq(self, shape, seed):
+        cs = SphereProduct(*shape)
         rng = np.random.default_rng(seed)
         # off the manifold too: the closed form holds for any nonzero blocks
-        w = cs.random_point(rng) * np.repeat(rng.uniform(0.5, 2.0, cs.m), dims)
+        w = cs.random_point(rng) * np.repeat(rng.uniform(0.5, 2.0, cs.m), cs.k)
         problem = LinearProblem(cs, rng.standard_normal(cs.n))
         lam = lstsq_multipliers(problem, w)
         np.testing.assert_allclose(lagrange_multipliers(problem, w), lam, rtol=0.0, atol=1e-10)
@@ -460,16 +475,14 @@ class TestSphereProductProperties:
         np.testing.assert_allclose(tangent_gradient(problem, w), problem.g - C @ lam, rtol=0.0, atol=1e-10)
 
     @PROPERTY
-    @given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1.0])),
-                    min_size=1, max_size=5), SEEDS)
-    def test_multipliers_raise_exactly_below_threshold(self, blocks, seed):
-        dims = [b for b, _ in blocks]
-        scales = np.array([s for _, s in blocks])
-        cs = SphereProduct(dims)
+    @given(st.integers(1, 6), st.lists(st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1.0]), min_size=1, max_size=5),
+           SEEDS)
+    def test_multipliers_raise_exactly_below_threshold(self, k, scales, seed):
+        cs = SphereProduct(len(scales), k)
         rng = np.random.default_rng(seed)
-        w = cs.random_point(rng) * np.repeat(scales, dims)
+        w = cs.random_point(rng) * np.repeat(scales, k)
         problem = LinearProblem(cs, rng.standard_normal(cs.n))
-        norms = [np.linalg.norm(w[a:b]) for a, b in zip(cs.offsets, cs.offsets[1:])]
+        norms = [np.linalg.norm(w[b]) for b in block_slices(cs)]
         if 2.0 * min(norms) < CQ_SIGMA_MIN:
             with pytest.raises(ValueError, match="constraint qualification"):
                 lagrange_multipliers(problem, w)
@@ -477,34 +490,34 @@ class TestSphereProductProperties:
             assert np.all(np.isfinite(lagrange_multipliers(problem, w)))
 
     @PROPERTY
-    @given(BLOCK_DIMS, st.integers(1, 8), SEEDS)
-    def test_stack_kernels_equal_row_calls(self, dims, k, seed):
+    @given(SHAPES, st.integers(1, 8), SEEDS)
+    def test_stack_kernels_equal_row_calls(self, shape, height, seed):
         """Each row of a (K, n) call equals the call on that row alone, bit for bit."""
-        cs = SphereProduct(dims)
+        cs = SphereProduct(*shape)
         rng = np.random.default_rng(seed)
-        V = rng.standard_normal((k, cs.n))
+        V = rng.standard_normal((height, cs.n))
         W = cs.project(V)
         problem = LinearProblem(cs, rng.standard_normal(cs.n))
         stacked = (cs.block_norms(V), cs.c(V), W, cs.tangent_project(W, V),
                    lagrange_multipliers(problem, W), tangent_gradient(problem, W))
-        for i in range(k):
+        for i in range(height):
             rows = (cs.block_norms(V[i]), cs.c(V[i]), cs.project(V[i]), cs.tangent_project(W[i], V[i]),
                     lagrange_multipliers(problem, W[i]), tangent_gradient(problem, W[i]))
             for got, want in zip(stacked, rows):
                 np.testing.assert_array_equal(got[i], want)
 
     @PROPERTY
-    @given(BLOCK_DIMS, st.integers(1, 8), SEEDS)
-    def test_tangent_basis_and_curvature(self, dims, k, seed):
+    @given(SHAPES, st.integers(1, 8), SEEDS)
+    def test_tangent_basis_and_curvature(self, shape, height, seed):
         """The Householder basis is orthonormal, tangent and spans T(w);
         the curvature it gives matches the QR frame; stacks equal rows."""
-        cs = SphereProduct(dims)
+        cs = SphereProduct(*shape)
         rng = np.random.default_rng(seed)
-        W = cs.project(rng.standard_normal((k, cs.n)))
+        W = cs.project(rng.standard_normal((height, cs.n)))
         A = rng.standard_normal((cs.n, cs.n))
         problem = QuadraticProblem(cs, rng.standard_normal(cs.n), A + A.T)
         bases = tangent_basis(cs, W)
-        assert bases.shape == (k, cs.n, cs.n - cs.m)
+        assert bases.shape == (height, cs.n, cs.n - cs.m)
         curved = cs.n > cs.m
         if curved:
             eigs, dirs = min_tangent_eig(problem, W)

@@ -389,10 +389,12 @@ class TestStacks:
         A = rng.standard_normal((n, n))
         obj = QuadraticObjective(rng.standard_normal(n), rng.standard_normal(n), A + A.T, f0=0.5)
         W = rng.standard_normal((k, n))
-        values, grads = obj.value(W), obj.gradient(W)
+        values, grads, hessians = obj.value(W), obj.gradient(W), obj.hessian(W)
+        assert hessians.shape == (k, n, n)
         for i in range(k):
             assert obj.value(W[i]) == values[i]
             np.testing.assert_array_equal(obj.gradient(W[i]), grads[i])
+            np.testing.assert_array_equal(obj.hessian(W[i]), hessians[i])
 
 
 # every problem the library builds, the ordered-pair correlation included

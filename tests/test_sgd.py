@@ -68,6 +68,15 @@ class TestConfig:
             SgdConfig(noise_scale=-1.0)
         with pytest.raises(ValueError):
             SgdConfig(record_every=0)
+        # a fractional or nan stride skips the t=0 record and the divergence test
+        for stride in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="record_every must be an integer"):
+                SgdConfig(record_every=stride)
+        assert SgdConfig(record_every=np.int64(5)).record_every == 5
+        for seed in (1.5, -1, float("nan")):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                SgdConfig(seed=seed)
+        assert SgdConfig(seed=np.int64(7)).seed == 7
         with pytest.raises(ValueError, match="finite"):
             SgdConfig(eta=float("nan"))
         with pytest.raises(ValueError, match="finite"):
