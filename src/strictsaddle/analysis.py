@@ -19,7 +19,6 @@ from .sgd import (
     RecordedPerturbations,
     SgdConfig,
     _unit_rows,
-    noisy_sgd,
     projected_trials,
     row_norms,
     trial_rng,
@@ -475,8 +474,9 @@ def coupling_check(n_instances, d, t, eta, seed):
         stream = [rng.standard_normal(d) for _ in range(t)]
 
         quad = objectives.QuadraticObjective(w0, g, H)
-        config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, seed=0, record_every=t)
-        record = noisy_sgd(quad, RecordedPerturbations(quad, stream), w0, config)
+        # the replayed sampler and the zero noise draw nothing: no generator
+        config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=t)
+        record = projected_trials(1, lambda _: (w0, None, quad, RecordedPerturbations(quad, stream)), config)[0]
 
         grad_cf, disp_cf = coupling_closed_form(g, H, stream, eta, t)
         worst = max(worst, float(np.max(np.abs(quad.gradient(record.final_point) - grad_cf))))

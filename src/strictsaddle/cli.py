@@ -86,8 +86,8 @@ class ExperimentConfig:
     def validate(self, command):
         """Reject what ``command`` cannot run, before any output exists.
 
-        The step, noise, iteration and stride rules are SgdConfig's: the
-        configs the command runs are built here.
+        The step, noise, iteration, stride and seed rules are SgdConfig's,
+        checked on the configs the command runs and on each listed seed.
         """
         need = MIN_D.get(command, 1)
         if self.d < need:
@@ -102,8 +102,6 @@ class ExperimentConfig:
         if self.sampler == "ica" and self.objective != "correlation":
             raise CliError("the ica sampler estimates the correlation gradient only")
         seeds = self.seeds()
-        if min(seeds + [self.seed]) < 0:
-            raise CliError("seeds must be non-negative")
         if len(set(seeds)) < len(seeds):
             raise CliError("seeds must be distinct")
         try:
@@ -113,6 +111,11 @@ class ExperimentConfig:
         except ValueError as exc:
             name, rest = str(exc).split(" ", 1)
             raise CliError(f"{_SGD_NAMES.get(name, name)} {rest}") from None
+        for seed in self.seed_values:
+            try:
+                SgdConfig(seed=seed)
+            except ValueError as exc:
+                raise CliError(f"seeds lists {seed}: {exc}") from None
 
     def seeds(self):
         if self.seed_values:
@@ -210,19 +213,6 @@ def build_config(args):
             _set(config, key, value)
     config.validate(args.command)
     return config
-
-
-def resolve_out_dir(config, command):
-    if config.out:
-        return config.out
-    root = os.environ.get(ENV_OUT, "runs")
-    return os.path.join(root, command)
-
-
-def prepare_out_dir(path, overwrite):
-    if os.path.exists(path) and not overwrite:
-        raise CliError(f"output directory {path!r} exists; pass --overwrite to reuse it")
-    os.makedirs(path, exist_ok=True)
 
 
 def _utc_stamp():
@@ -441,10 +431,12 @@ def main(argv=None):
         config = build_config(args)
         out_dir = None
         if args.command != "verify" or config.out:
-            out_dir = resolve_out_dir(config, args.command)
+            out_dir = config.out or os.path.join(os.environ.get(ENV_OUT, "runs"), args.command)
             if not os.path.exists(out_dir):
                 made = out_dir
-            prepare_out_dir(out_dir, config.overwrite)
+            elif not config.overwrite:
+                raise CliError(f"output directory {out_dir!r} exists; pass --overwrite to reuse it")
+            os.makedirs(out_dir, exist_ok=True)
         started = _utc_stamp()
         code, outputs = args.fn(config, out_dir)
         if out_dir is not None:

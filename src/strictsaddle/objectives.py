@@ -316,14 +316,12 @@ class QuadraticObjective(ConstrainedProblem):
         w0 = np.asarray(w0, dtype=float)
         g = np.asarray(g, dtype=float)
         H = np.asarray(H, dtype=float)
+        f0 = float(f0)
         if H.shape != (w0.size, w0.size):
             raise ValueError(f"H has shape {H.shape}, expected {(w0.size, w0.size)}")
         if np.max(np.abs(H - H.T)) > 1e-12:
             raise ValueError("H must be symmetric")
         self.w0 = w0
-        self.g = g
-        self.H = H
-        self.f0 = f0 = float(f0)
         self.oracle_bound = oracle_bound
 
         def point(w):

@@ -1,12 +1,12 @@
-"""Noisy stochastic gradient descent, plain and projected.
+"""Noisy stochastic gradient descent, projected when the problem has constraints.
 
-Both runners perform w <- w - eta_t (SG(w) + n) with n drawn uniformly
-from the unit sphere (scaled by ``noise_scale``); the projected variant
-follows every step with the exact projection onto the sphere-product
-feasible set.  Runs are deterministic given (config, seed): the RNG is
-``numpy.random.default_rng`` seeded through a ``SeedSequence``, and
-multi-trial sweeps give trial k the substream ``SeedSequence(seed,
-spawn_key=(k,))``.
+The runner performs w <- w - eta_t (SG(w) + n) with n drawn uniformly
+from the unit sphere (scaled by ``noise_scale``); on a problem with
+constraints it follows every step with the exact projection onto the
+sphere-product feasible set.  Runs are deterministic given (config,
+seed): the RNG is ``numpy.random.default_rng`` seeded through a
+``SeedSequence``, and multi-trial sweeps give trial k the substream
+``SeedSequence(seed, spawn_key=(k,))``.
 
 Per step the runner draws the oracle sample first and the injected noise
 second; schedules only change the step length, so matched seeds see
@@ -41,7 +41,6 @@ __all__ = [
     "RunRecord",
     "lr_schedule",
     "unit_sphere_noise",
-    "noisy_sgd",
     "projected_noisy_sgd",
     "projected_trials",
     "row_norms",
@@ -254,7 +253,6 @@ def _run_loop(starts, config, stop=None):
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noisy = config.noise_scale > 0
-    noise_buf = np.empty_like(W) if noisy and oracle is not None else None
     # trial k's buffered draws and the step of its next unread one; a trial
     # that leaves leaves its block in place, unread
     blocks = np.empty((len(starts), NOISE_BLOCK, W.shape[1])) if noisy and oracle is None else None
@@ -296,7 +294,7 @@ def _run_loop(starts, config, stop=None):
 
     def leave(rows, n_steps, message=None):
         """Close the records of the selected rows and drop them from the stack."""
-        nonlocal W, ids, rngs, problems, samplers, noise_buf, held
+        nonlocal W, ids, rngs, problems, samplers, held
         for i in np.flatnonzero(rows):
             k = ids[i]
             # every trial is recorded at t=0, so its trace is never empty
@@ -318,8 +316,6 @@ def _run_loop(starts, config, stop=None):
         if held is not None:
             held = tuple(column[keep] for column in held)
         rngs, problems, samplers = ([x for x, kept in zip(xs, keep) if kept] for xs in (rngs, problems, samplers))
-        if noise_buf is not None:
-            noise_buf = noise_buf[: ids.size]
 
     t = 0
     while ids.size:
@@ -348,8 +344,8 @@ def _run_loop(starts, config, stop=None):
         if blocks is not None:
             noise = config.noise_scale * _unit_rows(buffered(np.arange(ids.size)),
                                                     lambda i: buffered(np.arange(i, i + 1))[0])
-        elif noise_buf is not None:
-            noise = config.noise_scale * _sphere_rows(noise_buf, rngs)
+        elif noisy:
+            noise = config.noise_scale * _sphere_rows(np.empty_like(W), rngs)
         if on_record and q is not None:
             _check_noise_bound(q, sg - evaluate()[1], noise, config.noise_scale)
         step = sg if noise is None else sg + noise
@@ -379,18 +375,13 @@ def _chi_norms(constraints, W, G):
     return row_norms(manifold.chi_from_gradient(constraints, W, G))
 
 
-def noisy_sgd(objective, sampler, w0, config):
-    """Unconstrained runner (the quadratic model): w <- w - eta_t (SG(w) + n), on run_rng(config.seed)."""
-    return _run_loop([(w0, run_rng(config.seed), objective, sampler)], config)[0]
-
-
 def projected_trials(n_trials, start, config, stop=None):
-    """Projected noisy SGD for trials 0..n_trials-1, advanced as stacks.
+    """Noisy SGD for trials 0..n_trials-1, advanced as stacks.
 
-    ``start(k)`` returns trial k's feasible starting point, its own
-    generator, its problem and its sampler (None for exact gradients).
-    Trials may share one problem or each carry their own, on one sphere
-    product and with samplers of one kind.  ``stop``, when given, is
+    ``start(k)`` returns trial k's starting point, its own generator,
+    its problem and its sampler (None for exact gradients).  Trials may
+    share one problem or each carry their own, with one set of
+    constraints or none and samplers of one kind.  ``stop``, when given, is
     called as ``stop(W, f, G)`` with the (K, n) stack, its exact values
     (K,) and its exact gradients (K, n), the evaluation the step reuses;
     it returns one bool per row and reads nothing else of the problem.  It
@@ -405,13 +396,13 @@ def projected_trials(n_trials, start, config, stop=None):
     draws past its last step, so what it draws next does not continue the
     trial's stream.
 
-    Every recorded iterate is feasibility-checked to 1e-10.  Returns one
-    RunRecord per trial, in trial order.
+    With constraints, starts must be feasible, steps are projected and
+    recorded iterates are checked to 1e-10.  Returns RunRecords in trial order.
     """
     records = []
     for lo in range(0, n_trials, STACK_ROWS):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
-        if not all(problem.constraints.feasible(w0) for w0, _, problem, _ in starts):
+        if not all(p.constraints is None or p.constraints.feasible(w0) for w0, _, p, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
         records += _run_loop(starts, config, stop)
     return records

@@ -107,6 +107,14 @@ MUTANTS = [
     Mutant("tangent-mask-by-entry", "src/strictsaddle/manifold.py",
            "np.arange(constraints.n) // constraints.k", "np.arange(constraints.n) % constraints.k",
            ("tests/test_manifold.py::TestSphereProductProperties::test_tangent_basis_and_curvature",)),
+    Mutant("ica-gram-term-coefficient", "src/strictsaddle/ica.py",
+           "term2 = 2.0 * (", "term2 = 1.0 * (",
+           ("tests/test_ica.py::TestIcaGradient::test_exhaustive_unbiasedness",
+            "tests/test_ica.py::TestMinibatch::test_single_sample_batch_is_exact")),
+    # a last-bit change: only the byte-for-byte golden comparison sees it
+    Mutant("ica-maxeig-cube-by-power", "src/strictsaddle/ica.py",
+           "np.float_power(np.vecdot(u, x), 3)", "np.vecdot(u, x) ** 3",
+           ("tests/test_golden.py::test_command_reproduces_golden[decompose-maxeig]",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

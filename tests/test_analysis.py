@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import AxisMatcher
+from test_sgd import single_run
 from strictsaddle.analysis import (
     CheckResult,
     MinimaCatalog,
@@ -39,7 +40,6 @@ from strictsaddle.objectives import (
 from strictsaddle.sgd import (
     RecordedPerturbations,
     SgdConfig,
-    noisy_sgd,
     projected_trials,
     row_norms,
     trial_rng,
@@ -353,7 +353,7 @@ class TestCoupling:
         stream = [rng.standard_normal(d) for _ in range(t)]
         obj = QuadraticObjective(w0, g, H)
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=t)
-        rec = noisy_sgd(obj, RecordedPerturbations(obj, stream), w0, config)
+        rec = single_run(obj, RecordedPerturbations(obj, stream), w0, config)
         grad, disp = coupling_closed_form(g, H, stream, eta, t)
         np.testing.assert_allclose(rec.final_point - w0, disp, atol=1e-10)
         np.testing.assert_allclose(obj.gradient(rec.final_point), grad, atol=1e-10)

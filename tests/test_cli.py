@@ -122,6 +122,16 @@ class TestConfigHandling:
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_errors_name_the_flag(self, tmp_path, capsys):
+        """--seed and each listed seed meet SgdConfig's one seed rule, and
+        the message names the setting that holds the bad seed."""
+        assert main(["decompose", "--seed", "-1", "--out", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seeds=2,-1\n")
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "error: seeds lists -1: seed must be a non-negative integer\n"
+
     def test_rejected_run_leaves_no_directory(self, tmp_path, capsys):
         """A command-specific limit fails before the output directory is
         made, so the corrected rerun needs no --overwrite."""

@@ -1,4 +1,4 @@
-"""Tests for the two SGD runners, schedules, noise, and trace records."""
+"""Tests for the SGD runner, schedules, noise, and trace records."""
 
 from unittest import mock
 
@@ -20,7 +20,6 @@ from strictsaddle.sgd import (
     RecordedPerturbations,
     SgdConfig,
     lr_schedule,
-    noisy_sgd,
     projected_noisy_sgd,
     projected_trials,
     run_rng,
@@ -34,6 +33,11 @@ from strictsaddle.tensor4 import OrthoBasis
 
 def standard_maxeig(d):
     return maxeig_objective(basis=OrthoBasis.standard(d))
+
+
+def single_run(problem, sampler, w0, config):
+    """One trial of projected_trials on run_rng(config.seed)."""
+    return projected_trials(1, lambda _: (w0, run_rng(config.seed), problem, sampler), config)[0]
 
 
 # ------------------------------------------------------------------ #
@@ -212,7 +216,7 @@ class TestNoise:
 
 
 # ------------------------------------------------------------------ #
-# Unconstrained runner                                                 #
+# Unconstrained problems                                                #
 # ------------------------------------------------------------------ #
 
 
@@ -221,7 +225,7 @@ class TestNoisySgd:
         obj = QuadraticObjective(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
         w0 = np.array([1.0, -2.0, 0.5])
         config = SgdConfig(eta=0.05, iterations=50, noise_scale=0.0, record_every=10)
-        rec = noisy_sgd(obj, None, w0, config)
+        rec = single_run(obj, None, w0, config)
         np.testing.assert_array_equal(rec.final_point, w0)
         np.testing.assert_array_equal(rec.f_values, np.zeros(rec.f_values.size))
 
@@ -231,15 +235,15 @@ class TestNoisySgd:
         w0 = np.array([1.0, -3.0])
         eta, t = 0.125, 20  # power-of-two eta keeps the recursion exact
         config = SgdConfig(eta=eta, iterations=t, noise_scale=0.0, record_every=1)
-        rec = noisy_sgd(obj, None, w0, config)
+        rec = single_run(obj, None, w0, config)
         np.testing.assert_array_equal(rec.final_point, (1.0 - eta) ** t * w0)
 
     def test_bit_identical_determinism(self):
         obj = QuadraticObjective(np.zeros(3), np.ones(3), np.eye(3))
         config = SgdConfig(eta=0.01, iterations=200, noise_scale=1.0, seed=42, record_every=25)
         w0 = np.array([0.3, -0.7, 1.1])
-        a = noisy_sgd(obj, None, w0, config)
-        b = noisy_sgd(obj, None, w0, config)
+        a = single_run(obj, None, w0, config)
+        b = single_run(obj, None, w0, config)
         np.testing.assert_array_equal(a.final_point, b.final_point)
         np.testing.assert_array_equal(a.f_values, b.f_values)
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
@@ -256,7 +260,7 @@ class TestNoisySgd:
         # gradient ascent on a concave quadratic blows up past the guard
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), -np.eye(2))
         config = SgdConfig(eta=0.05, iterations=5000, noise_scale=0.0, record_every=100)
-        rec = noisy_sgd(obj, None, np.array([1.0, 1.0]), config)
+        rec = single_run(obj, None, np.array([1.0, 1.0]), config)
         assert rec.diverged
         assert "diverged" in rec.message
         assert rec.n_steps < 5000
@@ -288,7 +292,7 @@ class TestNoisySgd:
     def test_record_stride_and_lengths(self):
         obj = QuadraticObjective(np.zeros(2), np.zeros(2), np.eye(2))
         config = SgdConfig(eta=0.01, iterations=100, noise_scale=0.0, record_every=30)
-        rec = noisy_sgd(obj, None, np.ones(2), config)
+        rec = single_run(obj, None, np.ones(2), config)
         np.testing.assert_array_equal(rec.iters, [0, 30, 60, 90, 100])
         for arr in (rec.f_values, rec.grad_norms, rec.recon_errors, rec.elapsed_ms):
             assert arr.shape == rec.iters.shape
@@ -549,7 +553,7 @@ class TestNoiseBound:
         sampler = RecordedPerturbations(
             obj, (0.5 * rng.random() * unit_sphere_noise(3, rng) for _ in range(100)))
         config = SgdConfig(eta=0.01, iterations=100, noise_scale=1.0, seed=9, record_every=1)
-        rec = noisy_sgd(obj, sampler, np.ones(3), config)
+        rec = single_run(obj, sampler, np.ones(3), config)
         assert not rec.diverged
 
     def test_violation_raises(self):
@@ -557,7 +561,7 @@ class TestNoiseBound:
         sampler = RecordedPerturbations(obj, [np.array([5.0, 0.0])])  # ||xi|| >> Q + 1
         config = SgdConfig(eta=0.01, iterations=1, noise_scale=1.0, record_every=1)
         with pytest.raises(RuntimeError, match="bound violated"):
-            noisy_sgd(obj, sampler, np.ones(2), config)
+            single_run(obj, sampler, np.ones(2), config)
 
 
 # ------------------------------------------------------------------ #
@@ -569,7 +573,7 @@ class TestCsv:
     def run_once(self, seed):
         obj = QuadraticObjective(np.zeros(2), np.ones(2), np.eye(2))
         config = SgdConfig(eta=0.01, iterations=50, noise_scale=1.0, seed=seed, record_every=10)
-        return noisy_sgd(obj, None, np.array([1.0, 2.0]), config)
+        return single_run(obj, None, np.array([1.0, 2.0]), config)
 
     def test_header_and_round_trip(self, tmp_path):
         rec = self.run_once(11)
