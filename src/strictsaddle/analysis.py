@@ -372,7 +372,7 @@ def geometry_check(constraints, n_pairs, etas, rng):
 
     w0, w, tangent_draw, normal_draw, direction = np.moveaxis(rng.standard_normal((n_pairs, 5, n)), 1, 0)
     w0, w = constraints.project(w0), constraints.project(w)
-    direction = _unit_rows(direction, lambda i: rng.standard_normal(n))
+    direction = _unit_rows(direction[:, None], [rng] * n_pairs)[:, 0]
 
     delta = w - w0
     dist = row_norms(delta)

@@ -30,7 +30,6 @@ __all__ = [
     "lagrangian_hessian",
     "tangent_basis",
     "min_tangent_eig",
-    "rlicq_sigma_min",
 ]
 
 FEASIBLE_TOL = 1e-10
@@ -136,9 +135,12 @@ def rlicq_sigma_min(constraints, w):
     return 2.0 * float(np.min(constraints.block_norms(w), initial=np.inf))
 
 
-def _check_cq(constraints, w):
-    """Raise unless sigma_min(C(w)) >= CQ_SIGMA_MIN on every row."""
-    sigma = rlicq_sigma_min(constraints, w)
+def _check_cq(ss):
+    """Raise unless sigma_min(C(w)) >= CQ_SIGMA_MIN on every row, given the
+    squared block norms ``ss`` of w.  sigma_min = 2 sqrt(min ss) is
+    :func:`rlicq_sigma_min` bit for bit: sqrt is monotone and correctly
+    rounded, so the sqrt of the least sum is the least norm."""
+    sigma = 2.0 * float(np.sqrt(np.min(ss, initial=np.inf)))
     if sigma < CQ_SIGMA_MIN:
         raise ValueError(f"constraint qualification failure: sigma_min(C) = {sigma:.3e}")
 
@@ -148,8 +150,9 @@ def _multipliers(constraints, w, g):
     solution of C(w) lambda = g for the block-diagonal C(w); per row of a
     (..., n) stack, checked against the constraint qualification floor
     on every row."""
-    _check_cq(constraints, w)
-    return constraints._block_sums(g * w) / (2.0 * constraints._block_sums(w * w))
+    ss = constraints._block_sums(w * w)
+    _check_cq(ss)
+    return constraints._block_sums(g * w) / (2.0 * ss)
 
 
 def lagrange_multipliers(problem, w):
@@ -205,9 +208,10 @@ def tangent_basis(constraints, w):
         If a block norm is below CQ_SIGMA_MIN / 2.
     """
     w = np.asarray(w, dtype=float)
-    _check_cq(constraints, w)
+    ss = constraints._block_sums(w * w)
+    _check_cq(ss)
     starts = constraints._starts
-    h = w / constraints._per_entry(constraints.block_norms(w))
+    h = w / constraints._per_entry(np.sqrt(ss))
     h[..., starts] += np.copysign(1.0, h[..., starts])
     u = h * constraints._per_entry(np.sqrt(2.0 / constraints._block_sums(h * h)))
     block = np.arange(constraints.n) // constraints.k

@@ -11,10 +11,12 @@ seed): the RNG is ``numpy.random.default_rng`` seeded through a
 Per step the runner draws the oracle sample first and the injected noise
 second; schedules only change the step length, so matched seeds see
 identical random streams under different schedules.  A trial with no
-sampler draws nothing but noise, so it takes its Gaussian draws
-NOISE_BLOCK steps at a time, in one generator call that gives the values
-of NOISE_BLOCK one-step calls: its stream is unchanged, but its
-generator may end up to NOISE_BLOCK - 1 steps of draws past its last step.
+sampler draws nothing but noise, so it takes its Gaussian draws a block
+of ``height`` steps at a time (as many as NOISE_BYTES holds for the whole
+stack, at least NOISE_BLOCK and at most the step budget), in one generator
+call that gives the values of ``height`` one-step calls: its stream is
+unchanged, but its generator may end up to ``height`` - 1 steps of draws
+past its last step.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
@@ -58,9 +60,13 @@ NOISE_NORM_FLOOR = 1e-12
 # number of live generators for any trial count; a row's result does not
 # depend on it.
 STACK_ROWS = 256
-# Steps of noise a noise-only trial draws per generator call; at STACK_ROWS
-# rows of n=40 its buffer is 640 KiB.  A row's result does not depend on it.
+# A noise-only stack draws each row's noise ``height`` steps per generator
+# call, the most steps whose (K, height, n) buffer fits in NOISE_BYTES but
+# never fewer than NOISE_BLOCK or more than the step budget: 8 steps at
+# STACK_ROWS rows of n=40, 341 at 60 rows of n=4.  A row's result does not
+# depend on either.
 NOISE_BLOCK = 8
+NOISE_BYTES = 640 * 1024
 
 
 @dataclass
@@ -112,32 +118,41 @@ def row_norms(x, keepdims=False):
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
-def _unit_rows(x, redraw):
-    """The Gaussian rows of ``x`` normalized; a row k whose norm is at most
-    1e-12 is replaced by ``redraw(k)``, its next draw, until it is not."""
-    norms = row_norms(x, keepdims=True)
+def _unit_rows(x, rngs):
+    """Normalize in place the Gaussian draws ``x``, (K, height, n) with row
+    k's steps drawn in order from ``rngs[k]``, and return it.  A draw of norm
+    at most 1e-12 gives way to the row's next draw: the rest of the row moves
+    up a step and ``rngs[k]`` tops up its last step, until no such draw is
+    left, so the row keeps the values of one draw per step.  A taller ``x``
+    has its norms taken NOISE_BLOCK steps at a time, so their squares need
+    no buffer the size of ``x``."""
+    h = x.shape[1]
+    norms = row_norms(x, keepdims=True) if h <= NOISE_BLOCK else np.concatenate(
+        [row_norms(x[:, j : j + NOISE_BLOCK], keepdims=True) for j in range(0, h, NOISE_BLOCK)], axis=1)
     if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
-        for k in np.flatnonzero(norms <= NOISE_NORM_FLOOR):
-            while norms[k, 0] <= NOISE_NORM_FLOOR:
-                x[k] = redraw(k)
-                norms[k] = row_norms(x[k])
-    return x / norms
+        for k in np.flatnonzero((norms <= NOISE_NORM_FLOOR).any(axis=(1, 2))):
+            j = 0
+            while (bad := np.flatnonzero(norms[k, j:, 0] <= NOISE_NORM_FLOOR)).size:
+                j += bad[0]
+                x[k, j:-1] = x[k, j + 1 :]
+                norms[k, j:-1] = norms[k, j + 1 :]
+                rngs[k].standard_normal(out=x[k, -1])
+                norms[k, -1] = row_norms(x[k, -1])
+    x /= norms
+    return x
 
 
 def _sphere_rows(out, rngs):
     """Uniform unit vectors, row k drawn from ``rngs[k]``.
 
     Each row is an isotropic Gaussian draw written into row k of the
-    buffer ``out``, then normalized; a row whose norm is at most 1e-12 is
-    redrawn from its own generator.
+    buffer ``out``, then normalized in place; a row whose norm is at most
+    1e-12 is redrawn from its own generator.
     """
-    def draw(k):
-        rngs[k].standard_normal(out=out[k])
-        return out[k]
-
     for k, rng in enumerate(rngs):
         rng.standard_normal(out=out[k])
-    return _unit_rows(out, draw)
+    _unit_rows(out[:, None], rngs)
+    return out
 
 
 def unit_sphere_noise(dim, rng):
@@ -219,17 +234,22 @@ def _run_loop(starts, config, stop=None):
     Each step draws every active trial's oracle sample, then every trial's
     noise, trial k from its own sampler and generator, so its stream is the
     one it sees when run alone.  With no sampler a trial's generator gives
-    only noise, so it is drawn NOISE_BLOCK steps at a time into the trial's
-    block, one generator call per block, and read one step per step from
-    the trial's cursor (a redraw reads the next step too): the same values,
-    in the same order, as one draw per step.  One ``gradient(W, samples)``
+    only noise, so it is drawn ``height`` steps at a time into the trial's
+    block, one generator call per block, and normalized and scaled there;
+    every active row reads its block at the stack's one cursor, all rows
+    refilling together when the cursor reaches the height.  A draw of norm
+    <= 1e-12 gives way to the row's next one: the rest of its block moves up
+    a step and its generator tops up the block's last step.  So a row reads
+    the same values, in the same order, as one draw per step.  One ``gradient(W, samples)``
     call of the samplers' shared oracle (it reads no basis) then answers for the whole
     stack.  The exact value and gradient (f, G) at the current point are
     one ``value_and_gradient`` call of the problems, taken when something
     first reads them at that point and held until the step moves it: the
-    stop test, the exact-gradient step, the trace record and the noise-bound
-    check all read the held pair, and rows that leave are dropped from it.
-    It is one call for a stack sharing one problem, else one call per row.
+    stop test, the trace record and the noise-bound check read the held
+    pair, and rows that leave are dropped from it.  The exact-gradient step
+    reads the held G, or on a step where nothing else read the point takes
+    G alone with one ``gradient`` call, bit for bit the pair's G.  Each is
+    one call for a stack sharing one problem, else one call per row.
     All kernels act row by row, so every row's result is independent of K
     and of which other trials are still active.  Every row has the first
     problem's ``constraints`` and ``oracle_bound``.  With constraints every
@@ -253,10 +273,12 @@ def _run_loop(starts, config, stop=None):
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noisy = config.noise_scale > 0
-    # trial k's buffered draws and the step of its next unread one; a trial
-    # that leaves leaves its block in place, unread
-    blocks = np.empty((len(starts), NOISE_BLOCK, W.shape[1])) if noisy and oracle is None else None
-    cursor = np.full(len(starts), NOISE_BLOCK)
+    # active row i's buffered noise is blocks[slots[i]], read at the stack's
+    # cursor c; all rows refill together when c reaches the height, active
+    # row i into blocks[i].  A trial that leaves leaves its block unread.
+    height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * W.size)))
+    blocks = np.empty((len(starts), height, W.shape[1])) if noisy and oracle is None else None
+    slots, c = ids, height
     held = None  # (f, G) at W once read there, one entry per active row
     start = time.perf_counter()
 
@@ -271,16 +293,13 @@ def _run_loop(starts, config, stop=None):
                 held = tuple(np.concatenate(column) for column in zip(*pairs))
         return held
 
-    def buffered(rows):
-        """The next draw of each active row in the index array ``rows``,
-        refilling a spent block with one call of the row's generator."""
-        ks = ids[rows]
-        for i in rows[cursor[ks] == NOISE_BLOCK]:
-            rngs[i].standard_normal(out=blocks[ids[i]])
-            cursor[ids[i]] = 0
-        x = blocks[ks, cursor[ks]]
-        cursor[ks] += 1
-        return x
+    def gradient():
+        """G at W: the held one, else G alone, bit for bit the pair's G."""
+        if held is not None:
+            return held[1]
+        if shared:
+            return problems[0].gradient(W)
+        return np.concatenate([problem.gradient(W[i : i + 1]) for i, problem in enumerate(problems)])
 
     def record(t, rows):
         fs, G = (column[rows] for column in evaluate())
@@ -294,7 +313,7 @@ def _run_loop(starts, config, stop=None):
 
     def leave(rows, n_steps, message=None):
         """Close the records of the selected rows and drop them from the stack."""
-        nonlocal W, ids, rngs, problems, samplers, held
+        nonlocal W, ids, slots, rngs, problems, samplers, held
         for i in np.flatnonzero(rows):
             k = ids[i]
             # every trial is recorded at t=0, so its trace is never empty
@@ -312,7 +331,7 @@ def _run_loop(starts, config, stop=None):
                 message="" if message is None else message(i),
             )
         keep = ~rows
-        W, ids = W[keep], ids[keep]
+        W, ids, slots = W[keep], ids[keep], slots[keep]
         if held is not None:
             held = tuple(column[keep] for column in held)
         rngs, problems, samplers = ([x for x, kept in zip(xs, keep) if kept] for xs in (rngs, problems, samplers))
@@ -337,13 +356,19 @@ def _run_loop(starts, config, stop=None):
                     break
         eta_t = lr_schedule(config, t)
         if oracle is None:
-            sg = evaluate()[1]
+            sg = gradient()
         else:
             sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))
         noise = None
         if blocks is not None:
-            noise = config.noise_scale * _unit_rows(buffered(np.arange(ids.size)),
-                                                    lambda i: buffered(np.arange(i, i + 1))[0])
+            if c == height:
+                fill = blocks[: ids.size]
+                for i, rng in enumerate(rngs):
+                    rng.standard_normal(out=fill[i])
+                np.multiply(config.noise_scale, _unit_rows(fill, rngs), out=fill)
+                slots, c = np.arange(ids.size), 0
+            noise = blocks[slots, c]
+            c += 1
         elif noisy:
             noise = config.noise_scale * _sphere_rows(np.empty_like(W), rngs)
         if on_record and q is not None:
@@ -390,11 +415,11 @@ def projected_trials(n_trials, start, config, stop=None):
     that never does ends at the budget.  Trials run in blocks of
     STACK_ROWS rows, so memory and live generators stay bounded; trial
     k's record is the same whatever the block and whatever trials run
-    beside it.  Trials with no sampler draw their noise NOISE_BLOCK steps
-    per generator call, the stream of one draw per step: after the run
-    such a trial's generator may stand up to NOISE_BLOCK - 1 steps of
-    draws past its last step, so what it draws next does not continue the
-    trial's stream.
+    beside it.  Trials with no sampler draw their noise ``height`` steps
+    per generator call (see the module docstring), the stream of one draw
+    per step: after the run such a trial's generator may stand up to
+    ``height`` - 1 steps of draws past its last step, so what it draws next
+    does not continue the trial's stream.
 
     With constraints, starts must be feasible, steps are projected and
     recorded iterates are checked to 1e-10.  Returns RunRecords in trial order.

@@ -10,9 +10,10 @@ itself is never edited.
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
 
-Prints one line per mutant and exits 0 when every mutant is caught, 1
-when one is missed, and 2 when an edit no longer matches the source
-(STALE) or the tests fail unmutated.
+Prints one line per mutant, then the caught/total count per module and
+overall.  Exits 0 when every mutant is caught, 1 when one is missed, and
+2 when an edit no longer matches the source (STALE) or the tests fail
+unmutated.
 It runs outside the tier-1 suite: each mutant costs one pytest run.
 """
 
@@ -90,12 +91,20 @@ MUTANTS = [
            "        self.oracle_bound = oracle_bound\n", "",
            ("tests/test_sgd.py::TestNoiseBound::test_violation_raises",)),
     Mutant("noise-blocks-refilled-from-row-0", "src/strictsaddle/sgd.py",
-           "rngs[i].standard_normal(out=blocks[ids[i]])", "rngs[0].standard_normal(out=blocks[ids[i]])",
+           "rng.standard_normal(out=fill[i])", "rngs[0].standard_normal(out=fill[i])",
            ("tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws",)),
+    # a zero draw gives way to a fresh draw in its own step, the rest of the
+    # block staying put: the row's later steps read its stream out of order
     Mutant("noise-redraw-keeps-cursor", "src/strictsaddle/sgd.py",
-           "lambda i: buffered(np.arange(i, i + 1))[0]", "lambda i: blocks[ids[i], cursor[ids[i]]]",
+           "                x[k, j:-1] = x[k, j + 1 :]\n                norms[k, j:-1] = norms[k, j + 1 :]\n"
+           "                rngs[k].standard_normal(out=x[k, -1])\n                norms[k, -1] = row_norms(x[k, -1])\n",
+           "                rngs[k].standard_normal(out=x[k, j])\n                norms[k, j] = row_norms(x[k, j])\n",
            ("tests/test_sgd.py::TestNoise::test_degenerate_draw_is_redrawn",
             "tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws")),
+    Mutant("multipliers-denominator-factor", "src/strictsaddle/manifold.py",
+           "/ (2.0 * ss)", "/ ss",
+           ("tests/test_manifold.py::TestSphereProductProperties::test_closed_form_multipliers_match_lstsq",
+            "tests/test_acceptance.py::test_02_closed_form_multipliers")),
     Mutant("geometry-drift-projections-swapped", "src/strictsaddle/analysis.py",
            'note("tangent_drift", row_norms(constraints.normal_project(w0[kept], v)), dist[kept])',
            'note("tangent_drift", row_norms(constraints.tangent_project(w0[kept], v)), dist[kept])',
@@ -165,6 +174,9 @@ def main(names):
         passed = _pytest(mutant.tests, mutant)
         outcomes.append("STALE" if passed is None else "MISSED" if passed else "caught")
         print(f"{outcomes[-1]:7} {mutant.name}", flush=True)
+    for path in sorted({m.path for m in chosen}):
+        mine = [outcome for m, outcome in zip(chosen, outcomes) if m.path == path]
+        print(f"{mine.count('caught')}/{len(mine)} caught in {os.path.basename(path)}")
     print(f"{outcomes.count('caught')}/{len(chosen)} mutants caught")
     if "STALE" in outcomes:
         return 2

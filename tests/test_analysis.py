@@ -454,6 +454,39 @@ class TestEvaluationCounts:
         assert stats["per_trial_steps"] == [None] * trials
         assert shapes == [(6,)] + [(trials, 6)] * (iters + 1)
 
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_census_reads_the_value_only_where_a_record_does(self, stride):
+        """A noise-only stack with no stop, as the census runs, evaluates
+        (f, G) on its record steps and its last point and G alone on every
+        other step; with a stop, as escape runs, it evaluates (f, G) once
+        per point and never G alone."""
+        rng = np.random.default_rng(4)
+        problem = correlation_objective(basis=OrthoBasis.random(2, rng), halved=True)
+        iters = 30
+        config = SgdConfig(eta=0.05, iterations=iters, noise_scale=0.5, seed=4, record_every=stride)
+        calls = []
+
+        def counting(name):
+            method = getattr(ConstrainedProblem, name)
+
+            def counted(self, w):
+                calls.append(name)
+                return method(self, w)
+            return counted
+
+        def start(k):
+            rng = trial_rng(config.seed, k)
+            return problem.random_feasible(rng), rng, problem, None
+
+        with (mock.patch.object(ConstrainedProblem, "gradient", counting("gradient")),
+              mock.patch.object(ConstrainedProblem, "value_and_gradient", counting("value_and_gradient"))):
+            projected_trials(6, start, config)
+            census, calls[:] = calls[:], []
+            projected_trials(6, start, config, stop=lambda W, f, G: np.zeros(len(W), bool))
+        assert census == ["value_and_gradient" if t % stride == 0 or t == iters else "gradient"
+                          for t in range(iters + 1)]
+        assert calls == ["value_and_gradient"] * (iters + 1)
+
     def test_polish_evaluates_the_gradient_once_per_step(self):
         """Polish's stop reads chi from the gradient its step takes: one
         evaluation per loop step and no separate gradient call."""

@@ -554,10 +554,57 @@ _VALUES = {
 }
 _GARBLED = st.one_of(st.integers(-2, 0), st.sampled_from(["nan", "inf", "1e308", "1.5", "", "x"]))
 
+# Edge values for the fuzzed contract.  Per setting, a short list of values
+# every command accepts alone and one of values some command refuses: the
+# bounds of each size, the smallest subnormal and a huge float, seeds up to
+# 2**64 and seed lists.  Sizes stay at d <= 3 and iters <= 7; verify runs
+# its fixed census whatever the iters, so it is one command in thirteen.
+_EDGES = {
+    "d": (["2", "3"], ["-1", "0", "1"]),
+    "iters": (["1", "7"], ["-1", "0"]),
+    "batch": (["1", "3"], ["0"]),
+    "trials": (["1", "3"], ["0"]),
+    "starts": (["1", "3"], ["0"]),
+    "seeds": (["1", "3", "0,1", f"{2**64 - 1},0"], ["0", "2,2", "-1,1", ","]),
+    "record_every": (["1", "3", "7", "8"], ["0"]),
+    "eta": (["5e-324", "0.05", "1", "1e300"], ["-1", "0", "nan", "inf"]),
+    "noise": (["0", "5e-324", "0.5", "1e300"], ["-1", "nan", "inf"]),
+    "seed": (["0", "1", str(2**63), str(2**64 - 1), str(2**64)], ["-1"]),
+    "schedule": (["constant", "inv-t"], ["bogus"]),
+    "objective": (["correlation", "reconstruction", "maxeig"], ["bogus"]),
+    "sampler": (["simple", "ica"], ["bogus"]),
+    "overwrite": (["0", "1"], ["maybe"]),
+}
+_EDGE_SIZES = ("d", "iters", "batch", "trials", "starts", "seeds")
+
 
 class TestBadInput:
     """Any flags and config files: exit 0, 1 or 2, never a traceback, and an
     exit 2 leaves no output directory."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(("decompose", "ica", "escape", "minima") * 3 + ("verify",)),
+           data=st.data())
+    def test_fuzzed_config_file_keeps_the_contract(self, command, data):
+        """A config file of edge values, at most one of them refused, for
+        every command: exit 0, 1 or 2, no traceback, and an exit 2 removes
+        the output directory it made."""
+        keys = set(_EDGE_SIZES) | data.draw(st.sets(st.sampled_from(sorted(_EDGES))), label="keys")
+        values = {key: data.draw(st.sampled_from(_EDGES[key][0]), label=key) for key in sorted(keys)}
+        refused = data.draw(st.none() | st.sampled_from(sorted(values)), label="refused key")
+        if refused is not None:
+            values[refused] = data.draw(st.sampled_from(_EDGES[refused][1]), label="refused value")
+        with tempfile.TemporaryDirectory() as tmp:
+            out, cfg = os.path.join(tmp, "out"), os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.writelines(f"{key}={value}\n" for key, value in values.items())
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--out", out, "--config", cfg])
+            assert code in (0, 1, 2), values
+            assert "Traceback" not in err.getvalue(), values
+            if code == 2:
+                assert not os.path.exists(out), values
 
     @settings(max_examples=60, deadline=None)
     @given(command=st.sampled_from(COMMANDS), data=st.data())

@@ -484,8 +484,10 @@ class TestSphereProductProperties:
         problem = LinearProblem(cs, rng.standard_normal(cs.n))
         norms = [np.linalg.norm(w[b]) for b in block_slices(cs)]
         if 2.0 * min(norms) < CQ_SIGMA_MIN:
-            with pytest.raises(ValueError, match="constraint qualification"):
+            with pytest.raises(ValueError, match="constraint qualification") as failure:
                 lagrange_multipliers(problem, w)
+            # the check reports sigma_min(C) as the closed form gives it
+            assert str(failure.value).endswith(f" = {rlicq_sigma_min(cs, w):.3e}")
         else:
             assert np.all(np.isfinite(lagrange_multipliers(problem, w)))
 

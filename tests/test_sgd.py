@@ -1,5 +1,6 @@
 """Tests for the SGD runner, schedules, noise, and trace records."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -101,21 +102,22 @@ class TestConfig:
 # ------------------------------------------------------------------ #
 
 
-class ZeroFirstStream:
-    """A generator whose Gaussian stream opens with ``n`` zeros and goes on
-    as ``default_rng(seed)``'s, read in whatever sizes the caller asks."""
+class ZeroDrawStream:
+    """A generator whose Gaussian stream is ``default_rng(seed)``'s with the
+    n values of each draw in ``zeros`` (0 the first) set to zero, read in
+    whatever sizes the caller asks."""
 
-    def __init__(self, n, seed):
-        self.zeros = n
+    def __init__(self, n, seed, zeros=(0,)):
+        self.n, self.zeros, self.read = n, tuple(zeros), 0
         self.rng = np.random.default_rng(seed)
 
     def standard_normal(self, size=None, out=None):
         out = np.empty(size) if out is None else out
         flat = out.reshape(-1)  # a view: ``out`` is contiguous
-        zeros = min(self.zeros, flat.size)
-        flat[:zeros] = 0.0
-        self.zeros -= zeros
-        self.rng.standard_normal(out=flat[zeros:])
+        self.rng.standard_normal(out=flat)
+        for draw in self.zeros:
+            flat[max(draw * self.n - self.read, 0) : max((draw + 1) * self.n - self.read, 0)] = 0.0
+        self.read += flat.size
         return out
 
 
@@ -185,14 +187,23 @@ class TestNoise:
         assert rng.calls == 2
         np.testing.assert_allclose(v, np.arange(1.0, 4.0) / np.sqrt(14.0), rtol=1e-15)
 
-        # a run with no sampler reads its draws from a buffered block: the
-        # zero draw gives way to the block's next step, and the steps after
-        # it follow the stream, as one draw per step does
+        # rows with no sampler read their draws from buffered blocks, here
+        # of NOISE_BLOCK steps: a zero draw on a block's first step, on its
+        # last (twice) or on a refilled block's first gives way to the row's
+        # next draw, and the steps after it follow the stream, as one draw
+        # per step does
         prob = standard_maxeig(2)
         w0 = prob.random_feasible(np.random.default_rng(0))
         config = SgdConfig(eta=0.05, iterations=3 * sgd.NOISE_BLOCK, noise_scale=1.0, record_every=1)
-        got = projected_trials(1, lambda _: (w0, ZeroFirstStream(2, 1), prob, None), config)[0]
-        assert_same_run(got, per_step_run(w0, ZeroFirstStream(2, 1), prob, config))
+        zeros = [(0,), (sgd.NOISE_BLOCK - 1, 2 * sgd.NOISE_BLOCK), (sgd.NOISE_BLOCK,)]
+
+        def start(j):
+            return w0, ZeroDrawStream(2, j, zeros[j]), prob, None
+
+        with mock.patch.object(sgd, "NOISE_BYTES", 0):
+            stacked = projected_trials(len(zeros), start, config)
+        for j, got in enumerate(stacked):
+            assert_same_run(got, per_step_run(w0, ZeroDrawStream(2, j, zeros[j]), prob, config))
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -433,28 +444,58 @@ class TestStackedTrials:
     @given(kind=st.sampled_from(sorted(PROBLEMS)), d=st.integers(1, 5), k=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.5, 1.0]),
            stopping=st.sampled_from(["none", "coordinate", "value"]), iters=st.integers(1, 40),
-           stride=st.integers(1, 30), zero_first=st.sets(st.integers(0, 7)))
+           stride=st.integers(1, 30), floor=st.integers(1, sgd.NOISE_BLOCK), steps=st.integers(0, 48),
+           zero_rows=st.sets(st.integers(0, 7)), zeros=st.sets(st.integers(0, 17), min_size=1, max_size=3))
     def test_buffered_noise_equals_per_step_draws(self, kind, d, k, seed, noise, stopping, iters, stride,
-                                                  zero_first):
-        """Rows with no sampler take NOISE_BLOCK steps of noise per generator
+                                                  floor, steps, zero_rows, zeros):
+        """Rows with no sampler take a block of steps of noise per generator
         call, and their records equal, bit for bit, a loop that draws once
-        per step: with rows ending at different steps (their blocks left
-        unread) and with generators whose first draw is zero."""
+        per step: with blocks of any height (the budget NOISE_BYTES holds
+        ``steps`` steps of the stack, the floor NOISE_BLOCK is ``floor``),
+        so that runs refill often, sometimes or never; with rows ending at
+        different steps (their blocks left unread); and with generators
+        some of whose draws are zero, at any step of a block."""
         prob = PROBLEMS[kind](basis=OrthoBasis.random(d, np.random.default_rng(seed)))
+        n = prob.constraints.n
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
         w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
 
         def rng(j):
-            return ZeroFirstStream(prob.constraints.n, seed + j) if j in zero_first else trial_rng(seed, j)
+            return ZeroDrawStream(n, seed + j, sorted(zeros)) if j in zero_rows else trial_rng(seed, j)
 
         coordinate = float(np.median([w0[0] for w0 in w0s]))
         value = float(np.median([prob.value(w0) for w0 in w0s]))
         stop = {"none": None,
                 "coordinate": lambda W, f, G: W[:, 0] >= coordinate,
                 "value": lambda W, f, G: f <= value}[stopping]
-        stacked = projected_trials(k, lambda j: (w0s[j], rng(j), prob, None), config, stop=stop)
+        with mock.patch.object(sgd, "NOISE_BLOCK", floor), mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * k * n):
+            stacked = projected_trials(k, lambda j: (w0s[j], rng(j), prob, None), config, stop=stop)
         for j in range(k):
             assert_same_run(stacked[j], per_step_run(w0s[j], rng(j), prob, config, stop=stop))
+
+    @pytest.mark.parametrize("k, n, iters, height", [(60, 4, 1200, 341), (256, 40, 2000, 8), (60, 4, 5, 5),
+                                                     (1, 4, 20_000, 20_000)])
+    def test_noise_block_height(self, k, n, iters, height):
+        """A noise-only stack of k rows of n refills each row with ``height``
+        steps per generator call: the most that fit in NOISE_BYTES, never
+        fewer than NOISE_BLOCK and never more than the step budget."""
+        prob = standard_maxeig(n)
+        shapes = []
+
+        class Spy:
+            def __init__(self, j):
+                self.rng = trial_rng(0, j)
+
+            def standard_normal(self, size=None, out=None):
+                shapes.append(np.shape(out))
+                return self.rng.standard_normal(size, out=out)
+
+        # one step: the stop holds from its second test on
+        config = SgdConfig(eta=0.01, iterations=iters, noise_scale=1.0, record_every=iters)
+        tests = itertools.count()
+        projected_trials(k, lambda j: (np.eye(n)[0], Spy(j), prob, None), config,
+                         stop=lambda W, f, G: np.full(len(W), next(tests) > 0))
+        assert shapes == [(height, n)] * k
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("sampler_kind, per_row", [("simple", False), ("ica", False),
