@@ -29,6 +29,7 @@ import numbers
 
 import numpy as np
 
+from .sgd import fill_steps
 from .tensor4 import OrthoBasis
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "gen_ica_samples",
     "z_minus_y4_form",
     "minibatch_gradient",
-    "gen_simple_sample",
     "simple_correlation_gradient",
     "simple_maxeig_gradient",
     "simple_reconstruction_gradient",
@@ -124,13 +124,6 @@ def _sample_terms(U, Y):
     return -np.matmul(coeff.swapaxes(-1, -2), Y) / Y.shape[-2]
 
 
-def gen_simple_sample(basis, rng):
-    """Rank-one sampler: x = d^{1/4} a_i with i uniform; E[x^{(x)4}] = T."""
-    d = basis.d
-    i = rng.integers(d)
-    return d**0.25 * basis.vectors[i]
-
-
 def _row_products(U, x):
     """<u_i, x> for every row u_i of each point: (..., d)."""
     return np.matmul(U, x[..., None])[..., 0]
@@ -183,9 +176,13 @@ class IcaSampler:
             raise ValueError("batch_size must be >= 1")
         self.model = model
         self.batch_size = batch_size
+        self.sample_shape = (batch_size, model.d)
 
     def draw(self, rng):
         return gen_ica_samples(self.model, self.batch_size, rng)
+
+    def fill(self, rng, samples, noise):
+        return fill_steps(self.draw, rng, samples, noise)
 
     def gradient(self, W, samples):
         d = self.model.d
@@ -208,9 +205,72 @@ class SimpleSampler:
             raise ValueError(f"kind must be one of {self.KINDS}")
         self.basis = basis
         self.kind = kind
+        # every d^{1/4} a_i, bit for bit the product a draw of a_i would form
+        self.atoms = basis.d**0.25 * basis.vectors
+        self.atoms.flags.writeable = False
+        self.sample_shape = (basis.d,)
 
     def draw(self, rng):
-        return gen_simple_sample(self.basis, rng)
+        """x = d^{1/4} a_i with i = ``rng.integers(d)``; E[x^{(x)4}] = T."""
+        return self.atoms[rng.integers(self.basis.d)]
+
+    def fill(self, rng, samples, noise):
+        """Fill ``samples`` (h, d) and ``noise`` (h, n) or None in stream
+        order, step j's sample and then its n normals: the values of h
+        (``draw``, ``standard_normal(n)``) pairs, with the generator left
+        where those pairs leave it.
+
+        On a PCG64 generator the indices come from raw words, by the rule
+        numpy 2.x's ``integers(d)`` follows (Lemire's method): a 32-bit
+        draw u gives m = u d, drawn again while m mod 2^32 < 2^32 mod d,
+        and the index is m >> 32; d = 1 draws nothing.  PCG64 serves its
+        32-bit draws as the low half of a 64-bit word, then its high half,
+        kept as ``has_uint32``/``uinteger`` in the bit generator; normals
+        read whole words and never touch the spare half.  So when step
+        j + 1's index comes from the spare half with no rejection, steps j
+        and j + 1 share one word and one ``standard_normal`` call.  This
+        rests on numpy's algorithm, not on its documented interface; the
+        property tests in tests/test_ica.py compare it with ``integers``.
+        The noise is left as drawn, a degenerate draw included, and the
+        generator state before the fill is returned, for the caller to fill
+        the block again step by step from there.  Any other generator takes
+        the per-step fill, which returns None.
+        """
+        bitgen = getattr(rng, "bit_generator", None)
+        if not isinstance(bitgen, np.random.PCG64):
+            return fill_steps(self.draw, rng, samples, noise)
+        begun = bitgen.state
+        d, h = self.basis.d, len(samples)
+        if d == 1:
+            samples[:] = self.atoms[0]
+            if noise is not None:
+                rng.standard_normal(out=noise)
+            return begun
+        has, spare = begun["has_uint32"], begun["uinteger"]
+        below = (1 << 32) % d  # a product whose low half is below this is drawn again
+        raw, index, j = bitgen.random_raw, [0] * h, 0
+        while j < h:
+            while True:
+                if has:
+                    u, has = spare, 0
+                else:
+                    w = raw()
+                    u, spare, has = w & 0xFFFFFFFF, w >> 32, 1
+                m = u * d
+                if m & 0xFFFFFFFF >= below:
+                    break
+            index[j], step = m >> 32, 1
+            if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:
+                index[j + 1], has, step = (spare * d) >> 32, 0, 2
+            if noise is not None:
+                rng.standard_normal(out=noise[j : j + step])
+            j += step
+        samples[:] = self.atoms[index]
+        if (has, spare) != (begun["has_uint32"], begun["uinteger"]):
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = has, spare
+            bitgen.state = state
+        return begun
 
     def gradient(self, W, samples):
         if self.kind == "maxeig":

@@ -126,19 +126,11 @@ class SphereProduct:
         return f"SphereProduct(m={self.m}, k={self.k})"
 
 
-def rlicq_sigma_min(constraints, w):
-    """Smallest singular value of C(w), in closed form.
-
-    C(w)^T C(w) = diag(4 ||w_i||^2), so sigma_min(C) = 2 min_i ||w_i||
-    exactly; it equals 2 on feasible sphere products.
-    """
-    return 2.0 * float(np.min(constraints.block_norms(w), initial=np.inf))
-
-
 def _check_cq(ss):
     """Raise unless sigma_min(C(w)) >= CQ_SIGMA_MIN on every row, given the
-    squared block norms ``ss`` of w.  sigma_min = 2 sqrt(min ss) is
-    :func:`rlicq_sigma_min` bit for bit: sqrt is monotone and correctly
+    squared block norms ``ss`` of w.  C(w)^T C(w) = diag(4 ||w_i||^2), so
+    sigma_min(C) = 2 min_i ||w_i|| exactly (2 on feasible sphere products),
+    and 2 sqrt(min ss) is that bit for bit: sqrt is monotone and correctly
     rounded, so the sqrt of the least sum is the least norm."""
     sigma = 2.0 * float(np.sqrt(np.min(ss, initial=np.inf)))
     if sigma < CQ_SIGMA_MIN:

@@ -10,23 +10,30 @@ seed): the RNG is ``numpy.random.default_rng`` seeded through a
 
 Per step the runner draws the oracle sample first and the injected noise
 second; schedules only change the step length, so matched seeds see
-identical random streams under different schedules.  A trial with no
-sampler draws nothing but noise, so it takes its Gaussian draws a block
-of ``height`` steps at a time (as many as NOISE_BYTES holds for the whole
-stack, at least NOISE_BLOCK and at most the step budget), in one generator
-call that gives the values of ``height`` one-step calls: its stream is
-unchanged, but its generator may end up to ``height`` - 1 steps of draws
-past its last step.
+identical random streams under different schedules.  Every trial reads its
+steps from blocks it draws ahead, all rows refilling together.  A trial
+with no sampler draws nothing but noise, so it takes its Gaussian draws a
+block of ``height`` steps at a time (as many as NOISE_BYTES holds for the
+whole stack, at least NOISE_BLOCK and at most the step budget), in one
+generator call that gives the values of ``height`` one-step calls: its
+stream is unchanged, but its generator may end up to ``height`` - 1 steps
+of draws past its last step.  A trial with a sampler has its sampler fill
+a block of samples and noise in stream order (step j's sample, then its n
+normals), as many steps as NOISE_BYTES holds for the stack's samples and
+noise, at least one and at most the budget left: it reads the values of
+one (draw, normals) pair per step, and a trial that runs its whole budget
+leaves its generator where one pair per step does.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
 Rows may share one problem or each carry their own.  A sampler answers
-for the whole stack: a row's ``draw(rng)`` gives its sample and one
-``gradient(W, samples)`` call takes the stack and one sample per row.  Every
-kernel on the stack acts row by row (an einsum or a last-axis reduction
-where rows meet shared data, a batched matmul for products of per-row
-matrices), so trial k's record is bit for bit the same alone or in a
-stack of any height.
+for the whole stack: a row's ``draw(rng)`` gives its sample, of shape
+``sample_shape``, ``fill(rng, samples, noise)`` a block of (draw, normals)
+steps, and one ``gradient(W, samples)`` call takes the stack and one
+sample per row.  Every kernel on the stack acts row by row (an einsum or
+a last-axis reduction where rows meet shared data, a batched matmul for
+products of per-row matrices), so trial k's record is bit for bit the
+same alone or in a stack of any height.
 """
 
 import math
@@ -49,6 +56,7 @@ __all__ = [
     "run_rng",
     "trial_rng",
     "RecordedPerturbations",
+    "fill_steps",
     "write_csv",
     "write_run_csv",
 ]
@@ -63,8 +71,10 @@ STACK_ROWS = 256
 # A noise-only stack draws each row's noise ``height`` steps per generator
 # call, the most steps whose (K, height, n) buffer fits in NOISE_BYTES but
 # never fewer than NOISE_BLOCK or more than the step budget: 8 steps at
-# STACK_ROWS rows of n=40, 341 at 60 rows of n=4.  A row's result does not
-# depend on either.
+# STACK_ROWS rows of n=40, 341 at 60 rows of n=4.  A stack with a sampler
+# fills the most steps whose samples and noise fit in NOISE_BYTES, at least
+# one and at most the budget left: 186 steps at 4 rows of n=100 with
+# samples of 10.  A row's result does not depend on either.
 NOISE_BLOCK = 8
 NOISE_BYTES = 640 * 1024
 
@@ -118,17 +128,23 @@ def row_norms(x, keepdims=False):
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
+def _block_norms(x):
+    """Row norms of the draws ``x``, (K, height, n), as (K, height, 1).  A
+    taller ``x`` has its norms taken NOISE_BLOCK steps at a time, so their
+    squares need no buffer the size of ``x``."""
+    if x.shape[1] <= NOISE_BLOCK:
+        return row_norms(x, keepdims=True)
+    return np.concatenate([row_norms(x[:, j : j + NOISE_BLOCK], keepdims=True)
+                           for j in range(0, x.shape[1], NOISE_BLOCK)], axis=1)
+
+
 def _unit_rows(x, rngs):
     """Normalize in place the Gaussian draws ``x``, (K, height, n) with row
     k's steps drawn in order from ``rngs[k]``, and return it.  A draw of norm
     at most 1e-12 gives way to the row's next draw: the rest of the row moves
     up a step and ``rngs[k]`` tops up its last step, until no such draw is
-    left, so the row keeps the values of one draw per step.  A taller ``x``
-    has its norms taken NOISE_BLOCK steps at a time, so their squares need
-    no buffer the size of ``x``."""
-    h = x.shape[1]
-    norms = row_norms(x, keepdims=True) if h <= NOISE_BLOCK else np.concatenate(
-        [row_norms(x[:, j : j + NOISE_BLOCK], keepdims=True) for j in range(0, h, NOISE_BLOCK)], axis=1)
+    left, so the row keeps the values of one draw per step."""
+    norms = _block_norms(x)
     if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
         for k in np.flatnonzero((norms <= NOISE_NORM_FLOOR).any(axis=(1, 2))):
             j = 0
@@ -142,24 +158,53 @@ def _unit_rows(x, rngs):
     return x
 
 
-def _sphere_rows(out, rngs):
-    """Uniform unit vectors, row k drawn from ``rngs[k]``.
+def fill_steps(draw, rng, samples, noise):
+    """Fill ``samples`` (h, ...) and ``noise`` (h, n) or None one step at a
+    time, in stream order: step j's sample ``draw(rng)``, then its n
+    Gaussian draws from ``rng``, drawn again at once while their norm is at
+    most 1e-12.  These are the values of h (draw, normals) pairs, and
+    ``noise`` holds no degenerate draw, so there is no state to go back to:
+    returns None."""
+    for j in range(len(samples)):
+        samples[j] = draw(rng)
+        if noise is not None:
+            rng.standard_normal(out=noise[j])
+            while row_norms(noise[j]) <= NOISE_NORM_FLOOR:
+                rng.standard_normal(out=noise[j])
 
-    Each row is an isotropic Gaussian draw written into row k of the
-    buffer ``out``, then normalized in place; a row whose norm is at most
-    1e-12 is redrawn from its own generator.
-    """
-    for k, rng in enumerate(rngs):
-        rng.standard_normal(out=out[k])
-    _unit_rows(out[:, None], rngs)
-    return out
+
+def _fill_rows(samplers, rngs, samples, noise):
+    """Fill row k of the sample block ``samples`` (K, h, ...) and the noise
+    block ``noise`` (K, h, n) or None from ``samplers[k]`` and ``rngs[k]``,
+    and normalize the noise in place.
+
+    A sampler's ``fill`` gives its row the values of h (draw, normals) pairs,
+    and returns None or the generator state it began at.  A per-step fill
+    draws a degenerate noise draw again at once; a fill that returns its
+    state does not, so a row it left one in goes back to that state and is
+    filled again one step at a time, each degenerate draw giving way to the
+    next n normals before the next sample."""
+    begun = [sampler.fill(rng, samples[k], None if noise is None else noise[k])
+             for k, (sampler, rng) in enumerate(zip(samplers, rngs))]
+    if noise is None:
+        return
+    norms = _block_norms(noise)
+    if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
+        for k in np.flatnonzero((norms <= NOISE_NORM_FLOOR).any(axis=(1, 2))):
+            rngs[k].bit_generator.state = begun[k]
+            fill_steps(samplers[k].draw, rngs[k], samples[k], noise[k])
+            norms[k] = _block_norms(noise[k : k + 1])[0]
+    noise /= norms
 
 
 def unit_sphere_noise(dim, rng):
-    """Uniform unit vector via a normalized isotropic Gaussian draw."""
+    """Uniform unit vector via a normalized isotropic Gaussian draw; a draw
+    of norm at most 1e-12 gives way to the generator's next one."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return _sphere_rows(np.empty((1, dim)), [rng])[0]
+    out = np.empty((1, 1, dim))
+    rng.standard_normal(out=out[0, 0])
+    return _unit_rows(out, [rng])[0, 0]
 
 
 def run_rng(seed):
@@ -198,12 +243,15 @@ class RecordedPerturbations:
     """Sampler that replays a fixed stream of additive gradient perturbations.
 
     Each draw is the stream's next entry; the oracle adds it to the exact
-    gradient of ``objective``.
+    gradient of ``objective``.  The run loop takes a row's draws a block of
+    steps at a time, so rows that share one such sampler take its entries a
+    block per row, not a step per row.
     """
 
     def __init__(self, objective, stream):
         self.objective = objective
         self.stream = [np.asarray(x, dtype=float) for x in stream]
+        self.sample_shape = self.stream[0].shape if self.stream else ()
         self._next = 0
 
     def draw(self, rng):
@@ -212,6 +260,9 @@ class RecordedPerturbations:
         out = self.stream[self._next]
         self._next += 1
         return out
+
+    def fill(self, rng, samples, noise):
+        return fill_steps(self.draw, rng, samples, noise)
 
     def gradient(self, W, samples):
         return self.objective.gradient(W) + samples
@@ -231,22 +282,28 @@ def _check_noise_bound(q, xi, noise, noise_scale):
 def _run_loop(starts, config, stop=None):
     """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
-    Each step draws every active trial's oracle sample, then every trial's
-    noise, trial k from its own sampler and generator, so its stream is the
-    one it sees when run alone.  With no sampler a trial's generator gives
-    only noise, so it is drawn ``height`` steps at a time into the trial's
-    block, one generator call per block, and normalized and scaled there;
-    every active row reads its block at the stack's one cursor, all rows
-    refilling together when the cursor reaches the height.  A draw of norm
-    <= 1e-12 gives way to the row's next one: the rest of its block moves up
-    a step and its generator tops up the block's last step.  So a row reads
-    the same values, in the same order, as one draw per step.  One ``gradient(W, samples)``
-    call of the samplers' shared oracle (it reads no basis) then answers for the whole
-    stack.  The exact value and gradient (f, G) at the current point are
-    one ``value_and_gradient`` call of the problems, taken when something
-    first reads them at that point and held until the step moves it: the
-    stop test, the trace record and the noise-bound check read the held
-    pair, and rows that leave are dropped from it.  The exact-gradient step
+    Each step reads every active trial's oracle sample, then its noise,
+    trial k's drawn from its own sampler and generator, so its stream is
+    the one it sees when run alone.  The draws are buffered: every active
+    row reads its blocks at the stack's one cursor, all rows refilling
+    together when the cursor reaches the block's height, and the noise is
+    normalized and scaled there.  With no sampler a trial's generator gives
+    only noise, so its block is one generator call; a draw of norm <= 1e-12
+    gives way to the row's next one, the rest of its block moving up a step
+    while its generator tops up the block's last step.  With a sampler, the
+    sampler's ``fill`` draws the row's samples and noise in stream order,
+    and a degenerate draw gives way to the next n normals before the next
+    sample (see :func:`_fill_rows`); its blocks hold at most the budget
+    left.  So a row reads the same values, in the same order, as one
+    (sample, noise) draw per step.  While no row has left since the
+    refill, the step reads the blocks through a view.  One
+    ``gradient(W, samples)`` call of the samplers' shared oracle (it reads
+    no basis) then answers for the whole stack.  The exact value and
+    gradient (f, G) at the current point are one ``value_and_gradient``
+    call of the problems, taken when something first reads them at that
+    point and held until the step moves it: the stop test, the trace record
+    and the noise-bound check read the held pair, and rows that leave are
+    dropped from it.  The exact-gradient step
     reads the held G, or on a step where nothing else read the point takes
     G alone with one ``gradient`` call, bit for bit the pair's G.  Each is
     one call for a stack sharing one problem, else one call per row.
@@ -273,12 +330,19 @@ def _run_loop(starts, config, stop=None):
     traces = [[] for _ in starts]
     records = [None] * len(starts)
     noisy = config.noise_scale > 0
-    # active row i's buffered noise is blocks[slots[i]], read at the stack's
-    # cursor c; all rows refill together when c reaches the height, active
-    # row i into blocks[i].  A trial that leaves leaves its block unread.
-    height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * W.size)))
-    blocks = np.empty((len(starts), height, W.shape[1])) if noisy and oracle is None else None
-    slots, c = ids, height
+    # active row i's buffered steps are samples[slots[i]] and
+    # blocks[slots[i]] (the noise), read at the stack's cursor c; all rows
+    # refill together when c reaches the block's end, active row i into
+    # blocks[i].  A trial that leaves leaves its block unread.
+    buffered = noisy or oracle is not None
+    if oracle is None:
+        height, samples = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * W.size))), None
+    else:
+        shape = tuple(oracle.sample_shape)
+        height = max(1, NOISE_BYTES // (8 * len(starts) * (W.shape[1] * noisy + math.prod(shape))))
+        samples = np.empty((len(starts), height, *shape))
+    blocks = np.empty((len(starts), height, W.shape[1])) if noisy else None
+    slots, c, end, filled = ids, 0, 0, 0
     held = None  # (f, G) at W once read there, one entry per active row
     start = time.perf_counter()
 
@@ -355,22 +419,29 @@ def _run_loop(starts, config, stop=None):
                 if not ids.size:
                     break
         eta_t = lr_schedule(config, t)
+        noise = None
+        if buffered:
+            if c == end:
+                end = height if oracle is None else min(height, config.iterations - t)
+                filled = ids.size
+                fill = None if blocks is None else blocks[:filled, :end]
+                if oracle is None:
+                    for i, rng in enumerate(rngs):
+                        rng.standard_normal(out=fill[i])
+                    _unit_rows(fill, rngs)
+                else:
+                    _fill_rows(samplers, rngs, samples[:filled, :end], fill)
+                if fill is not None:
+                    np.multiply(config.noise_scale, fill, out=fill)
+                slots, c = np.arange(filled), 0
+            rows = slice(filled) if ids.size == filled else slots
+            if blocks is not None:
+                noise = blocks[rows, c]
         if oracle is None:
             sg = gradient()
         else:
-            sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))
-        noise = None
-        if blocks is not None:
-            if c == height:
-                fill = blocks[: ids.size]
-                for i, rng in enumerate(rngs):
-                    rng.standard_normal(out=fill[i])
-                np.multiply(config.noise_scale, _unit_rows(fill, rngs), out=fill)
-                slots, c = np.arange(ids.size), 0
-            noise = blocks[slots, c]
-            c += 1
-        elif noisy:
-            noise = config.noise_scale * _sphere_rows(np.empty_like(W), rngs)
+            sg = oracle.gradient(W, samples[rows, c])
+        c += 1
         if on_record and q is not None:
             _check_noise_bound(q, sg - evaluate()[1], noise, config.noise_scale)
         step = sg if noise is None else sg + noise
@@ -415,11 +486,15 @@ def projected_trials(n_trials, start, config, stop=None):
     that never does ends at the budget.  Trials run in blocks of
     STACK_ROWS rows, so memory and live generators stay bounded; trial
     k's record is the same whatever the block and whatever trials run
-    beside it.  Trials with no sampler draw their noise ``height`` steps
-    per generator call (see the module docstring), the stream of one draw
-    per step: after the run such a trial's generator may stand up to
-    ``height`` - 1 steps of draws past its last step, so what it draws next
-    does not continue the trial's stream.
+    beside it.  Trials draw ahead in blocks (see the module docstring), the
+    stream of one draw per step.  A trial with no sampler draws its noise
+    ``height`` steps per generator call, so after the run its generator may
+    stand up to ``height`` - 1 steps of draws past its last step, and what
+    it draws next does not continue the trial's stream.  A trial with a
+    sampler fills at most the budget left, so one that runs its whole
+    budget leaves its generator where one (draw, normals) pair per step
+    does and can be continued; one that stops or diverges early may leave
+    it up to a block past.
 
     With constraints, starts must be feasible, steps are projected and
     recorded iterates are checked to 1e-10.  Returns RunRecords in trial order.

@@ -13,7 +13,10 @@ itself is never edited.
 Prints one line per mutant, then the caught/total count per module and
 overall.  Exits 0 when every mutant is caught, 1 when one is missed, and
 2 when an edit no longer matches the source (STALE) or the tests fail
-unmutated.
+unmutated.  A mutant's tests get twice as long as the unmutated run of
+every mutant's tests took, plus a minute; a mutant that makes them run
+longer (a loop that never ends) counts as caught, marked ``(timeout)``.
+An unmutated run that takes over CONTROL_TIMEOUT_S exits 2.
 It runs outside the tier-1 suite: each mutant costs one pytest run.
 """
 
@@ -22,9 +25,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONTROL_TIMEOUT_S = 900
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ _PROJECTION = """\
                 leave(bad, t, lambda i: f"degenerate projection at step {t}")
                 W = constraints.project(W)
 """
-_ORACLE_CALL = "sg = oracle.gradient(W, np.array([s.draw(rng) for s, rng in zip(samplers, rngs)]))"
+_ORACLE_CALL = "sg = oracle.gradient(W, samples[rows, c])"
 
 MUTANTS = [
     Mutant("divergence-test-after-projection", "src/strictsaddle/sgd.py",
@@ -62,11 +67,11 @@ MUTANTS = [
            '"margin": float(r.tolerance - r.value)', '"margin": float(r.value - r.tolerance)',
            ("tests/test_cli.py::TestVerify::test_json_report_holds_every_margin",)),
     Mutant("per-row-oracle-calls", "src/strictsaddle/sgd.py", _ORACLE_CALL,
-           "sg = np.concatenate([oracle.gradient(W[i : i + 1], s.draw(rng)[None])"
-           " for i, (s, rng) in enumerate(zip(samplers, rngs))])",
+           "sg = np.concatenate([oracle.gradient(W[i : i + 1], samples[rows, c][i : i + 1])"
+           " for i in range(ids.size)])",
            ("tests/test_sgd.py::TestStackedTrials::test_one_oracle_call_per_step_on_the_whole_stack",)),
-    Mutant("every-row-draws-from-row-0-sampler", "src/strictsaddle/sgd.py", _ORACLE_CALL,
-           "sg = oracle.gradient(W, np.array([samplers[0].draw(rng) for rng in rngs]))",
+    Mutant("every-row-draws-from-row-0-sampler", "src/strictsaddle/sgd.py",
+           "begun = [sampler.fill(rng,", "begun = [samplers[0].fill(rng,",
            ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",
             "tests/test_cli.py::TestDecompose::test_seed_trace_same_alone_or_in_batch")),
     Mutant("cross-vectors-sign-flip", "src/strictsaddle/objectives.py",
@@ -124,6 +129,24 @@ MUTANTS = [
     Mutant("ica-maxeig-cube-by-power", "src/strictsaddle/ica.py",
            "np.float_power(np.vecdot(u, x), 3)", "np.vecdot(u, x) ** 3",
            ("tests/test_golden.py::test_command_reproduces_golden[decompose-maxeig]",)),
+    # a degenerate draw left by the raw-word fill is drawn again from where
+    # the generator stands after the fill, not from where the fill began
+    Mutant("sampler-redraw-without-restore", "src/strictsaddle/sgd.py",
+           "            rngs[k].bit_generator.state = begun[k]\n", "",
+           ("tests/test_sgd.py::TestStackedTrials::test_degenerate_draws_give_way_in_stream_order",)),
+    # the raw-word fill of SimpleSampler: the spare 32-bit half is the high
+    # half of the word, the fill leaves it in the bit generator, and two
+    # steps share one normals call only when the second index takes no new word
+    Mutant("ica-spare-half-from-low-bits", "src/strictsaddle/ica.py",
+           "u, spare, has = w & 0xFFFFFFFF, w >> 32, 1", "u, spare, has = w & 0xFFFFFFFF, w & 0xFFFFFFFF, 1",
+           ("tests/test_ica.py::TestSimpleSampler::test_fill_equals_per_step_pairs",
+            "tests/test_golden.py")),
+    Mutant("ica-spare-flag-not-written-back", "src/strictsaddle/ica.py",
+           "            bitgen.state = state\n", "",
+           ("tests/test_ica.py::TestSimpleSampler::test_fill_equals_per_step_pairs",)),
+    Mutant("ica-normals-merged-past-a-rejected-spare", "src/strictsaddle/ica.py",
+           "if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:", "if has and j + 1 < h:",
+           ("tests/test_ica.py::TestSimpleSampler::test_fill_redraws_rejected_halves",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),
@@ -137,9 +160,10 @@ def _copy(workdir):
     shutil.copy(os.path.join(REPO, "pyproject.toml"), workdir)
 
 
-def _pytest(tests, mutant=None):
-    """Run ``tests`` on a copy with ``mutant`` applied: True when they all pass,
-    None when the mutant's edit does not match the source once."""
+def _pytest(tests, mutant=None, timeout=CONTROL_TIMEOUT_S):
+    """Run ``tests`` on a copy with ``mutant`` applied: "passed", "failed" or
+    "timeout" (still running after ``timeout`` seconds), or None when the
+    mutant's edit does not match the source once."""
     with tempfile.TemporaryDirectory() as workdir:
         _copy(workdir)
         if mutant is not None:
@@ -151,12 +175,15 @@ def _pytest(tests, mutant=None):
             with open(path, "w") as fh:
                 fh.write(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                              cwd=workdir, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                                  cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return "timeout"
     # pytest exits 1 when a test failed; any other code means the run itself broke
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited {proc.returncode} on {tests}\n{proc.stdout}{proc.stderr}")
-    return proc.returncode == 0
+    return "passed" if proc.returncode == 0 else "failed"
 
 
 def main(names):
@@ -166,14 +193,18 @@ def main(names):
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     control = sorted({test for m in chosen for test in m.tests})
-    if not _pytest(control):
-        print("the named tests fail without any mutant; nothing can be checked", file=sys.stderr)
+    began = time.perf_counter()
+    unmutated = _pytest(control)
+    if unmutated != "passed":
+        print(f"the named tests {'fail' if unmutated == 'failed' else 'time out'} without any mutant;"
+              " nothing can be checked", file=sys.stderr)
         return 2
+    timeout = 2 * (time.perf_counter() - began) + 60
     outcomes = []
     for mutant in chosen:
-        passed = _pytest(mutant.tests, mutant)
-        outcomes.append("STALE" if passed is None else "MISSED" if passed else "caught")
-        print(f"{outcomes[-1]:7} {mutant.name}", flush=True)
+        ran = _pytest(mutant.tests, mutant, timeout)
+        outcomes.append({None: "STALE", "passed": "MISSED", "failed": "caught", "timeout": "caught"}[ran])
+        print(f"{outcomes[-1]:7} {mutant.name}{' (timeout)' if ran == 'timeout' else ''}", flush=True)
     for path in sorted({m.path for m in chosen}):
         mine = [outcome for m, outcome in zip(chosen, outcomes) if m.path == path]
         print(f"{mine.count('caught')}/{len(mine)} caught in {os.path.basename(path)}")

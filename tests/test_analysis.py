@@ -29,7 +29,7 @@ from strictsaddle.analysis import (
     run_checks,
     simple_sampler_check,
 )
-from strictsaddle import analysis, ica, objectives, tensor4
+from strictsaddle import analysis, ica, objectives, sgd, tensor4
 from strictsaddle.manifold import SphereProduct, tangent_gradient
 from strictsaddle.objectives import (
     ConstrainedProblem,
@@ -604,6 +604,40 @@ class TestChecks:
         for key, margin in want["margins"].items():
             np.testing.assert_allclose(got["margins"][key], margin, rtol=1e-12, atol=1e-15, err_msg=key)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_geometry_check_redraws_directions_after_the_stack(self, seed):
+        """A direction of norm at most NOISE_NORM_FLOOR (raised here so about
+        8% of directions at n = 2 are) is drawn again from the generator
+        after the whole (n_pairs, 5, n) stack, pair by pair, as documented:
+        the projection-step points and the generator's state afterwards
+        equal that order's."""
+        constraints, n_pairs, etas, floor = SphereProduct(1, 2), 60, (1e-1, 1e-2), 0.4
+        calls = []
+        project = SphereProduct.project
+
+        def spy(self, W):
+            calls.append(np.array(W, copy=True))
+            return project(self, W)
+
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(SphereProduct, "project", spy), mock.patch.object(sgd, "NOISE_NORM_FLOOR", floor):
+            geometry_check(constraints, n_pairs, etas, rng)
+
+        want = np.random.default_rng(seed)
+        draws = want.standard_normal((n_pairs, 5, 2))
+        w0, direction = constraints.project(draws[:, 0]), draws[:, 4].copy()
+        redrawn = 0
+        for i in range(n_pairs):
+            while row_norms(direction[i]) <= floor:
+                direction[i] = want.standard_normal(2)
+                redrawn += 1
+        assert redrawn > 0
+        unit = direction / row_norms(direction, keepdims=True)
+        assert len(calls) == 2 + len(etas)
+        for eta, call in zip(etas, calls[2:]):
+            np.testing.assert_array_equal(call, w0 + eta * unit)
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_pairing_and_sampler_checks(self):
         rng = np.random.default_rng(8)

