@@ -353,11 +353,11 @@ def geometry_check(constraints, n_pairs, etas, rng):
     ``rng.standard_normal((n_pairs, 5, n))`` call draws, pair by pair,
     w0, w, the Gaussian projected onto the tangent space at w for (c), the
     one projected onto its normal space for (d), and the direction for
-    (e).  A w0 or w with a block norm below 1e-12 raises ValueError, as
-    ``project`` does; a tangent or normal draw whose projection has norm
-    at most 1e-12 is skipped; a direction of norm at most 1e-12 is redrawn
-    from ``rng`` after the whole stack, pair by pair (at n >= 2 such a draw
-    is practically impossible).
+    (e), and ``rng`` draws nothing else.  A w0 or w with a block norm
+    below 1e-12 raises ValueError, as ``project`` does; a tangent or normal
+    draw whose projection has norm at most 1e-12 is skipped; a direction of
+    norm at most NOISE_NORM_FLOOR is zero, as a degenerate noise draw of
+    the run loop is.
 
     Returns a dict with the violation count and the worst signed margin
     (lhs - rhs, nonpositive when the bound holds) per inequality.
@@ -372,7 +372,7 @@ def geometry_check(constraints, n_pairs, etas, rng):
 
     w0, w, tangent_draw, normal_draw, direction = np.moveaxis(rng.standard_normal((n_pairs, 5, n)), 1, 0)
     w0, w = constraints.project(w0), constraints.project(w)
-    direction = _unit_rows(direction[:, None], [rng] * n_pairs)[:, 0]
+    direction = _unit_rows(direction[:, None])[:, 0]
 
     delta = w - w0
     dist = row_norms(delta)
@@ -454,7 +454,7 @@ def simple_sampler_check(d, n_points, rng):
     basis = tensor4.OrthoBasis.random(d, rng)
     problem = objectives.correlation_objective(basis=basis, halved=True)
     W = np.array([problem.random_feasible(rng) for _ in range(n_points)])
-    atoms = d**0.25 * basis.vectors
+    atoms = ica.SimpleSampler(basis).atoms
     return _sampled_mean_error(problem, W, ica.simple_correlation_gradient(W.reshape(-1, 1, d, d), atoms))
 
 

@@ -182,7 +182,7 @@ class IcaSampler:
         return gen_ica_samples(self.model, self.batch_size, rng)
 
     def fill(self, rng, samples, noise):
-        return fill_steps(self.draw, rng, samples, noise)
+        fill_steps(self.draw, rng, samples, noise)
 
     def gradient(self, W, samples):
         d = self.model.d
@@ -231,21 +231,21 @@ class SimpleSampler:
         and j + 1 share one word and one ``standard_normal`` call.  This
         rests on numpy's algorithm, not on its documented interface; the
         property tests in tests/test_ica.py compare it with ``integers``.
-        The noise is left as drawn, a degenerate draw included, and the
-        generator state before the fill is returned, for the caller to fill
-        the block again step by step from there.  Any other generator takes
-        the per-step fill, which returns None.
+        The noise is left as drawn, a degenerate draw included: the run
+        loop's refill normalizes it, a degenerate draw to zero.  Any other
+        generator takes the per-step :func:`sgd.fill_steps`.
         """
         bitgen = getattr(rng, "bit_generator", None)
         if not isinstance(bitgen, np.random.PCG64):
-            return fill_steps(self.draw, rng, samples, noise)
-        begun = bitgen.state
+            fill_steps(self.draw, rng, samples, noise)
+            return
         d, h = self.basis.d, len(samples)
         if d == 1:
             samples[:] = self.atoms[0]
             if noise is not None:
                 rng.standard_normal(out=noise)
-            return begun
+            return
+        begun = bitgen.state
         has, spare = begun["has_uint32"], begun["uinteger"]
         below = (1 << 32) % d  # a product whose low half is below this is drawn again
         raw, index, j = bitgen.random_raw, [0] * h, 0
@@ -270,7 +270,6 @@ class SimpleSampler:
             state = bitgen.state
             state["has_uint32"], state["uinteger"] = has, spare
             bitgen.state = state
-        return begun
 
     def gradient(self, W, samples):
         if self.kind == "maxeig":

@@ -8,21 +8,19 @@ seed): the RNG is ``numpy.random.default_rng`` seeded through a
 ``SeedSequence``, and multi-trial sweeps give trial k the substream
 ``SeedSequence(seed, spawn_key=(k,))``.
 
-Per step the runner draws the oracle sample first and the injected noise
-second; schedules only change the step length, so matched seeds see
-identical random streams under different schedules.  Every trial reads its
-steps from blocks it draws ahead, all rows refilling together.  A trial
-with no sampler draws nothing but noise, so it takes its Gaussian draws a
-block of ``height`` steps at a time (as many as NOISE_BYTES holds for the
-whole stack, at least NOISE_BLOCK and at most the step budget), in one
-generator call that gives the values of ``height`` one-step calls: its
-stream is unchanged, but its generator may end up to ``height`` - 1 steps
-of draws past its last step.  A trial with a sampler has its sampler fill
-a block of samples and noise in stream order (step j's sample, then its n
-normals), as many steps as NOISE_BYTES holds for the stack's samples and
-noise, at least one and at most the budget left: it reads the values of
-one (draw, normals) pair per step, and a trial that runs its whole budget
-leaves its generator where one pair per step does.
+Every step reads exactly one (sample, normals) pair from its trial's
+generator: the oracle sample first (with a sampler), then n Gaussian
+draws, normalized to the noise direction; a draw of norm at most
+NOISE_NORM_FLOOR gives zero noise, and nothing is drawn again.  Schedules
+only change the step length, so matched seeds see identical random
+streams under different schedules.  Every trial reads its steps from
+blocks it draws ahead, all rows refilling together, each block as many
+steps as NOISE_BYTES holds for the whole stack's samples and noise, at
+least NOISE_BLOCK and at most the budget left.  A trial with no sampler
+fills its block with one generator call, a trial with a sampler with its
+sampler's ``fill`` in stream order.  Either way the block holds the values
+of one pair per step, and a trial that runs its whole budget leaves its
+generator where one pair per step does.
 
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
@@ -68,13 +66,11 @@ NOISE_NORM_FLOOR = 1e-12
 # number of live generators for any trial count; a row's result does not
 # depend on it.
 STACK_ROWS = 256
-# A noise-only stack draws each row's noise ``height`` steps per generator
-# call, the most steps whose (K, height, n) buffer fits in NOISE_BYTES but
-# never fewer than NOISE_BLOCK or more than the step budget: 8 steps at
-# STACK_ROWS rows of n=40, 341 at 60 rows of n=4.  A stack with a sampler
-# fills the most steps whose samples and noise fit in NOISE_BYTES, at least
-# one and at most the budget left: 186 steps at 4 rows of n=100 with
-# samples of 10.  A row's result does not depend on either.
+# Every refill draws each row's next ``height`` steps: the most steps whose
+# noise and samples fit in NOISE_BYTES for the whole stack, never fewer
+# than NOISE_BLOCK and never more than the budget left.  That is 8 steps
+# at STACK_ROWS rows of n=40, 341 at 60 rows of n=4, and 186 at 4 rows of
+# n=100 with samples of 10.  A row's result does not depend on it.
 NOISE_BLOCK = 8
 NOISE_BYTES = 640 * 1024
 
@@ -138,22 +134,15 @@ def _block_norms(x):
                            for j in range(0, x.shape[1], NOISE_BLOCK)], axis=1)
 
 
-def _unit_rows(x, rngs):
-    """Normalize in place the Gaussian draws ``x``, (K, height, n) with row
-    k's steps drawn in order from ``rngs[k]``, and return it.  A draw of norm
-    at most 1e-12 gives way to the row's next draw: the rest of the row moves
-    up a step and ``rngs[k]`` tops up its last step, until no such draw is
-    left, so the row keeps the values of one draw per step."""
+def _unit_rows(x):
+    """Normalize in place the Gaussian draws ``x``, (K, height, n), and
+    return it.  A draw of norm at most NOISE_NORM_FLOOR gives zero: its
+    direction is uniform whatever its norm, so the floor only keeps the
+    division finite, and a zero draw still meets any noise bound."""
     norms = _block_norms(x)
-    if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
-        for k in np.flatnonzero((norms <= NOISE_NORM_FLOOR).any(axis=(1, 2))):
-            j = 0
-            while (bad := np.flatnonzero(norms[k, j:, 0] <= NOISE_NORM_FLOOR)).size:
-                j += bad[0]
-                x[k, j:-1] = x[k, j + 1 :]
-                norms[k, j:-1] = norms[k, j + 1 :]
-                rngs[k].standard_normal(out=x[k, -1])
-                norms[k, -1] = row_norms(x[k, -1])
+    small = norms <= NOISE_NORM_FLOOR
+    x[small[..., 0]] = 0.0
+    norms[small] = 1.0
     x /= norms
     return x
 
@@ -161,50 +150,22 @@ def _unit_rows(x, rngs):
 def fill_steps(draw, rng, samples, noise):
     """Fill ``samples`` (h, ...) and ``noise`` (h, n) or None one step at a
     time, in stream order: step j's sample ``draw(rng)``, then its n
-    Gaussian draws from ``rng``, drawn again at once while their norm is at
-    most 1e-12.  These are the values of h (draw, normals) pairs, and
-    ``noise`` holds no degenerate draw, so there is no state to go back to:
-    returns None."""
+    Gaussian draws from ``rng``.  These are the values of h (draw, normals)
+    pairs, and the generator ends where those pairs leave it."""
     for j in range(len(samples)):
         samples[j] = draw(rng)
         if noise is not None:
             rng.standard_normal(out=noise[j])
-            while row_norms(noise[j]) <= NOISE_NORM_FLOOR:
-                rng.standard_normal(out=noise[j])
-
-
-def _fill_rows(samplers, rngs, samples, noise):
-    """Fill row k of the sample block ``samples`` (K, h, ...) and the noise
-    block ``noise`` (K, h, n) or None from ``samplers[k]`` and ``rngs[k]``,
-    and normalize the noise in place.
-
-    A sampler's ``fill`` gives its row the values of h (draw, normals) pairs,
-    and returns None or the generator state it began at.  A per-step fill
-    draws a degenerate noise draw again at once; a fill that returns its
-    state does not, so a row it left one in goes back to that state and is
-    filled again one step at a time, each degenerate draw giving way to the
-    next n normals before the next sample."""
-    begun = [sampler.fill(rng, samples[k], None if noise is None else noise[k])
-             for k, (sampler, rng) in enumerate(zip(samplers, rngs))]
-    if noise is None:
-        return
-    norms = _block_norms(noise)
-    if not norms.min(initial=np.inf) > NOISE_NORM_FLOOR:
-        for k in np.flatnonzero((norms <= NOISE_NORM_FLOOR).any(axis=(1, 2))):
-            rngs[k].bit_generator.state = begun[k]
-            fill_steps(samplers[k].draw, rngs[k], samples[k], noise[k])
-            norms[k] = _block_norms(noise[k : k + 1])[0]
-    noise /= norms
 
 
 def unit_sphere_noise(dim, rng):
-    """Uniform unit vector via a normalized isotropic Gaussian draw; a draw
-    of norm at most 1e-12 gives way to the generator's next one."""
+    """Uniform unit vector via one normalized isotropic Gaussian draw of
+    ``dim`` normals; a draw of norm at most NOISE_NORM_FLOOR gives zero."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     out = np.empty((1, 1, dim))
     rng.standard_normal(out=out[0, 0])
-    return _unit_rows(out, [rng])[0, 0]
+    return _unit_rows(out)[0, 0]
 
 
 def run_rng(seed):
@@ -262,7 +223,7 @@ class RecordedPerturbations:
         return out
 
     def fill(self, rng, samples, noise):
-        return fill_steps(self.draw, rng, samples, noise)
+        fill_steps(self.draw, rng, samples, noise)
 
     def gradient(self, W, samples):
         return self.objective.gradient(W) + samples
@@ -286,17 +247,15 @@ def _run_loop(starts, config, stop=None):
     trial k's drawn from its own sampler and generator, so its stream is
     the one it sees when run alone.  The draws are buffered: every active
     row reads its blocks at the stack's one cursor, all rows refilling
-    together when the cursor reaches the block's height, and the noise is
-    normalized and scaled there.  With no sampler a trial's generator gives
-    only noise, so its block is one generator call; a draw of norm <= 1e-12
-    gives way to the row's next one, the rest of its block moving up a step
-    while its generator tops up the block's last step.  With a sampler, the
-    sampler's ``fill`` draws the row's samples and noise in stream order,
-    and a degenerate draw gives way to the next n normals before the next
-    sample (see :func:`_fill_rows`); its blocks hold at most the budget
-    left.  So a row reads the same values, in the same order, as one
-    (sample, noise) draw per step.  While no row has left since the
-    refill, the step reads the blocks through a view.  One
+    together when the cursor reaches the block's height.  A refill holds at
+    most the budget left; in one loop over the rows, a row with no sampler
+    fills its noise with one ``standard_normal`` call and a row with a
+    sampler has the sampler's ``fill`` draw its samples and noise in stream
+    order.  Then the noise is normalized, a draw of norm at most
+    NOISE_NORM_FLOOR to zero, and scaled.  So a row reads the values of one
+    (sample, normals) pair per step, and one that runs its whole budget
+    leaves its generator where those pairs do.  While no row has left since
+    the refill, the step reads the blocks through a view.  One
     ``gradient(W, samples)`` call of the samplers' shared oracle (it reads
     no basis) then answers for the whole stack.  The exact value and
     gradient (f, G) at the current point are one ``value_and_gradient``
@@ -335,12 +294,10 @@ def _run_loop(starts, config, stop=None):
     # refill together when c reaches the block's end, active row i into
     # blocks[i].  A trial that leaves leaves its block unread.
     buffered = noisy or oracle is not None
-    if oracle is None:
-        height, samples = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * W.size))), None
-    else:
-        shape = tuple(oracle.sample_shape)
-        height = max(1, NOISE_BYTES // (8 * len(starts) * (W.shape[1] * noisy + math.prod(shape))))
-        samples = np.empty((len(starts), height, *shape))
+    shape = () if oracle is None else tuple(oracle.sample_shape)
+    size = W.shape[1] * noisy + (0 if oracle is None else math.prod(shape))  # values a row draws per step
+    height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * len(starts) * max(size, 1))))
+    samples = None if oracle is None else np.empty((len(starts), height, *shape))
     blocks = np.empty((len(starts), height, W.shape[1])) if noisy else None
     slots, c, end, filled = ids, 0, 0, 0
     held = None  # (f, G) at W once read there, one entry per active row
@@ -422,17 +379,15 @@ def _run_loop(starts, config, stop=None):
         noise = None
         if buffered:
             if c == end:
-                end = height if oracle is None else min(height, config.iterations - t)
-                filled = ids.size
+                end, filled = min(height, config.iterations - t), ids.size
                 fill = None if blocks is None else blocks[:filled, :end]
-                if oracle is None:
-                    for i, rng in enumerate(rngs):
+                for i, rng in enumerate(rngs):
+                    if samplers[i] is None:
                         rng.standard_normal(out=fill[i])
-                    _unit_rows(fill, rngs)
-                else:
-                    _fill_rows(samplers, rngs, samples[:filled, :end], fill)
+                    else:
+                        samplers[i].fill(rng, samples[i, :end], None if fill is None else fill[i])
                 if fill is not None:
-                    np.multiply(config.noise_scale, fill, out=fill)
+                    np.multiply(config.noise_scale, _unit_rows(fill), out=fill)
                 slots, c = np.arange(filled), 0
             rows = slice(filled) if ids.size == filled else slots
             if blocks is not None:
@@ -487,12 +442,9 @@ def projected_trials(n_trials, start, config, stop=None):
     STACK_ROWS rows, so memory and live generators stay bounded; trial
     k's record is the same whatever the block and whatever trials run
     beside it.  Trials draw ahead in blocks (see the module docstring), the
-    stream of one draw per step.  A trial with no sampler draws its noise
-    ``height`` steps per generator call, so after the run its generator may
-    stand up to ``height`` - 1 steps of draws past its last step, and what
-    it draws next does not continue the trial's stream.  A trial with a
-    sampler fills at most the budget left, so one that runs its whole
-    budget leaves its generator where one (draw, normals) pair per step
+    stream of one (sample, normals) pair per step, a degenerate noise draw
+    giving zero noise.  A block holds at most the budget left, so a trial
+    that runs its whole budget leaves its generator where one pair per step
     does and can be continued; one that stops or diverges early may leave
     it up to a block past.
 

@@ -71,7 +71,7 @@ MUTANTS = [
            " for i in range(ids.size)])",
            ("tests/test_sgd.py::TestStackedTrials::test_one_oracle_call_per_step_on_the_whole_stack",)),
     Mutant("every-row-draws-from-row-0-sampler", "src/strictsaddle/sgd.py",
-           "begun = [sampler.fill(rng,", "begun = [samplers[0].fill(rng,",
+           "samplers[i].fill(", "samplers[0].fill(",
            ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",
             "tests/test_cli.py::TestDecompose::test_seed_trace_same_alone_or_in_batch")),
     Mutant("cross-vectors-sign-flip", "src/strictsaddle/objectives.py",
@@ -97,15 +97,15 @@ MUTANTS = [
            ("tests/test_sgd.py::TestNoiseBound::test_violation_raises",)),
     Mutant("noise-blocks-refilled-from-row-0", "src/strictsaddle/sgd.py",
            "rng.standard_normal(out=fill[i])", "rngs[0].standard_normal(out=fill[i])",
-           ("tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws",)),
-    # a zero draw gives way to a fresh draw in its own step, the rest of the
-    # block staying put: the row's later steps read its stream out of order
-    Mutant("noise-redraw-keeps-cursor", "src/strictsaddle/sgd.py",
-           "                x[k, j:-1] = x[k, j + 1 :]\n                norms[k, j:-1] = norms[k, j + 1 :]\n"
-           "                rngs[k].standard_normal(out=x[k, -1])\n                norms[k, -1] = row_norms(x[k, -1])\n",
-           "                rngs[k].standard_normal(out=x[k, j])\n                norms[k, j] = row_norms(x[k, j])\n",
-           ("tests/test_sgd.py::TestNoise::test_degenerate_draw_is_redrawn",
+           ("tests/test_sgd.py::TestNoise::test_degenerate_draw_gives_zero_noise",
             "tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws")),
+    # a degenerate draw is divided by its own tiny norm: a unit vector (or
+    # nan for an exact zero) instead of zero noise
+    Mutant("degenerate-draw-kept", "src/strictsaddle/sgd.py",
+           "    x[small[..., 0]] = 0.0\n    norms[small] = 1.0\n", "",
+           ("tests/test_sgd.py::TestNoise::test_degenerate_draw_gives_zero_noise",
+            "tests/test_sgd.py::TestStackedTrials::test_degenerate_draws_give_zero_noise_in_stream_order",
+            "tests/test_analysis.py::TestChecks::test_geometry_check_zeroes_degenerate_directions")),
     Mutant("multipliers-denominator-factor", "src/strictsaddle/manifold.py",
            "/ (2.0 * ss)", "/ ss",
            ("tests/test_manifold.py::TestSphereProductProperties::test_closed_form_multipliers_match_lstsq",
@@ -129,11 +129,6 @@ MUTANTS = [
     Mutant("ica-maxeig-cube-by-power", "src/strictsaddle/ica.py",
            "np.float_power(np.vecdot(u, x), 3)", "np.vecdot(u, x) ** 3",
            ("tests/test_golden.py::test_command_reproduces_golden[decompose-maxeig]",)),
-    # a degenerate draw left by the raw-word fill is drawn again from where
-    # the generator stands after the fill, not from where the fill began
-    Mutant("sampler-redraw-without-restore", "src/strictsaddle/sgd.py",
-           "            rngs[k].bit_generator.state = begun[k]\n", "",
-           ("tests/test_sgd.py::TestStackedTrials::test_degenerate_draws_give_way_in_stream_order",)),
     # the raw-word fill of SimpleSampler: the spare 32-bit half is the high
     # half of the word, the fill leaves it in the bit generator, and two
     # steps share one normals call only when the second index takes no new word
@@ -147,6 +142,27 @@ MUTANTS = [
     Mutant("ica-normals-merged-past-a-rejected-spare", "src/strictsaddle/ica.py",
            "if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:", "if has and j + 1 < h:",
            ("tests/test_ica.py::TestSimpleSampler::test_fill_redraws_rejected_halves",)),
+    # the exit-code contract: an exit 2 removes the output directory it made
+    Mutant("refused-run-keeps-its-output", "src/strictsaddle/cli.py",
+           "        shutil.rmtree(made, ignore_errors=True)\n", "        pass\n",
+           ("tests/test_cli.py::TestBadInput::test_refused_allocation_exits_2_without_output",)),
+    # seed s's generator draws the start before the basis
+    Mutant("seed-start-drawn-before-basis", "src/strictsaddle/cli.py",
+           "        basis = tensor4.OrthoBasis.random(config.d, rng)\n"
+           "        problem = build_problem(config, basis)\n"
+           "        sampler = build_sampler(config, basis)\n"
+           "        return problem.random_feasible(rng), rng, problem, sampler\n",
+           "        w0 = build_problem(config, tensor4.OrthoBasis.standard(config.d)).random_feasible(rng)\n"
+           "        basis = tensor4.OrthoBasis.random(config.d, rng)\n"
+           "        problem = build_problem(config, basis)\n"
+           "        sampler = build_sampler(config, basis)\n"
+           "        return w0, rng, problem, sampler\n",
+           ("tests/test_golden.py::test_command_reproduces_golden[decompose-correlation]",
+            "tests/test_golden.py::test_command_reproduces_golden[decompose-maxeig]")),
+    # a refused SgdConfig setting is named by its field, not by its flag
+    Mutant("sgd-error-names-the-field", "src/strictsaddle/cli.py",
+           "{_SGD_NAMES.get(name, name)} {rest}", "{name} {rest}",
+           ("tests/test_cli.py::TestConfigHandling::test_validation_errors_exit_2",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

@@ -606,12 +606,12 @@ class TestChecks:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_geometry_check_redraws_directions_after_the_stack(self, seed):
+    def test_geometry_check_zeroes_degenerate_directions(self, seed):
         """A direction of norm at most NOISE_NORM_FLOOR (raised here so about
-        8% of directions at n = 2 are) is drawn again from the generator
-        after the whole (n_pairs, 5, n) stack, pair by pair, as documented:
-        the projection-step points and the generator's state afterwards
-        equal that order's."""
+        8% of directions at n = 2 are) is zero, and the generator draws
+        nothing after its one (n_pairs, 5, n) call: the projection-step
+        points are w0 + eta times each unit direction or zero, and the
+        generator's state afterwards is that call's."""
         constraints, n_pairs, etas, floor = SphereProduct(1, 2), 60, (1e-1, 1e-2), 0.4
         calls = []
         project = SphereProduct.project
@@ -626,17 +626,15 @@ class TestChecks:
 
         want = np.random.default_rng(seed)
         draws = want.standard_normal((n_pairs, 5, 2))
-        w0, direction = constraints.project(draws[:, 0]), draws[:, 4].copy()
-        redrawn = 0
-        for i in range(n_pairs):
-            while row_norms(direction[i]) <= floor:
-                direction[i] = want.standard_normal(2)
-                redrawn += 1
-        assert redrawn > 0
-        unit = direction / row_norms(direction, keepdims=True)
+        w0, direction = constraints.project(draws[:, 0]), draws[:, 4]
+        norms = row_norms(direction, keepdims=True)
+        degenerate = norms[:, 0] <= floor
+        assert degenerate.any()
+        unit = np.where(norms > floor, direction / norms, 0.0)
         assert len(calls) == 2 + len(etas)
         for eta, call in zip(etas, calls[2:]):
             np.testing.assert_array_equal(call, w0 + eta * unit)
+            np.testing.assert_array_equal(call[degenerate], w0[degenerate])
         assert rng.bit_generator.state == want.bit_generator.state
 
     def test_pairing_and_sampler_checks(self):

@@ -124,8 +124,8 @@ class ZeroDrawStream:
 def per_step_run(w0, rng, problem, config, stop=None, sampler=None):
     """Projected noisy SGD on one trial, one sample draw (with a sampler)
     and one noise draw per step: the test oracle for the run loop's
-    buffered draws.  A noise draw of norm <= sgd.NOISE_NORM_FLOOR is
-    replaced by the generator's next one."""
+    buffered draws.  A noise draw of norm <= sgd.NOISE_NORM_FLOOR gives
+    zero noise."""
     constraints = problem.constraints
     w = np.array(w0, dtype=float)[None]
     n = w.shape[1]
@@ -144,14 +144,22 @@ def per_step_run(w0, rng, problem, config, stop=None, sampler=None):
             G = sampler.gradient(w, sampler.draw(rng)[None])
         if config.noise_scale > 0:
             z = rng.standard_normal(n)
-            while not sgd.row_norms(z) > sgd.NOISE_NORM_FLOOR:
-                z = rng.standard_normal(n)
-            G = G + config.noise_scale * (z / sgd.row_norms(z))
+            norm = sgd.row_norms(z)
+            G = G + config.noise_scale * (z / norm if norm > sgd.NOISE_NORM_FLOOR else np.zeros(n))
         w = constraints.project(w - lr_schedule(config, t) * G)
         t += 1
     iters, fs, gnorms, recons = (np.array(column) for column in zip(*trace))
     return sgd.RunRecord(iters=iters, f_values=fs, grad_norms=gnorms, recon_errors=recons,
                          elapsed_ms=np.zeros(iters.size), final_point=w[0], final_f=fs[-1], n_steps=t)
+
+
+def assert_same_place(got, want):
+    """Two generators stand at the same place in their streams: equal state,
+    or for a ZeroDrawStream equal counts of values read and equal state."""
+    if isinstance(want, ZeroDrawStream):
+        assert got.read == want.read
+        got, want = got.rng, want.rng
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestNoise:
@@ -175,8 +183,9 @@ class TestNoise:
             total += unit_sphere_noise(3, rng)
         assert np.max(np.abs(total / n)) <= 0.01
 
-    def test_degenerate_draw_is_redrawn(self):
-        """A draw of norm <= 1e-12 is replaced by the generator's next draw."""
+    def test_degenerate_draw_gives_zero_noise(self):
+        """A draw of norm <= NOISE_NORM_FLOOR gives zero noise, and the
+        generator draws nothing more for it."""
 
         class ZeroFirst:
             def __init__(self):
@@ -187,27 +196,31 @@ class TestNoise:
                 out[:] = 0.0 if self.calls == 1 else np.arange(1.0, out.size + 1.0)
 
         rng = ZeroFirst()
-        v = unit_sphere_noise(3, rng)
-        assert rng.calls == 2
-        np.testing.assert_allclose(v, np.arange(1.0, 4.0) / np.sqrt(14.0), rtol=1e-15)
+        np.testing.assert_array_equal(unit_sphere_noise(3, rng), np.zeros(3))
+        assert rng.calls == 1
+        np.testing.assert_allclose(unit_sphere_noise(3, rng), np.arange(1.0, 4.0) / np.sqrt(14.0), rtol=1e-15)
 
-        # rows with no sampler read their draws from buffered blocks, here
-        # of NOISE_BLOCK steps: a zero draw on a block's first step, on its
-        # last (twice) or on a refilled block's first gives way to the row's
-        # next draw, and the steps after it follow the stream, as one draw
-        # per step does
+        # the run loop reads its draws from blocks, here of NOISE_BLOCK
+        # steps: a zero draw on a block's first step, on its last, or on a
+        # refilled block's first gives zero noise at its step, and the steps
+        # after it follow the stream, as one draw per step does, with no
+        # sampler and with one (a replayed stream, so the noise is the
+        # generator's only draw); each row leaves its generator where the
+        # per-step draws do
         prob = standard_maxeig(2)
         w0 = prob.random_feasible(np.random.default_rng(0))
-        config = SgdConfig(eta=0.05, iterations=3 * sgd.NOISE_BLOCK, noise_scale=1.0, record_every=1)
+        iters = 3 * sgd.NOISE_BLOCK
+        config = SgdConfig(eta=0.05, iterations=iters, noise_scale=1.0, record_every=1)
         zeros = [(0,), (sgd.NOISE_BLOCK - 1, 2 * sgd.NOISE_BLOCK), (sgd.NOISE_BLOCK,)]
-
-        def start(j):
-            return w0, ZeroDrawStream(2, j, zeros[j]), prob, None
-
-        with mock.patch.object(sgd, "NOISE_BYTES", 0):
-            stacked = projected_trials(len(zeros), start, config)
-        for j, got in enumerate(stacked):
-            assert_same_run(got, per_step_run(w0, ZeroDrawStream(2, j, zeros[j]), prob, config))
+        stream = 0.1 * np.random.default_rng(1).standard_normal((iters, 2))
+        for sampler in (lambda: None, lambda: RecordedPerturbations(prob, stream)):
+            rngs = [ZeroDrawStream(2, j, zeros[j]) for j in range(len(zeros))]
+            with mock.patch.object(sgd, "NOISE_BYTES", 0):
+                stacked = projected_trials(len(zeros), lambda j: (w0, rngs[j], prob, sampler()), config)
+            for j, got in enumerate(stacked):
+                twin = ZeroDrawStream(2, j, zeros[j])
+                assert_same_run(got, per_step_run(w0, twin, prob, config, sampler=sampler()))
+                assert_same_place(rngs[j], twin)
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -458,7 +471,8 @@ class TestStackedTrials:
         ``steps`` steps of the stack, the floor NOISE_BLOCK is ``floor``),
         so that runs refill often, sometimes or never; with rows ending at
         different steps (their blocks left unread); and with generators
-        some of whose draws are zero, at any step of a block."""
+        some of whose draws are zero, at any step of a block.  A row that
+        runs its whole budget leaves its generator where the loop does."""
         prob = PROBLEMS[kind](basis=OrthoBasis.random(d, np.random.default_rng(seed)))
         n = prob.constraints.n
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
@@ -472,10 +486,14 @@ class TestStackedTrials:
         stop = {"none": None,
                 "coordinate": lambda W, f, G: W[:, 0] >= coordinate,
                 "value": lambda W, f, G: f <= value}[stopping]
+        rngs = [rng(j) for j in range(k)]
         with mock.patch.object(sgd, "NOISE_BLOCK", floor), mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * k * n):
-            stacked = projected_trials(k, lambda j: (w0s[j], rng(j), prob, None), config, stop=stop)
+            stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, None), config, stop=stop)
         for j in range(k):
-            assert_same_run(stacked[j], per_step_run(w0s[j], rng(j), prob, config, stop=stop))
+            twin = rng(j)
+            assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, stop=stop))
+            if stacked[j].n_steps == iters:
+                assert_same_place(rngs[j], twin)
 
     @pytest.mark.parametrize("k, n, iters, height", [(60, 4, 1200, 341), (256, 40, 2000, 8), (60, 4, 5, 5),
                                                      (1, 4, 20_000, 20_000)])
@@ -512,17 +530,16 @@ class TestStackedTrials:
            generator=st.sampled_from(["pcg64", "philox"]), d=st.integers(1, 3), k=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 60), stride=st.integers(1, 20),
            steps=st.integers(0, 30))
-    def test_degenerate_draws_give_way_in_stream_order(self, kind, sampler_kind, generator, d, k, seed,
-                                                       iters, stride, steps):
+    def test_degenerate_draws_give_zero_noise_in_stream_order(self, kind, sampler_kind, generator, d, k, seed,
+                                                              iters, stride, steps):
         """With the floor NOISE_NORM_FLOOR raised so that about 8% of noise
         draws are degenerate, every row still equals one (sample, noise)
-        draw per step with the same floor, a degenerate draw giving way to
-        the next n normals before the next sample.  Sampler rows on PCG64
-        are filled from raw words and filled again step by step from the
-        generator state before the fill; other generators, and the ica
-        sampler, redraw at once.  A sampler row leaves its generator where
-        the per-step draws do; noise-only rows shift and top up their
-        blocks.  Blocks of 1 to 30 steps, capped by the budget left."""
+        draw per step with the same floor, a degenerate draw giving zero
+        noise at its step.  Sampler rows on PCG64 are filled from raw words,
+        other generators and the ica sampler step by step.  Every row, noise
+        only or with a sampler, runs its whole budget and leaves its
+        generator where the per-step draws do.  Blocks of 1 to 30 steps,
+        capped by the budget left."""
         if sampler_kind == "ica":
             kind = "correlation"
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
@@ -541,15 +558,17 @@ class TestStackedTrials:
             return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
 
         rngs = [rng(j) for j in range(k)]
-        with (mock.patch.object(sgd, "NOISE_NORM_FLOOR", floor),
+        with (mock.patch.object(sgd, "NOISE_NORM_FLOOR", floor), mock.patch.object(sgd, "NOISE_BLOCK", 1),
               mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * k * (n + sample_size))):
             stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config)
             for j in range(k):
                 twin = rng(j)
                 assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, sampler=sampler))
-                if sampler is not None:
-                    np.testing.assert_array_equal(rngs[j].standard_normal(4), twin.standard_normal(4))
-                    np.testing.assert_array_equal(rngs[j].integers(2**32, size=3), twin.integers(2**32, size=3))
+                assert stacked[j].n_steps == iters
+                if generator == "pcg64":
+                    assert_same_place(rngs[j], twin)
+                np.testing.assert_array_equal(rngs[j].standard_normal(4), twin.standard_normal(4))
+                np.testing.assert_array_equal(rngs[j].integers(2**32, size=3), twin.integers(2**32, size=3))
 
     @pytest.mark.parametrize("sampler_kind", ["simple", "ica", "recorded"])
     def test_full_budget_sampler_row_leaves_generator_where_per_step_draws_do(self, sampler_kind):
