@@ -36,6 +36,9 @@ same alone or in a stack of any height.
 
 import math
 import numbers
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
@@ -73,6 +76,12 @@ STACK_ROWS = 256
 # n=100 with samples of 10.  A row's result does not depend on it.
 NOISE_BLOCK = 8
 NOISE_BYTES = 640 * 1024
+# A block of trials whose rows are independent runs as one contiguous part
+# per usable CPU, each part at least SPLIT_MIN_WORK row entries (K·n), the
+# first in this process and the others in forked workers: on 2 CPUs a block
+# of 256 rows of n=40 splits, one of 256 rows of n=10 does not.  A row's
+# result does not depend on it.
+SPLIT_MIN_WORK = 1536
 
 
 @dataclass
@@ -240,7 +249,7 @@ def _check_noise_bound(q, xi, noise, noise_scale):
 
 
 @np.errstate(over="ignore")
-def _run_loop(starts, config, stop=None):
+def _run_loop(starts, config, stop=None, block_rows=None):
     """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
     Each step reads every active trial's oracle sample, then its noise,
@@ -277,6 +286,8 @@ def _run_loop(starts, config, stop=None):
     leaves an inf or nan in its row, which the divergence tests catch.
 
     Recorded steps log ||chi|| (from G) with constraints, else ||G||.
+    The refill height is that of a stack of ``block_rows`` rows (default
+    K), so a part of a split block refills as the whole block does.
     Returns one RunRecord per trial, in order.
     """
     # each row's generator, problem and sampler leave the stack with the row
@@ -296,7 +307,8 @@ def _run_loop(starts, config, stop=None):
     buffered = noisy or oracle is not None
     shape = () if oracle is None else tuple(oracle.sample_shape)
     size = W.shape[1] * noisy + (0 if oracle is None else math.prod(shape))  # values a row draws per step
-    height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * len(starts) * max(size, 1))))
+    rows = len(starts) if block_rows is None else block_rows
+    height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * rows * max(size, 1))))
     samples = None if oracle is None else np.empty((len(starts), height, *shape))
     blocks = np.empty((len(starts), height, W.shape[1])) if noisy else None
     slots, c, end, filled = ids, 0, 0, 0
@@ -426,6 +438,81 @@ def _chi_norms(constraints, W, G):
     return row_norms(manifold.chi_from_gradient(constraints, W, G))
 
 
+def _parts(starts):
+    """How many contiguous parts the block ``starts`` runs as: one per
+    usable CPU, each of at least SPLIT_MIN_WORK row entries.  Only rows with
+    no sampler (a sampler may share state across rows, as a shared
+    RecordedPerturbations does) and a ``numpy.random.Generator`` (whose
+    state can come back from a worker) split, and only where ``os.fork``
+    and ``os.sched_getaffinity`` exist (Linux)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if any(sampler is not None or not isinstance(rng, np.random.Generator) for _, rng, _, sampler in starts):
+        return 1
+    work = len(starts) * np.size(starts[0][0])
+    return max(1, min(len(os.sched_getaffinity(0)), len(starts), work // SPLIT_MIN_WORK))
+
+
+def _worker(fd, starts, config, stop, block_rows):
+    """In a forked worker: run ``starts`` and write to the pipe ``fd``
+    (True, records, generator states) or (False, the exception raised),
+    then end the process without running any exit handler or flushing any
+    buffer inherited from the parent."""
+    try:
+        try:
+            records = _run_loop(starts, config, stop, block_rows)
+            result = (True, records, [rng.bit_generator.state for _, rng, _, _ in starts])
+        except BaseException as exc:
+            result = (False, exc)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(result, fh)
+    finally:
+        os._exit(0)
+
+
+def _split_run(starts, config, stop, parts):
+    """``_run_loop`` over the block ``starts`` as ``parts`` contiguous
+    parts at once: the first in this process, each other in a forked
+    worker that sends back its records and its generators' states, which
+    are written into this process's generators.  Every part refills at
+    the whole block's height, so the records and generator positions are
+    those of the block run in one stack.  A worker's exception is raised
+    here; when anything raises, the workers still running are killed, and
+    every worker is reaped before this returns."""
+    bounds = [len(starts) * p // parts for p in range(parts + 1)]
+    workers = []  # (pid, pipe, part) of each part after the first, in order, until reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _worker(w, starts[lo:hi], config, stop, len(starts))
+            os.close(w)
+            workers.append((pid, os.fdopen(r, "rb"), starts[lo:hi]))
+        records = _run_loop(starts[: bounds[1]], config, stop, len(starts))
+        while workers:
+            pid, pipe, part = workers[0]
+            try:
+                ok, *result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"trial worker {pid} ended without a result") from None
+            pipe.close()
+            os.waitpid(pid, 0)
+            workers.pop(0)
+            if not ok:
+                raise result[0]
+            for (_, rng, _, _), state in zip(part, result[1]):
+                rng.bit_generator.state = state
+            records += result[0]
+        return records
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def projected_trials(n_trials, start, config, stop=None):
     """Noisy SGD for trials 0..n_trials-1, advanced as stacks.
 
@@ -441,12 +528,19 @@ def projected_trials(n_trials, start, config, stop=None):
     that never does ends at the budget.  Trials run in blocks of
     STACK_ROWS rows, so memory and live generators stay bounded; trial
     k's record is the same whatever the block and whatever trials run
-    beside it.  Trials draw ahead in blocks (see the module docstring), the
-    stream of one (sample, normals) pair per step, a degenerate noise draw
-    giving zero noise.  A block holds at most the budget left, so a trial
-    that runs its whole budget leaves its generator where one pair per step
-    does and can be continued; one that stops or diverges early may leave
-    it up to a block past.
+    beside it.  So a block of rows with no sampler, each with a
+    ``numpy.random.Generator``, runs as one part per usable CPU (Linux
+    only), each part at least SPLIT_MIN_WORK row entries: the first here,
+    the others in forked workers that send back their records and
+    generator states.  The records and the generators' final positions are
+    those of the unsplit block, ``stop`` is called in the process that
+    runs the row, a worker's exception is raised here and no worker
+    outlives the call.  Trials draw ahead in blocks (see the module
+    docstring), the stream of one (sample, normals) pair per step, a
+    degenerate noise draw giving zero noise.  A block holds at most the
+    budget left, so a trial that runs its whole budget leaves its generator
+    where one pair per step does and can be continued; one that stops or
+    diverges early may leave it up to a block past.
 
     With constraints, starts must be feasible, steps are projected and
     recorded iterates are checked to 1e-10.  Returns RunRecords in trial order.
@@ -456,7 +550,8 @@ def projected_trials(n_trials, start, config, stop=None):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
         if not all(p.constraints is None or p.constraints.feasible(w0) for w0, _, p, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
-        records += _run_loop(starts, config, stop)
+        parts = _parts(starts)
+        records += _run_loop(starts, config, stop) if parts == 1 else _split_run(starts, config, stop, parts)
     return records
 
 

@@ -3,9 +3,10 @@
 For every mutant the script copies ``src/`` and ``tests/`` to a temporary
 directory, applies the mutant's edit there (an exact text replacement
 that must match the source once), and runs the mutant's tests on the
-copy.  A mutant is caught when at least one of its tests fails.  First
-the same tests run on an unmutated copy, and must pass.  The repository
-itself is never edited.
+copy, on the hypothesis profile ``mutants`` (``tests/conftest.py``), which
+does not shrink a failing example.  A mutant is caught when at least one
+of its tests fails.  First the same tests run on an unmutated copy, and
+must pass.  The repository itself is never edited.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
@@ -163,6 +164,21 @@ MUTANTS = [
     Mutant("sgd-error-names-the-field", "src/strictsaddle/cli.py",
            "{_SGD_NAMES.get(name, name)} {rest}", "{name} {rest}",
            ("tests/test_cli.py::TestConfigHandling::test_validation_errors_exit_2",)),
+    # rows with their own problems take G alone one row at a time
+    Mutant("per-row-gradient-from-row-0", "src/strictsaddle/sgd.py",
+           "problem.gradient(W[i : i + 1]) for i, problem", "problems[0].gradient(W[i : i + 1]) for i, problem",
+           ("tests/test_sgd.py::TestStackedTrials::test_row_equals_single_trial",)),
+    # a split block: each worker's generators come back, every part refills
+    # at the whole block's height and the parts' records keep trial order
+    Mutant("split-states-not-written-back", "src/strictsaddle/sgd.py",
+           "rng.bit_generator.state = state", "pass",
+           ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
+    Mutant("split-part-own-height", "src/strictsaddle/sgd.py",
+           "_worker(w, starts[lo:hi], config, stop, len(starts))", "_worker(w, starts[lo:hi], config, stop, hi - lo)",
+           ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
+    Mutant("split-records-out-of-order", "src/strictsaddle/sgd.py",
+           "records += result[0]", "records = result[0] + records",
+           ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),
@@ -192,7 +208,8 @@ def _pytest(tests, mutant=None, timeout=CONTROL_TIMEOUT_S):
                 fh.write(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
         try:
-            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                                   "--hypothesis-profile=mutants", *tests],
                                   cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return "timeout"

@@ -124,6 +124,13 @@ class TestFiniteDifferences:
         got = fd_hessian(lambda v: 0.5 * np.einsum("...i,ij,...j->...", v, H, v), rng.standard_normal(3))
         np.testing.assert_allclose(got, H, atol=1e-5)
 
+    @pytest.mark.parametrize("fd", [fd_gradient, fd_hessian])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_differences_raise(self, fd, bad):
+        # inf - inf in the stencil is the nan the check must catch
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite values in finite"):
+            fd(lambda v: np.where(v[..., 0] > 0.5, bad, 0.0), np.full(3, 0.5))
+
     @pytest.mark.parametrize("build", [maxeig_objective, reconstruction_objective, correlation_objective])
     def test_stacked_equal_loop(self, build):
         """Stacked finite differences equal the one-point loop bit for bit;
@@ -340,6 +347,8 @@ class TestCoupling:
             coupling_closed_form(np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), [], 0.1, 0)
         with pytest.raises(ValueError, match="stream"):
             coupling_closed_form(np.zeros(2), np.eye(2), [np.zeros(2)], 0.1, 5)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            coupling_closed_form(np.zeros(2), np.eye(2), [], 0.1, -1)
 
     def test_matches_step_simulation(self):
         """Replaying the same perturbation stream step by step reproduces

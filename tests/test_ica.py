@@ -73,6 +73,9 @@ class TestIcaModel:
     def test_rejects_non_orthonormal_mixing(self):
         with pytest.raises(ValueError):
             IcaModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for shape in ((2, 3), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="mixing matrix must be square"):
+                IcaModel(np.ones(shape))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 IcaModel(np.full((2, 2), bad))

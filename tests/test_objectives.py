@@ -239,6 +239,11 @@ class TestQuadratic:
         obj = QuadraticObjective(np.zeros(2), g, np.diag([1.0, -1.0]))
         np.testing.assert_allclose(obj.gradient(np.array([1.0, 1.0])), g + np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3), (1, 2, 2)])
+    def test_hessian_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="H has shape"):
+            QuadraticObjective(np.zeros(2), np.zeros(2), np.zeros(shape))
+
     def test_non_symmetric_hessian_rejected(self):
         H = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):

@@ -1,6 +1,8 @@
 """Tests for the SGD runner, schedules, noise, and trace records."""
 
+import contextlib
 import itertools
+import os
 from unittest import mock
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strictsaddle import sgd
+from strictsaddle import cli, sgd
 from strictsaddle.ica import IcaModel, IcaSampler, SimpleSampler
-from strictsaddle.manifold import chi_from_gradient, tangent_gradient
+from strictsaddle.manifold import SphereProduct, chi_from_gradient, tangent_gradient
 from strictsaddle.objectives import (
     correlation_objective,
     maxeig_objective,
@@ -408,6 +410,10 @@ def assert_same_run(got, want):
 
 class TestStackedTrials:
     @settings(max_examples=60, deadline=None)
+    # rows with their own problems and no sampler take G alone, one
+    # gradient call per row, on the steps where nothing read the point
+    @example(kind="maxeig", source="per-row", sampler_kind=None, d=2, k=3, block=3, seed=7, noise=1.0,
+             stopping="none", iters=12, stride=5)
     @given(kind=st.sampled_from(sorted(PROBLEMS)), source=st.sampled_from(["shared", "per-row"]),
            sampler_kind=st.sampled_from([None, "simple", "ica"]), d=st.integers(1, 3),
            k=st.integers(1, 8), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -695,6 +701,144 @@ class TestStackedTrials:
         assert grow.diverged and "diverged" in grow.message and grow.n_steps < 800
         assert not rest.diverged and rest.n_steps == 800
         np.testing.assert_array_equal(rest.final_point, np.zeros(2))
+
+
+@contextlib.contextmanager
+def split(parts):
+    """Blocks of any size split into ``parts`` parts, as on a host with
+    ``parts`` usable CPUs; yields the list that counts the forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    with (mock.patch.object(sgd, "SPLIT_MIN_WORK", 1),
+          mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: set(range(parts))),
+          mock.patch.object(sgd.os, "fork", counted)):
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitBlocks:
+    """A block of rows with no sampler, each with a numpy Generator, runs as
+    contiguous parts, each after the first in a forked worker."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), d=st.integers(1, 4), k=st.integers(2, 9),
+           block=st.integers(2, 9), parts=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           stopping=st.sampled_from(["none", "coordinate", "value"]), iters=st.integers(1, 60),
+           stride=st.integers(1, 30), steps=st.integers(0, 30))
+    def test_split_equals_unsplit(self, kind, d, k, block, parts, seed, stopping, iters, stride, steps):
+        """Records and every generator's final state equal the block run in
+        one process, for rows that run their whole budget and rows that
+        stop early (whose generators stand up to a refill past their last
+        step, so every part must refill at the whole block's height)."""
+        prob = PROBLEMS[kind](basis=OrthoBasis.random(d, np.random.default_rng(seed)))
+        n = prob.constraints.n
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=seed, record_every=stride)
+        w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
+        coordinate = float(np.median([w0[0] for w0 in w0s]))
+        value = float(np.median([prob.value(w0) for w0 in w0s]))
+        stop = {"none": None,
+                "coordinate": lambda W, f, G: W[:, 0] >= coordinate,
+                "value": lambda W, f, G: f <= value}[stopping]
+
+        def run(context):
+            rngs = [trial_rng(seed, j) for j in range(k)]
+            with (context as forks, mock.patch.object(sgd, "STACK_ROWS", block),
+                  mock.patch.object(sgd, "NOISE_BLOCK", 1), mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * block * n)):
+                return projected_trials(k, lambda j: (w0s[j], rngs[j], prob, None), config, stop=stop), rngs, forks
+
+        got, got_rngs, forks = run(split(parts))
+        want, want_rngs, _ = run(contextlib.nullcontext())
+        sizes = [min(block, k - lo) for lo in range(0, k, block)]
+        assert len(forks) == sum(min(parts, size) - 1 for size in sizes)
+        for j in range(k):
+            assert_same_run(got[j], want[j])
+            assert got_rngs[j].bit_generator.state == want_rngs[j].bit_generator.state
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_infeasible_iterate_raises_wherever_its_row_runs(self, parts):
+        """``_chi_norms``' RuntimeError on an iterate off the feasible set,
+        raised here with its message when a worker's row meets it, and no
+        worker left behind."""
+        prob, here = standard_maxeig(4), os.getpid()
+        feasible = SphereProduct.feasible
+
+        def off_in_workers(self, W):
+            """Feasible here, where the starts are checked; off in the workers
+            or, unsplit, once the run has started."""
+            return feasible(self, W) and os.getpid() == here and (parts > 1 or W.ndim == 1)
+
+        config = SgdConfig(eta=0.01, iterations=30, noise_scale=1.0, record_every=10)
+        with split(parts) as forks, mock.patch.object(SphereProduct, "feasible", off_in_workers):
+            with pytest.raises(RuntimeError, match="^iterate left the feasible set beyond tolerance$"):
+                projected_trials(6, lambda j: (np.eye(4)[0], trial_rng(0, j), prob, None), config)
+        assert len(forks) == parts - 1
+        assert_no_child_left()
+
+    def test_error_in_this_process_kills_the_workers(self):
+        prob, here = standard_maxeig(4), os.getpid()
+
+        def stop(W, f, G):
+            if os.getpid() == here:
+                raise ValueError("stop failed here")
+            return np.zeros(len(W), bool)
+
+        config = SgdConfig(eta=0.01, iterations=10**6, noise_scale=1.0, record_every=10**6)
+        with split(2) as forks, pytest.raises(ValueError, match="stop failed here"):
+            projected_trials(4, lambda j: (np.eye(4)[0], trial_rng(0, j), prob, None), config, stop=stop)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_cli_run_whose_worker_raises_leaves_no_process(self, tmp_path):
+        here = os.getpid()
+        feasible = SphereProduct.feasible
+        with (split(2) as forks, mock.patch.object(SphereProduct, "feasible",
+                                                   lambda self, W: feasible(self, W) and os.getpid() == here),
+              pytest.raises(RuntimeError, match="feasible set")):
+            cli.main(["escape", "--d", "4", "--trials", "6", "--iters", "50", "--out", str(tmp_path / "out")])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_escape_blocks_split_on_two_cpus_and_small_stacks_do_not(self):
+        """On 2 CPUs every block of escape's 1000 trials of n=40 splits in
+        two; the census's 60 rows of n=4 and a block of n=10 do not."""
+        def parts(k, n):
+            return sgd._parts([(np.eye(n)[0], trial_rng(0, j), None, None) for j in range(k)])
+
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0, 1}):
+            assert (parts(256, 40), parts(232, 40), parts(60, 4), parts(256, 10)) == (2, 2, 1, 1)
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0}):
+            assert parts(256, 40) == 1
+
+    @pytest.mark.parametrize("rows", ["sampler", "recorded", "spy", "none"])
+    def test_rows_that_cannot_split_never_fork(self, rows):
+        """Sampler rows (a shared RecordedPerturbations keeps one cursor for
+        every row), generators other than numpy's (their state cannot come
+        back) and rows with no generator run in this process."""
+        d, k = 3, 6
+        basis = OrthoBasis.random(d, np.random.default_rng(0))
+        prob = PROBLEMS["correlation"](basis=basis)
+        stream = 0.1 * np.random.default_rng(1).standard_normal((k * 20, d * d))
+        shared = RecordedPerturbations(prob, stream)
+
+        def start(j):
+            rng = {"spy": ZeroDrawStream(d * d, j), "none": None}.get(rows, trial_rng(0, j))
+            sampler = {"sampler": SimpleSampler(basis), "recorded": shared}.get(rows)
+            return prob.random_feasible(trial_rng(0, j)), rng, prob, sampler
+
+        noise = 0.0 if rows == "none" else 1.0
+        config = SgdConfig(eta=0.01, iterations=20, noise_scale=noise, record_every=5)
+        with split(2) as forks:
+            records = projected_trials(k, start, config)
+        assert forks == [] and all(r.n_steps == 20 for r in records)
 
 
 # ------------------------------------------------------------------ #

@@ -118,6 +118,9 @@ class TestConstruction:
             OrthoBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             OrthoBasis(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        for shape in ((2, 3), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="expected a square"):
+                OrthoBasis(np.ones(shape))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 OrthoBasis(np.full((2, 2), bad))
