@@ -112,9 +112,6 @@ class ConstrainedProblem:
     def random_feasible(self, rng):
         return self.constraints.random_point(rng)
 
-    def __repr__(self):
-        return f"ConstrainedProblem({self.name!r}, dim={self.dim})"
-
 
 # Value, gradient and Hessian take (..., n) stacks.  The forms come from
 # tensor4; the cross terms and pair forms of the correlation problem are
@@ -321,7 +318,6 @@ class QuadraticObjective(ConstrainedProblem):
             raise ValueError(f"H has shape {H.shape}, expected {(w0.size, w0.size)}")
         if np.max(np.abs(H - H.T)) > 1e-12:
             raise ValueError("H must be symmetric")
-        self.w0 = w0
         self.oracle_bound = oracle_bound
 
         def point(w):
@@ -335,10 +331,6 @@ class QuadraticObjective(ConstrainedProblem):
 
         super().__init__("quadratic", None, point, value, lambda p: g + p[1],
                          lambda w: np.broadcast_to(H, w.shape[:-1] + H.shape))
-
-    @property
-    def dim(self):
-        return self.w0.size
 
 
 # ---------------------------------------------------------------------------

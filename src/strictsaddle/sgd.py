@@ -22,6 +22,17 @@ sampler's ``fill`` in stream order.  Either way the block holds the values
 of one pair per step, and a trial that runs its whole budget leaves its
 generator where one pair per step does.
 
+Who draws a block: this process, unless the stack runs as one part, every
+row has a sampler other than a RecordedPerturbations and a
+``numpy.random.Generator``, and the host is Linux with at least 2 usable
+CPUs.  Such a stack draws block 0 here, then, if its budget needs another
+block, forks one producer that draws blocks 1 and on with the same refill
+code, one block ahead, into a ring of two slots in shared memory.  The
+producer sends back every generator's state after each block, and each
+row's generator gets its state after the last block that row read, so the
+records and every generator's final position are those of the blocks
+drawn here.
+
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
 Rows may share one problem or each carry their own.  A sampler answers
@@ -35,6 +46,7 @@ same alone or in a stack of any height.
 """
 
 import math
+import mmap
 import numbers
 import os
 import pickle
@@ -156,6 +168,34 @@ def _unit_rows(x):
     return x
 
 
+def _refill(rngs, samplers, slot, steps, noise_scale):
+    """Draw the next ``steps`` steps of the rows of the generators ``rngs``
+    into the first rows of ``slot`` = (samples, noise), either None: in one
+    loop over the rows, a row with no sampler fills its noise with one
+    ``standard_normal`` call, a row with a sampler has the sampler's
+    ``fill`` draw its samples and noise in stream order.  Then the noise is
+    normalized, a draw of norm at most NOISE_NORM_FLOOR to zero, and scaled."""
+    samples, noise = (None if x is None else x[: len(rngs), :steps] for x in slot)
+    for i, rng in enumerate(rngs):
+        if samplers[i] is None:
+            rng.standard_normal(out=noise[i])
+        else:
+            samplers[i].fill(rng, samples[i], None if noise is None else noise[i])
+    if noise is not None:
+        np.multiply(noise_scale, _unit_rows(noise), out=noise)
+
+
+def _ring(count, shapes):
+    """``count`` slots, each a float array of every shape in ``shapes``
+    (None for None).  Two slots lie in one anonymous shared mmap, so that a
+    forked producer's writes reach this process."""
+    if count == 1:
+        return [[None if shape is None else np.empty(shape) for shape in shapes]]
+    sizes = [math.prod(shape) for shape in shapes if shape is not None] * count
+    pieces = iter(np.split(np.frombuffer(mmap.mmap(-1, 8 * sum(sizes))), np.cumsum(sizes)[:-1]))
+    return [[None if shape is None else next(pieces).reshape(shape) for shape in shapes] for _ in range(count)]
+
+
 def fill_steps(draw, rng, samples, noise):
     """Fill ``samples`` (h, ...) and ``noise`` (h, n) or None one step at a
     time, in stream order: step j's sample ``draw(rng)``, then its n
@@ -249,7 +289,7 @@ def _check_noise_bound(q, xi, noise, noise_scale):
 
 
 @np.errstate(over="ignore")
-def _run_loop(starts, config, stop=None, block_rows=None):
+def _run_loop(starts, config, stop=None, block_rows=None, forks=None):
     """Advance the trials ``starts = [(w0, rng, problem, sampler), ...]`` as one (K, n) stack.
 
     Each step reads every active trial's oracle sample, then its noise,
@@ -288,6 +328,10 @@ def _run_loop(starts, config, stop=None, block_rows=None):
     Recorded steps log ||chi|| (from G) with constraints, else ||G||.
     The refill height is that of a stack of ``block_rows`` rows (default
     K), so a part of a split block refills as the whole block does.
+    Given ``forks`` (a block run as one part), a stack for which
+    ``_draws_ahead`` holds and whose budget needs more than one block draws
+    block 0 here and the others in a producer forked through ``forks`` (see
+    the module docstring); its rows read them at the same cursor.
     Returns one RunRecord per trial, in order.
     """
     # each row's generator, problem and sampler leave the stack with the row
@@ -303,15 +347,18 @@ def _run_loop(starts, config, stop=None, block_rows=None):
     # active row i's buffered steps are samples[slots[i]] and
     # blocks[slots[i]] (the noise), read at the stack's cursor c; all rows
     # refill together when c reaches the block's end, active row i into
-    # blocks[i].  A trial that leaves leaves its block unread.
+    # blocks[i], or with a producer every row of block 0 into its place
+    # there.  A trial that leaves leaves its block unread.
     buffered = noisy or oracle is not None
     shape = () if oracle is None else tuple(oracle.sample_shape)
     size = W.shape[1] * noisy + (0 if oracle is None else math.prod(shape))  # values a row draws per step
     rows = len(starts) if block_rows is None else block_rows
     height = min(config.iterations, max(NOISE_BLOCK, NOISE_BYTES // (8 * rows * max(size, 1))))
-    samples = None if oracle is None else np.empty((len(starts), height, *shape))
-    blocks = np.empty((len(starts), height, W.shape[1])) if noisy else None
-    slots, c, end, filled = ids, 0, 0, 0
+    ahead = forks is not None and buffered and config.iterations > height and _draws_ahead(starts)
+    ring = _ring(2 if ahead else 1, [None if oracle is None else (len(starts), height, *shape),
+                                     (len(starts), height, W.shape[1]) if noisy else None])
+    samples, blocks = ring[0]
+    slots, c, end, filled, producer = ids, 0, 0, 0, None
     held = None  # (f, G) at W once read there, one entry per active row
     start = time.perf_counter()
 
@@ -391,16 +438,16 @@ def _run_loop(starts, config, stop=None, block_rows=None):
         noise = None
         if buffered:
             if c == end:
-                end, filled = min(height, config.iterations - t), ids.size
-                fill = None if blocks is None else blocks[:filled, :end]
-                for i, rng in enumerate(rngs):
-                    if samplers[i] is None:
-                        rng.standard_normal(out=fill[i])
-                    else:
-                        samplers[i].fill(rng, samples[i, :end], None if fill is None else fill[i])
-                if fill is not None:
-                    np.multiply(config.noise_scale, _unit_rows(fill), out=fill)
-                slots, c = np.arange(filled), 0
+                end = min(height, config.iterations - t)
+                if producer is None:
+                    filled = ids.size
+                    _refill(rngs, samplers, (samples, blocks), end, config.noise_scale)
+                    slots = np.arange(filled)
+                    if ahead:
+                        producer = _Producer(forks, rngs, samplers, ring, height, config)
+                else:
+                    samples, blocks = producer.next(slots)
+                c = 0
             rows = slice(filled) if ids.size == filled else slots
             if blocks is not None:
                 noise = blocks[rows, c]
@@ -428,6 +475,8 @@ def _run_loop(starts, config, stop=None, block_rows=None):
                 leave(bad, t, lambda i: f"degenerate projection at step {t}")
                 W = constraints.project(W)
         t += 1
+    if producer is not None:
+        producer.finish()
     return records
 
 
@@ -438,79 +487,178 @@ def _chi_norms(constraints, W, G):
     return row_norms(manifold.chi_from_gradient(constraints, W, G))
 
 
+def _cpus():
+    """Usable CPUs, or 1 where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing (off Linux), so that nothing forks."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _parts(starts):
     """How many contiguous parts the block ``starts`` runs as: one per
     usable CPU, each of at least SPLIT_MIN_WORK row entries.  Only rows with
     no sampler (a sampler may share state across rows, as a shared
     RecordedPerturbations does) and a ``numpy.random.Generator`` (whose
-    state can come back from a worker) split, and only where ``os.fork``
-    and ``os.sched_getaffinity`` exist (Linux)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
+    state can come back from a worker) split."""
     if any(sampler is not None or not isinstance(rng, np.random.Generator) for _, rng, _, sampler in starts):
         return 1
     work = len(starts) * np.size(starts[0][0])
-    return max(1, min(len(os.sched_getaffinity(0)), len(starts), work // SPLIT_MIN_WORK))
+    return max(1, min(_cpus(), len(starts), work // SPLIT_MIN_WORK))
 
 
-def _worker(fd, starts, config, stop, block_rows):
-    """In a forked worker: run ``starts`` and write to the pipe ``fd``
-    (True, records, generator states) or (False, the exception raised),
-    then end the process without running any exit handler or flushing any
-    buffer inherited from the parent."""
-    try:
-        try:
-            records = _run_loop(starts, config, stop, block_rows)
-            result = (True, records, [rng.bit_generator.state for _, rng, _, _ in starts])
-        except BaseException as exc:
-            result = (False, exc)
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(result, fh)
-    finally:
-        os._exit(0)
+def _draws_ahead(starts):
+    """Whether the block ``starts``, run as one part, draws its blocks after
+    the first in a forked producer: on at least 2 usable CPUs, when every
+    row has a ``numpy.random.Generator`` (whose state can come back) and a
+    sampler other than a RecordedPerturbations (which keeps its cursor in
+    this process)."""
+    return _cpus() > 1 and all(isinstance(rng, np.random.Generator) and sampler is not None
+                               and not isinstance(sampler, RecordedPerturbations) for _, rng, _, sampler in starts)
 
 
-def _split_run(starts, config, stop, parts):
-    """``_run_loop`` over the block ``starts`` as ``parts`` contiguous
-    parts at once: the first in this process, each other in a forked
-    worker that sends back its records and its generators' states, which
-    are written into this process's generators.  Every part refills at
-    the whole block's height, so the records and generator positions are
-    those of the block run in one stack.  A worker's exception is raised
-    here; when anything raises, the workers still running are killed, and
-    every worker is reaped before this returns."""
-    bounds = [len(starts) * p // parts for p in range(parts + 1)]
-    workers = []  # (pid, pipe, part) of each part after the first, in order, until reaped
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _worker(w, starts[lo:hi], config, stop, len(starts))
-            os.close(w)
-            workers.append((pid, os.fdopen(r, "rb"), starts[lo:hi]))
-        records = _run_loop(starts[: bounds[1]], config, stop, len(starts))
-        while workers:
-            pid, pipe, part = workers[0]
-            try:
-                ok, *result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"trial worker {pid} ended without a result") from None
-            pipe.close()
-            os.waitpid(pid, 0)
-            workers.pop(0)
-            if not ok:
-                raise result[0]
-            for (_, rng, _, _), state in zip(part, result[1]):
-                rng.bit_generator.state = state
-            records += result[0]
-        return records
-    finally:
-        for pid, pipe, _ in workers:
-            pipe.close()
+class _Forks:
+    """Processes forked from this one, each running one call and sending
+    back on a pipe the pickled (True, its result) or (False, the exception
+    it raised).  Leaving the ``with`` block closes every pipe end opened
+    through it and kills and reaps every child not read back, whatever
+    raised."""
+
+    def __init__(self):
+        self.pids, self.fds = [], set()  # children not read back; pipe ends open here
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for fd in self.fds:
+            os.close(fd)
+        for pid in self.pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+    def pipe(self):
+        """A new pipe's (read end, write end)."""
+        fds = os.pipe()
+        self.fds.update(fds)
+        return fds
+
+    def close(self, fd):
+        self.fds.remove(fd)
+        os.close(fd)
+
+    def fork(self, target, *args, keep=()):
+        """Fork a child that keeps, of the pipe ends opened here, only
+        ``keep`` (which this process closes), runs ``target(*args)``, sends
+        back its result and ends without running any exit handler or
+        flushing any buffer inherited from this process.  Returns the child,
+        to read back with ``result``."""
+        r, w = self.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for fd in self.fds - {w, *keep}:
+                    os.close(fd)
+                try:
+                    result = (True, target(*args))
+                except BaseException as exc:
+                    result = (False, exc)
+                with os.fdopen(w, "wb") as fh:
+                    pickle.dump(result, fh)
+            finally:
+                os._exit(0)
+        self.pids.append(pid)
+        for fd in (w, *keep):
+            self.close(fd)
+        return pid, r
+
+    def result(self, child):
+        """What ``child`` sent back, once it is reaped; its exception is raised here."""
+        pid, r = child
+        with os.fdopen(r, "rb", closefd=False) as fh:
+            try:
+                ok, result = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"forked process {pid} ended without a result") from None
+        self.close(r)
+        os.waitpid(pid, 0)
+        self.pids.remove(pid)
+        if not ok:
+            raise result
+        return result
+
+
+def _produce(rngs, samplers, ring, height, config, free, done):
+    """In the producer: fill blocks 1 and on of the budget, block b into
+    slot b % 2 of ``ring`` once the caller has freed it (a byte on the pipe
+    ``free``; slot 1 is free from the start), and announce each with a byte
+    on the pipe ``done``.  Stops at the budget's end or when ``free``
+    closes; returns every generator's state after each block."""
+    states = []
+    for b, t in enumerate(range(height, config.iterations, height), 1):
+        if b > 1 and not os.read(free, 1):
+            break
+        _refill(rngs, samplers, ring[b % 2], min(height, config.iterations - t), config.noise_scale)
+        states.append([rng.bit_generator.state for rng in rngs])
+        os.write(done, b"\0")
+    return states
+
+
+class _Producer:
+    """This process's end of a producer, forked through ``forks`` once block
+    0 is in slot 0 of the two-slot ``ring``, that draws the blocks after it
+    for the rows ``rngs``, which filled block 0, one block ahead."""
+
+    def __init__(self, forks, rngs, samplers, ring, height, config):
+        self.forks, self.rngs, self.ring, self.block = forks, list(rngs), ring, 0
+        self.blocks = -(-config.iterations // height)  # in the budget
+        self.last = np.zeros(len(rngs), dtype=int)  # the last block each row read
+        free, self.free = forks.pipe()
+        self.done, done = forks.pipe()
+        self.child = forks.fork(_produce, rngs, samplers, ring, height, config, free, done, keep=(free, done))
+
+    def next(self, rows):
+        """The next block's slot, once it is filled, for the rows at positions ``rows``."""
+        self.block += 1
+        if not os.read(self.done, 1):
+            self.forks.result(self.child)  # raises the producer's exception
+            raise RuntimeError(f"block producer ended before block {self.block}")
+        if self.block + 1 < self.blocks:
+            os.write(self.free, b"\0")  # the slot of the block before, for the block after
+        self.last[rows] = self.block
+        return self.ring[self.block % 2]
+
+    def finish(self):
+        """Stop the producer and give each row's generator its state after
+        the last block the row read (after block 0 it stands there already)."""
+        self.forks.close(self.free)
+        states = self.forks.result(self.child)
+        for i in np.flatnonzero(self.last):
+            self.rngs[i].bit_generator.state = states[self.last[i] - 1][i]
+
+
+def _part(starts, config, stop, block_rows):
+    """A forked worker's part of a split block: its records and its generators' states."""
+    return _run_loop(starts, config, stop, block_rows), [rng.bit_generator.state for _, rng, _, _ in starts]
+
+
+def _split_run(starts, config, stop, parts, forks):
+    """``_run_loop`` over the block ``starts`` as ``parts`` contiguous
+    parts at once: the first in this process, each other in a worker forked
+    through ``forks`` that sends back its records and its generators'
+    states, which are written into this process's generators.  Every part
+    refills at the whole block's height, so the records and generator
+    positions are those of the block run in one stack."""
+    bounds = [len(starts) * p // parts for p in range(parts + 1)]
+    workers = [(forks.fork(_part, starts[lo:hi], config, stop, len(starts)), starts[lo:hi])
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    records = _run_loop(starts[: bounds[1]], config, stop, len(starts))
+    for worker, part in workers:
+        part_records, states = forks.result(worker)
+        for (_, rng, _, _), state in zip(part, states):
+            rng.bit_generator.state = state
+        records += part_records
+    return records
 
 
 def projected_trials(n_trials, start, config, stop=None):
@@ -537,7 +685,15 @@ def projected_trials(n_trials, start, config, stop=None):
     runs the row, a worker's exception is raised here and no worker
     outlives the call.  Trials draw ahead in blocks (see the module
     docstring), the stream of one (sample, normals) pair per step, a
-    degenerate noise draw giving zero noise.  A block holds at most the
+    degenerate noise draw giving zero noise.  A block of sampler rows, each
+    with a ``numpy.random.Generator`` and none a RecordedPerturbations,
+    draws its first block here and, when its budget needs more, the others
+    in one producer forked on Linux with at least 2 usable CPUs, one block
+    ahead; the producer sends back its generators' states after every
+    block, and each row's generator is given its state after the last block
+    the row read.  The records and generator positions are those of the
+    blocks drawn here, the producer's exception is raised here and no
+    producer outlives the call.  A block holds at most the
     budget left, so a trial that runs its whole budget leaves its generator
     where one pair per step does and can be continued; one that stops or
     diverges early may leave it up to a block past.
@@ -551,7 +707,9 @@ def projected_trials(n_trials, start, config, stop=None):
         if not all(p.constraints is None or p.constraints.feasible(w0) for w0, _, p, _ in starts):
             raise ValueError("projected run requires a feasible starting point")
         parts = _parts(starts)
-        records += _run_loop(starts, config, stop) if parts == 1 else _split_run(starts, config, stop, parts)
+        with _Forks() as forks:
+            records += (_run_loop(starts, config, stop, forks=forks) if parts == 1
+                        else _split_run(starts, config, stop, parts, forks))
     return records
 
 

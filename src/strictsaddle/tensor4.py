@@ -117,9 +117,6 @@ class OrthoBasis:
     def standard(cls, d):
         return cls(np.eye(d))
 
-    def __repr__(self):
-        return f"OrthoBasis(d={self.d})"
-
 
 def make_orthogonal_tensor(basis):
     """Build the dense T = sum_i a_i^{(x)4} from an orthonormal basis.

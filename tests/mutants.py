@@ -97,7 +97,7 @@ MUTANTS = [
            "        self.oracle_bound = oracle_bound\n", "",
            ("tests/test_sgd.py::TestNoiseBound::test_violation_raises",)),
     Mutant("noise-blocks-refilled-from-row-0", "src/strictsaddle/sgd.py",
-           "rng.standard_normal(out=fill[i])", "rngs[0].standard_normal(out=fill[i])",
+           "rng.standard_normal(out=noise[i])", "rngs[0].standard_normal(out=noise[i])",
            ("tests/test_sgd.py::TestNoise::test_degenerate_draw_gives_zero_noise",
             "tests/test_sgd.py::TestStackedTrials::test_buffered_noise_equals_per_step_draws")),
     # a degenerate draw is divided by its own tiny norm: a unit vector (or
@@ -174,11 +174,19 @@ MUTANTS = [
            "rng.bit_generator.state = state", "pass",
            ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
     Mutant("split-part-own-height", "src/strictsaddle/sgd.py",
-           "_worker(w, starts[lo:hi], config, stop, len(starts))", "_worker(w, starts[lo:hi], config, stop, hi - lo)",
+           "_part, starts[lo:hi], config, stop, len(starts))", "_part, starts[lo:hi], config, stop, hi - lo)",
            ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
     Mutant("split-records-out-of-order", "src/strictsaddle/sgd.py",
-           "records += result[0]", "records = result[0] + records",
+           "records += part_records", "records = part_records + records",
            ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
+    # a producer-drawn run: each row's generator comes back at its state
+    # after the last block that row read, not where the producer stopped
+    Mutant("producer-states-not-written-back", "src/strictsaddle/sgd.py",
+           "self.rngs[i].bit_generator.state = states[self.last[i] - 1][i]", "pass",
+           ("tests/test_sgd.py::TestDrawAhead::test_producer_equals_in_process",)),
+    Mutant("departed-row-gets-full-budget-state", "src/strictsaddle/sgd.py",
+           "states[self.last[i] - 1][i]", "states[-1][i]",
+           ("tests/test_sgd.py::TestDrawAhead::test_producer_equals_in_process",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),

@@ -35,10 +35,12 @@ MANIFEST_VARYING = ("started", "finished", "environment", "timing")
 RUN = "import sys; from strictsaddle.cli import main; sys.exit(main())"
 
 # (name, argv): the benchmark's and the north star's reference configs,
-# every objective, both samplers, and ica sign counts (batch x d) even and odd
+# every objective, both samplers, ica sign counts (batch x d) even and odd,
+# and a sampler run of one block, which forks no block producer
 COMMANDS = [
     ("escape", ["escape", "--d", "40", "--trials", "1000", "--iters", "2000"]),
     ("decompose", ["decompose", "--d", "10", "--seeds", "4", "--iters", "10000"]),
+    ("decompose-one-block", ["decompose", "--d", "3", "--seeds", "2", "--iters", "50"]),
     ("decompose-maxeig", ["decompose", "--objective", "maxeig", "--d", "5", "--seeds", "3", "--iters", "2000"]),
     ("decompose-reconstruction",
      ["decompose", "--objective", "reconstruction", "--d", "5", "--seeds", "3", "--iters", "2000"]),

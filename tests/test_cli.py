@@ -1,6 +1,7 @@
 """End-to-end tests for the experiment harness."""
 
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -147,6 +148,35 @@ class TestConfigHandling:
         rc = main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "objective" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, where):
+        """A config file that cannot be read is a config error, named with
+        the OS's reason, and no output directory is made."""
+        cfg = tmp_path / "run.cfg"
+        if where == "directory":
+            cfg.mkdir()
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: [Errno ") and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_io_error_exits_2_and_removes_the_output_it_made(self, tmp_path, capsys, monkeypatch):
+        """An OSError during the run prints an i/o error, exits 2 and removes
+        the output directory this call made."""
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_manifest", disk_full)
+        out = tmp_path / "out"
+        assert main(["decompose", "--out", str(out), *FAST]) == 2
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert not out.exists()
+
+    def test_output_path_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["decompose", "--out", str(tmp_path / "file" / "out"), *FAST]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno ")
 
     def test_trailing_window_stats(self):
         mean, spread = trailing_window_stats([10.0, 10.0, 10.0, 10.0, 2.0, 4.0, 3.0, 3.0, 2.0, 4.0])

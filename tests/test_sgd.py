@@ -599,24 +599,31 @@ class TestStackedTrials:
             assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, sampler=sampler()))
             assert rngs[j].bit_generator.state == twin.bit_generator.state
 
-    def test_sampler_block_height(self):
+    def test_sampler_block_height(self, tmp_path):
         """A stack with a sampler fills the most steps whose samples and
         noise fit in NOISE_BYTES, at most the budget left: 186 steps at 4
-        rows of n=100 with samples of 10, the last block of 400 steps 28."""
-        d, heights = 10, []
+        rows of n=100 with samples of 10, the last block of 400 steps 28,
+        whether a forked producer draws the blocks after the first or this
+        process draws them all.  The fills log to a file, which both
+        processes reach."""
+        d, log = 10, tmp_path / "heights"
         fill = SimpleSampler.fill
 
         def spy(self, rng, samples, noise):
-            heights.append((len(samples), None if noise is None else noise.shape))
+            with open(log, "a") as fh:
+                fh.write(f"{len(samples)} {None if noise is None else noise.shape}\n")
             return fill(self, rng, samples, noise)
 
         basis = OrthoBasis.random(d, np.random.default_rng(0))
         prob, sampler = PROBLEMS["correlation"](basis=basis), SimpleSampler(basis)
         config = SgdConfig(eta=0.01, iterations=400, noise_scale=1.0, record_every=400)
-        with mock.patch.object(SimpleSampler, "fill", spy):
-            projected_trials(4, lambda j: (prob.random_feasible(trial_rng(0, j)), trial_rng(0, j), prob, sampler),
-                             config)
-        assert heights == [(h, (h, d * d)) for h in (186, 186, 28) for _ in range(4)]
+        for ahead in (True, False):
+            log.write_text("")
+            with mock.patch.object(SimpleSampler, "fill", spy), drawn_ahead(ahead) as forks:
+                projected_trials(4, lambda j: (prob.random_feasible(trial_rng(0, j)), trial_rng(0, j), prob,
+                                               sampler), config)
+            assert log.read_text().splitlines() == [f"{h} {(h, d * d)}" for h in (186, 186, 28) for _ in range(4)]
+            assert len(forks) == ahead
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("sampler_kind, per_row", [("simple", False), ("ica", False),
@@ -704,18 +711,25 @@ class TestStackedTrials:
 
 
 @contextlib.contextmanager
-def split(parts):
-    """Blocks of any size split into ``parts`` parts, as on a host with
-    ``parts`` usable CPUs; yields the list that counts the forks."""
+def counted_forks():
+    """Yields the list that counts the forks made inside the block."""
     forks, fork = [], os.fork
 
     def counted():
         forks.append(None)
         return fork()
 
+    with mock.patch.object(sgd.os, "fork", counted):
+        yield forks
+
+
+@contextlib.contextmanager
+def split(parts):
+    """Blocks of any size split into ``parts`` parts, as on a host with
+    ``parts`` usable CPUs; yields the list that counts the forks."""
     with (mock.patch.object(sgd, "SPLIT_MIN_WORK", 1),
           mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: set(range(parts))),
-          mock.patch.object(sgd.os, "fork", counted)):
+          counted_forks() as forks):
         yield forks
 
 
@@ -839,6 +853,180 @@ class TestSplitBlocks:
         with split(2) as forks:
             records = projected_trials(k, start, config)
         assert forks == [] and all(r.n_steps == 20 for r in records)
+
+
+@contextlib.contextmanager
+def drawn_ahead(ahead):
+    """Sampler stacks draw their blocks after the first in a forked
+    producer (``ahead``) or all in this process, whatever the host; yields
+    the list that counts the forks."""
+    with mock.patch.object(sgd, "_draws_ahead", lambda starts: ahead), counted_forks() as forks:
+        yield forks
+
+
+class Exits:
+    """Ends trial j of ``k`` at step ``plan[j] = (how, step)``: ``stop``
+    through the stop predicate, ``diverge`` through an oracle gradient so
+    large that the row's iterate diverges at that step.  The predicate is
+    called once before every step, so it counts the steps; it also tracks
+    which trials are still in the stack."""
+
+    def __init__(self, plan, k):
+        self.plan, self.t, self.active = plan, -1, list(range(k))
+
+    def stop(self, W, f, G):
+        self.t += 1
+        self.active = [j for j in self.active if self.plan.get(j) != ("diverge", self.t - 1)]
+        assert len(self.active) == len(W)
+        ends = np.array([self.plan.get(j) == ("stop", self.t) for j in self.active], dtype=bool)
+        self.active = [j for j, end in zip(self.active, ends) if not end]
+        return ends
+
+    def steer(self, G):
+        G[np.array([self.plan.get(j) == ("diverge", self.t) for j in self.active], dtype=bool)] = 1e300
+        return G
+
+
+def steered(cls, exits):
+    """A ``cls`` sampler whose gradient makes the rows ``exits`` plans to diverge do so."""
+    class Steered(cls):
+        def gradient(self, W, samples):
+            return exits.steer(super().gradient(W, samples))
+
+    return Steered
+
+
+class TestDrawAhead:
+    """A stack whose rows all have samplers draws its blocks after the first
+    in one forked producer, one block ahead, and gets back every
+    generator's state after each block."""
+
+    @settings(max_examples=50, deadline=None)
+    # rows that run their whole budget past block 0, and a row that stops
+    # after reading block 2 of 4 while the other runs on
+    @example(sampler_kind="simple", generator="pcg64", d=2, k=2, height=3, blocks=3, last=2, seed=1,
+             noise=1.0, stride=4, exits=[(None, 0, 0)] * 4)
+    @example(sampler_kind="ica", generator="pcg64", d=2, k=2, height=2, blocks=4, last=2, seed=2,
+             noise=1.0, stride=3, exits=[("stop", 2, 1)] + [(None, 0, 0)] * 3)
+    @given(sampler_kind=st.sampled_from(["simple", "ica"]), generator=st.sampled_from(["pcg64", "philox"]),
+           d=st.integers(1, 3), k=st.integers(1, 4), height=st.integers(1, 6), blocks=st.integers(1, 4),
+           last=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]),
+           stride=st.integers(1, 10),
+           exits=st.lists(st.tuples(st.sampled_from([None, "stop", "diverge"]), st.integers(0, 4),
+                                    st.integers(-1, 1)), min_size=4, max_size=4))
+    def test_producer_equals_in_process(self, sampler_kind, generator, d, k, height, blocks, last, seed, noise,
+                                        stride, exits):
+        """Records, bit for bit, and every generator's final state equal the
+        run drawn in this process, for 1 to 4 blocks: rows that run their
+        whole budget, and rows that leave through the stop predicate or by
+        divergence at, just before or just after a block boundary.  A
+        one-block run and one whose rows all stop at the start fork
+        nothing; any other forks one producer."""
+        iters = (blocks - 1) * height + min(last, height)
+        basis = OrthoBasis.random(d, np.random.default_rng(seed))
+        prob = PROBLEMS["correlation"](basis=basis)
+        n = prob.constraints.n
+        plan = {j: (how, b * height + offset) for j, (how, b, offset) in enumerate(exits[:k])
+                if how is not None and b * height + offset >= 0}
+        config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
+        w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
+
+        def rng(j):
+            if generator == "pcg64":
+                return trial_rng(seed, j)
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
+
+        def run(ahead):
+            exits = Exits(plan, k)
+            sampler = (steered(SimpleSampler, exits)(basis) if sampler_kind == "simple"
+                       else steered(IcaSampler, exits)(IcaModel(basis.vectors.T), batch_size=2))
+            size = n * (noise > 0) + int(np.prod(sampler.sample_shape))
+            rngs = [rng(j) for j in range(k)]
+            with (drawn_ahead(ahead) as forks, mock.patch.object(sgd, "NOISE_BLOCK", 1),
+                  mock.patch.object(sgd, "NOISE_BYTES", height * 8 * k * size)):
+                records = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config, stop=exits.stop)
+            return records, rngs, forks
+
+        got, got_rngs, forks = run(True)
+        want, want_rngs, none = run(False)
+        for j in range(k):
+            assert_same_run(got[j], want[j])
+            np.testing.assert_equal(got_rngs[j].bit_generator.state, want_rngs[j].bit_generator.state)
+        drawing = any(plan.get(j) != ("stop", 0) for j in range(k))
+        assert (len(forks), none) == (int(blocks > 1 and drawing), [])
+        assert_no_child_left()
+
+    def producer_run(self, sampler, stop=None, iters=50):
+        """A forced-producer run of 3 rows in blocks of 10 steps."""
+        basis = sampler.basis
+        prob = PROBLEMS["correlation"](basis=basis)
+        config = SgdConfig(eta=0.01, iterations=iters, noise_scale=1.0, record_every=10)
+        with (mock.patch.object(sgd, "NOISE_BLOCK", 1),
+              mock.patch.object(sgd, "NOISE_BYTES", 10 * 8 * 3 * (basis.d**2 + basis.d))):
+            return projected_trials(3, lambda j: (prob.random_feasible(trial_rng(0, j)), trial_rng(0, j), prob,
+                                                  sampler), config, stop=stop)
+
+    def test_producer_error_is_raised_here(self):
+        """A sampler that raises in the producer: its exception is raised
+        here with its type and message, and no child is left behind."""
+        here = os.getpid()
+
+        class FailsAway(SimpleSampler):
+            def fill(self, rng, samples, noise):
+                if os.getpid() != here:
+                    raise ValueError("fill failed in the producer")
+                super().fill(rng, samples, noise)
+
+        basis = OrthoBasis.random(3, np.random.default_rng(0))
+        with drawn_ahead(True) as forks, pytest.raises(ValueError, match="^fill failed in the producer$"):
+            self.producer_run(FailsAway(basis))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_error_here_kills_the_producer(self):
+        """An error raised here mid-run, while the producer waits for a free
+        slot, is the one raised, and the producer does not outlive the call."""
+        steps = []
+
+        def stop(W, f, G):
+            steps.append(None)
+            if len(steps) == 25:
+                raise RuntimeError("stop failed at step 24")
+            return np.zeros(len(W), bool)
+
+        basis = OrthoBasis.random(3, np.random.default_rng(0))
+        with drawn_ahead(True) as forks, pytest.raises(RuntimeError, match="^stop failed at step 24$"):
+            self.producer_run(SimpleSampler(basis), stop=stop, iters=10**6)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_only_sampler_rows_with_numpy_generators_draw_ahead_on_two_cpus(self):
+        """Rows with samplers (a RecordedPerturbations keeps its cursor in
+        this process) and numpy generators (whose state can come back) draw
+        ahead, given a second usable CPU."""
+        basis = OrthoBasis.random(3, np.random.default_rng(0))
+        prob = PROBLEMS["correlation"](basis=basis)
+        recorded = RecordedPerturbations(prob, np.zeros((10, 9)))
+
+        def draws_ahead(sampler, rng=None):
+            return sgd._draws_ahead([(np.eye(9)[0], rng or trial_rng(0, j), prob, sampler) for j in range(3)])
+
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0, 1}):
+            assert draws_ahead(SimpleSampler(basis)) and draws_ahead(IcaSampler(IcaModel(basis.vectors.T)))
+            assert not (draws_ahead(None) or draws_ahead(recorded)
+                        or draws_ahead(SimpleSampler(basis), ZeroDrawStream(9, 0)))
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0}):
+            assert not draws_ahead(SimpleSampler(basis))
+
+    @pytest.mark.parametrize("iters, forked", [(50, 0), (1000, 1)])
+    def test_decompose_forks_one_producer_past_one_block(self, iters, forked, tmp_path):
+        """decompose's 4 × (100 + 10) stack draws 186 steps a block: on two
+        CPUs a 1000-step run forks one producer, a 50-step run none."""
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0, 1}), counted_forks() as forks:
+            assert cli.main(["decompose", "--d", "10", "--seeds", "4", "--iters", str(iters),
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(forks) == forked
+        assert_no_child_left()
 
 
 # ------------------------------------------------------------------ #
