@@ -29,7 +29,6 @@ import numbers
 
 import numpy as np
 
-from .sgd import fill_steps
 from .tensor4 import OrthoBasis
 
 __all__ = [
@@ -160,6 +159,23 @@ def simple_reconstruction_gradient(U, x):
     return -8.0 * (p**3)[..., :, None] * x[..., None, :] + 8.0 * np.matmul(gram**3, U)
 
 
+def _fill_from_words(rng, steps):
+    """Run ``steps(raw, has, spare)``, a sampler's fill, on the PCG64
+    generator ``rng``: ``raw`` draws its 64-bit words and (has, spare) is
+    its held 32-bit half (``has_uint32``, ``uinteger``), read once; the
+    pair ``steps`` returns is written back once.  Any other bit generator
+    is refused with a ValueError before ``steps`` runs."""
+    bitgen = getattr(rng, "bit_generator", rng)
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"samplers fill from raw PCG64 words, not from {type(bitgen).__name__}")
+    begun = bitgen.state
+    held = steps(bitgen.random_raw, begun["has_uint32"], begun["uinteger"])
+    if held != (begun["has_uint32"], begun["uinteger"]):
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = held
+        bitgen.state = state
+
+
 class IcaSampler:
     """Draws mini-batches y = Ax and evaluates their gradient oracle.
 
@@ -182,7 +198,27 @@ class IcaSampler:
         return gen_ica_samples(self.model, self.batch_size, rng)
 
     def fill(self, rng, samples, noise):
-        fill_steps(self.draw, rng, samples, noise)
+        """Fill ``samples`` (h, batch, d) and ``noise`` (h, n) or None from
+        raw PCG64 words, as :meth:`SimpleSampler.fill` does.  A sign is an
+        ``integers(0, 2)`` value, which numpy 2.x's Lemire method takes as
+        bit 31 of one 32-bit draw, never drawing again at a range of 2; so
+        step j's signs are the top bits of the next batch·d halves, the held
+        spare half first, and an odd count leaves the last high half spare.
+        """
+        shape, count, mix = self.sample_shape, self.batch_size * self.model.d, self.model.A.T
+
+        def steps(raw, has, spare):
+            for j in range(len(samples)):
+                # each word's low half first, as next_uint32 serves them (a little-endian view)
+                words = raw((count - has + 1) // 2).view(np.uint32)
+                halves = np.append(np.uint32(spare), words) if has else words
+                samples[j] = ((halves[:count] >> 31).reshape(shape) * 2.0 - 1.0) @ mix
+                spare, has = int(halves[-1]), halves.size - count  # next_uint32 keeps its last half, spent or not
+                if noise is not None:
+                    rng.standard_normal(out=noise[j])
+            return has, spare
+
+        _fill_from_words(rng, steps)
 
     def gradient(self, W, samples):
         d = self.model.d
@@ -220,8 +256,8 @@ class SimpleSampler:
         (``draw``, ``standard_normal(n)``) pairs, with the generator left
         where those pairs leave it.
 
-        On a PCG64 generator the indices come from raw words, by the rule
-        numpy 2.x's ``integers(d)`` follows (Lemire's method): a 32-bit
+        The indices come from the raw words of the PCG64 generator, by the
+        rule numpy 2.x's ``integers(d)`` follows (Lemire's method): a 32-bit
         draw u gives m = u d, drawn again while m mod 2^32 < 2^32 mod d,
         and the index is m >> 32; d = 1 draws nothing.  PCG64 serves its
         32-bit draws as the low half of a 64-bit word, then its high half,
@@ -233,43 +269,38 @@ class SimpleSampler:
         property tests in tests/test_ica.py compare it with ``integers``.
         The noise is left as drawn, a degenerate draw included: the run
         loop's refill normalizes it, a degenerate draw to zero.  Any other
-        generator takes the per-step :func:`sgd.fill_steps`.
+        bit generator is refused with a ValueError before any draw.
         """
-        bitgen = getattr(rng, "bit_generator", None)
-        if not isinstance(bitgen, np.random.PCG64):
-            fill_steps(self.draw, rng, samples, noise)
-            return
         d, h = self.basis.d, len(samples)
-        if d == 1:
-            samples[:] = self.atoms[0]
-            if noise is not None:
-                rng.standard_normal(out=noise)
-            return
-        begun = bitgen.state
-        has, spare = begun["has_uint32"], begun["uinteger"]
         below = (1 << 32) % d  # a product whose low half is below this is drawn again
-        raw, index, j = bitgen.random_raw, [0] * h, 0
-        while j < h:
-            while True:
-                if has:
-                    u, has = spare, 0
-                else:
-                    w = raw()
-                    u, spare, has = w & 0xFFFFFFFF, w >> 32, 1
-                m = u * d
-                if m & 0xFFFFFFFF >= below:
-                    break
-            index[j], step = m >> 32, 1
-            if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:
-                index[j + 1], has, step = (spare * d) >> 32, 0, 2
-            if noise is not None:
-                rng.standard_normal(out=noise[j : j + step])
-            j += step
-        samples[:] = self.atoms[index]
-        if (has, spare) != (begun["has_uint32"], begun["uinteger"]):
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = has, spare
-            bitgen.state = state
+
+        def steps(raw, has, spare):
+            if d == 1:
+                samples[:] = self.atoms[0]
+                if noise is not None:
+                    rng.standard_normal(out=noise)
+                return has, spare
+            index, j = [0] * h, 0
+            while j < h:
+                while True:
+                    if has:
+                        u, has = spare, 0
+                    else:
+                        w = raw()
+                        u, spare, has = w & 0xFFFFFFFF, w >> 32, 1
+                    m = u * d
+                    if m & 0xFFFFFFFF >= below:
+                        break
+                index[j], step = m >> 32, 1
+                if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:
+                    index[j + 1], has, step = (spare * d) >> 32, 0, 2
+                if noise is not None:
+                    rng.standard_normal(out=noise[j : j + step])
+                j += step
+            samples[:] = self.atoms[index]
+            return has, spare
+
+        _fill_from_words(rng, steps)
 
     def gradient(self, W, samples):
         if self.kind == "maxeig":

@@ -36,13 +36,15 @@ drawn here.
 There is one run loop.  It advances a (K, n) stack of trials, each with
 its own generator, problem and sampler; a single run is the K=1 case.
 Rows may share one problem or each carry their own.  A sampler answers
-for the whole stack: a row's ``draw(rng)`` gives its sample, of shape
-``sample_shape``, ``fill(rng, samples, noise)`` a block of (draw, normals)
-steps, and one ``gradient(W, samples)`` call takes the stack and one
-sample per row.  Every kernel on the stack acts row by row (an einsum or
-a last-axis reduction where rows meet shared data, a batched matmul for
-products of per-row matrices), so trial k's record is bit for bit the
-same alone or in a stack of any height.
+for the whole stack: ``fill(rng, samples, noise)`` draws a row's block of
+(sample, normals) steps, each sample of shape ``sample_shape``, and one
+``gradient(W, samples)`` call takes the stack and one sample per row.  The
+samplers of ``ica`` fill from raw PCG64 words and refuse any other
+generator; a ``RecordedPerturbations`` replays its stream.  Every kernel
+on the stack acts row by row (an einsum or a last-axis reduction where
+rows meet shared data, a batched matmul for products of per-row
+matrices), so trial k's record is bit for bit the same alone or in a
+stack of any height.
 """
 
 import math
@@ -69,7 +71,6 @@ __all__ = [
     "run_rng",
     "trial_rng",
     "RecordedPerturbations",
-    "fill_steps",
     "write_csv",
     "write_run_csv",
 ]
@@ -196,17 +197,6 @@ def _ring(count, shapes):
     return [[None if shape is None else next(pieces).reshape(shape) for shape in shapes] for _ in range(count)]
 
 
-def fill_steps(draw, rng, samples, noise):
-    """Fill ``samples`` (h, ...) and ``noise`` (h, n) or None one step at a
-    time, in stream order: step j's sample ``draw(rng)``, then its n
-    Gaussian draws from ``rng``.  These are the values of h (draw, normals)
-    pairs, and the generator ends where those pairs leave it."""
-    for j in range(len(samples)):
-        samples[j] = draw(rng)
-        if noise is not None:
-            rng.standard_normal(out=noise[j])
-
-
 def unit_sphere_noise(dim, rng):
     """Uniform unit vector via one normalized isotropic Gaussian draw of
     ``dim`` normals; a draw of norm at most NOISE_NORM_FLOOR gives zero."""
@@ -252,10 +242,10 @@ class RunRecord:
 class RecordedPerturbations:
     """Sampler that replays a fixed stream of additive gradient perturbations.
 
-    Each draw is the stream's next entry; the oracle adds it to the exact
-    gradient of ``objective``.  The run loop takes a row's draws a block of
-    steps at a time, so rows that share one such sampler take its entries a
-    block per row, not a step per row.
+    Each step's sample is the stream's next entry; the oracle adds it to
+    the exact gradient of ``objective``.  The run loop takes a row's samples
+    a block of steps at a time, so rows that share one such sampler take its
+    entries a block per row, not a step per row.
     """
 
     def __init__(self, objective, stream):
@@ -264,15 +254,18 @@ class RecordedPerturbations:
         self.sample_shape = self.stream[0].shape if self.stream else ()
         self._next = 0
 
-    def draw(self, rng):
-        if self._next >= len(self.stream):
-            raise RuntimeError("perturbation stream exhausted")
-        out = self.stream[self._next]
-        self._next += 1
-        return out
-
     def fill(self, rng, samples, noise):
-        fill_steps(self.draw, rng, samples, noise)
+        """The stream's next h entries into ``samples`` (h, ...), and the h
+        steps' normals into ``noise`` (h, n) or None with one call of
+        ``rng``, which the stream does not touch.  Raises RuntimeError,
+        before it writes or draws, when fewer than h entries are left."""
+        end = self._next + len(samples)
+        if end > len(self.stream):
+            raise RuntimeError("perturbation stream exhausted")
+        samples[:] = self.stream[self._next : end]
+        self._next = end
+        if noise is not None:
+            rng.standard_normal(out=noise)
 
     def gradient(self, W, samples):
         return self.objective.gradient(W) + samples

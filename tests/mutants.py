@@ -137,12 +137,26 @@ MUTANTS = [
            "u, spare, has = w & 0xFFFFFFFF, w >> 32, 1", "u, spare, has = w & 0xFFFFFFFF, w & 0xFFFFFFFF, 1",
            ("tests/test_ica.py::TestSimpleSampler::test_fill_equals_per_step_pairs",
             "tests/test_golden.py")),
+    # both samplers' fills hand the held half back through one helper
     Mutant("ica-spare-flag-not-written-back", "src/strictsaddle/ica.py",
-           "            bitgen.state = state\n", "",
-           ("tests/test_ica.py::TestSimpleSampler::test_fill_equals_per_step_pairs",)),
+           "        bitgen.state = state\n", "",
+           ("tests/test_ica.py::TestSimpleSampler::test_fill_equals_per_step_pairs",
+            "tests/test_ica.py::TestIcaSampler::test_fill_equals_per_step_pairs")),
     Mutant("ica-normals-merged-past-a-rejected-spare", "src/strictsaddle/ica.py",
            "if has and j + 1 < h and (spare * d) & 0xFFFFFFFF >= below:", "if has and j + 1 < h:",
            ("tests/test_ica.py::TestSimpleSampler::test_fill_redraws_rejected_halves",)),
+    # the raw-word fill of IcaSampler: a sign is bit 31 of a 32-bit half,
+    # the held spare half is the first of a step's halves, and the last half
+    # a step takes is the one the fill hands back
+    Mutant("ica-sign-from-low-bit", "src/strictsaddle/ica.py",
+           "(halves[:count] >> 31)", "(halves[:count] & 1)",
+           ("tests/test_ica.py::TestIcaSampler::test_fill_equals_per_step_pairs",)),
+    Mutant("ica-spare-half-put-last", "src/strictsaddle/ica.py",
+           "np.append(np.uint32(spare), words)", "np.append(words, np.uint32(spare))",
+           ("tests/test_ica.py::TestIcaSampler::test_fill_equals_per_step_pairs",)),
+    Mutant("ica-new-spare-not-written-back", "src/strictsaddle/ica.py",
+           "spare, has = int(halves[-1]), halves.size - count", "has = halves.size - count",
+           ("tests/test_ica.py::TestIcaSampler::test_fill_equals_per_step_pairs",)),
     # the exit-code contract: an exit 2 removes the output directory it made
     Mutant("refused-run-keeps-its-output", "src/strictsaddle/cli.py",
            "        shutil.rmtree(made, ignore_errors=True)\n", "        pass\n",

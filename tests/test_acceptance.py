@@ -31,7 +31,7 @@ from strictsaddle.objectives import (
     maxeig_multiplier_coords,
     maxeig_objective,
 )
-from strictsaddle.sgd import SgdConfig, projected_noisy_sgd, projected_trials
+from strictsaddle.sgd import SgdConfig, projected_trials, run_rng
 from strictsaddle.tensor4 import OrthoBasis
 
 
@@ -179,7 +179,7 @@ def test_09_saddle_stasis_and_noisy_escape():
     saddle = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2.0)
 
     still = SgdConfig(eta=0.01, iterations=1000, noise_scale=0.0, seed=0, record_every=1)
-    rec = projected_noisy_sgd(prob, None, saddle, still)
+    rec = projected_trials(1, lambda _: (saddle, run_rng(still.seed), prob, None), still)[0]
     drift = float(np.linalg.norm(rec.final_point - saddle))
 
     noisy = SgdConfig(eta=0.01, iterations=10_000, noise_scale=1.0, seed=0, record_every=10_000)

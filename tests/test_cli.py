@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -141,6 +142,18 @@ class TestConfigHandling:
         assert not os.path.exists(out)
         assert main(["escape", "--d", "3", "--trials", "2", "--iters", "50", "--out", out]) == 0
         assert "overwrite" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["junk line", "d 5", "seeds: 2,3"])
+    def test_malformed_config_line_exits_2(self, tmp_path, capsys, line):
+        """A line with no '=' is a config error naming the file, the line
+        number and the line, and no output directory is made."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\nd = 3\n\n{line}  # trailing\n")
+        with pytest.raises(cli.CliError, match=f"^{re.escape(f'{cfg}:4: expected KEY=VALUE, got {line!r}')}$"):
+            parse_config_file(cfg)
+        assert main(["escape", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: expected KEY=VALUE, got {line!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -446,6 +459,17 @@ class TestDivergedRuns:
         assert "RuntimeWarning" not in proc.stderr
         on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert on_disk and read_manifest(out)["outputs"] == on_disk
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, line", [
+        (["escape", "--eta", "1e308", "--d", "3", "--trials", "3", "--iters", "20"], "3 trials diverged"),
+        (["minima", "--eta", "1e308", "--d", "2", "--starts", "3", "--iters", "20"], "3 starts diverged"),
+    ], ids=["escape", "minima"])
+    def test_diverged_count_is_printed(self, argv, line, tmp_path, capsys):
+        """In this process: a step so long that every trial overflows exits
+        1, and the summary's last line counts the diverged trials."""
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 class TestMinimaCommand:

@@ -9,9 +9,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_sgd import fill_steps
 from strictsaddle.ica import (
     IcaModel,
     IcaSampler,
@@ -418,17 +419,6 @@ class TestSimpleSampler:
                 sampler.fill(rng, samples, noise)
                 assert_fill_matches_pairs(sampler, samples, noise, rng, twin)
 
-    def test_fill_takes_per_step_draws_on_other_generators(self):
-        """A generator that is not PCG64 gets the per-step pairs."""
-        sampler = SimpleSampler(OrthoBasis.random(5, np.random.default_rng(1)))
-        rng, twin = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
-        samples, noise = np.empty((6, 5)), np.empty((6, 4))
-        assert sampler.fill(rng, samples, noise) is None
-        for j in range(6):
-            np.testing.assert_array_equal(samples[j], sampler.draw(twin))
-            np.testing.assert_array_equal(noise[j], twin.standard_normal(4))
-        np.testing.assert_array_equal(rng.integers(2**32, size=3), twin.integers(2**32, size=3))
-
     def test_correlation_estimator_exact_mean(self):
         d = 3
         basis = OrthoBasis.random(d, np.random.default_rng(23))
@@ -474,6 +464,41 @@ class TestSimpleSampler:
 # ------------------------------------------------------------------ #
 
 
+class TestIcaSampler:
+    @settings(max_examples=300, deadline=None)
+    # batch·d odd with a spare half, so a step takes no new word; even with one
+    @example(d=1, batch=1, h=3, n=None, seed=0, spare=True)
+    @example(d=2, batch=3, h=2, n=2, seed=1, spare=True)
+    @given(d=st.integers(1, 5), batch=st.integers(1, 7), h=st.integers(1, 11), n=st.sampled_from([None, 1, 4]),
+           seed=st.integers(0, 2**32 - 1), spare=st.booleans())
+    def test_fill_equals_per_step_pairs(self, d, batch, h, n, seed, spare):
+        """``fill`` from raw words gives the values of h per-step (``draw``,
+        ``standard_normal(n)``) pairs, the oracle ``fill_steps``, and leaves
+        the generator where they do: its PCG64 state, ``has_uint32``, the
+        spare half when one is held and what it draws next.  With batch·d
+        odd or even, with or without a spare half at the start, and with
+        or without noise."""
+        sampler = IcaSampler(IcaModel.random(d, np.random.default_rng(seed)), batch_size=batch)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if spare:  # an odd count of 32-bit draws leaves the high half spare
+            rng.integers(2**31, size=3, dtype=np.int32)
+            twin.integers(2**31, size=3, dtype=np.int32)
+        samples, want = np.empty((h, batch, d)), np.empty((h, batch, d))
+        noise, want_noise = (None, None) if n is None else (np.empty((h, n)), np.empty((h, n)))
+        assert sampler.fill(rng, samples, noise) is None
+        fill_steps(sampler.draw, twin, want, want_noise)
+        np.testing.assert_array_equal(samples, want)
+        if n is not None:
+            np.testing.assert_array_equal(noise, want_noise)
+        got, state = rng.bit_generator.state, twin.bit_generator.state
+        assert (got["state"], got["has_uint32"]) == (state["state"], state["has_uint32"])
+        if state["has_uint32"]:
+            assert got["uinteger"] == state["uinteger"]
+        np.testing.assert_array_equal(rng.integers(7, size=3), twin.integers(7, size=3))
+        np.testing.assert_array_equal(rng.standard_normal(3), twin.standard_normal(3))
+        np.testing.assert_array_equal(rng.integers(2, size=5), twin.integers(2, size=5))
+
+
 class TestSamplerObjects:
     def test_ica_sampler_draw_and_gradient(self):
         rng = np.random.default_rng(29)
@@ -485,6 +510,23 @@ class TestSamplerObjects:
         got = sampler.gradient(U.reshape(2, 9), batches)
         assert got.shape == (2, 9)
         np.testing.assert_array_equal(got, minibatch_gradient(U, batches).reshape(2, 9))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("sampler_kind", ["simple", "ica"])
+    def test_fill_refuses_other_generators(self, sampler_kind, d):
+        """Either sampler refuses a generator that is not PCG64 with a
+        ValueError naming PCG64, before it writes a value or draws, d = 1
+        (no index draws) included."""
+        basis = OrthoBasis.random(d, np.random.default_rng(1))
+        sampler = SimpleSampler(basis) if sampler_kind == "simple" else IcaSampler(IcaModel(basis.vectors.T), 3)
+        for bitgen in (np.random.Philox, np.random.MT19937, np.random.PCG64DXSM):
+            rng = np.random.Generator(bitgen(7))
+            begun = rng.bit_generator.state
+            samples, noise = np.full((6, *sampler.sample_shape), np.nan), np.full((6, 4), np.nan)
+            with pytest.raises(ValueError, match=f"^samplers fill from raw PCG64 words, not from {bitgen.__name__}$"):
+                sampler.fill(rng, samples, noise)
+            assert np.isnan(samples).all() and np.isnan(noise).all()
+            np.testing.assert_equal(rng.bit_generator.state, begun)
 
     def test_ica_sampler_rejects_bad_batch(self):
         model = IcaModel(np.eye(2))

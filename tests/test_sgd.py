@@ -23,7 +23,6 @@ from strictsaddle.sgd import (
     RecordedPerturbations,
     SgdConfig,
     lr_schedule,
-    projected_noisy_sgd,
     projected_trials,
     run_rng,
     trial_rng,
@@ -38,9 +37,31 @@ def standard_maxeig(d):
     return maxeig_objective(basis=OrthoBasis.standard(d))
 
 
-def single_run(problem, sampler, w0, config):
-    """One trial of projected_trials on run_rng(config.seed)."""
-    return projected_trials(1, lambda _: (w0, run_rng(config.seed), problem, sampler), config)[0]
+def single_run(problem, sampler, w0, config, rng=None):
+    """One trial of projected_trials on ``rng``, by default run_rng(config.seed)."""
+    rng = run_rng(config.seed) if rng is None else rng
+    return projected_trials(1, lambda _: (w0, rng, problem, sampler), config)[0]
+
+
+def fill_steps(draw, rng, samples, noise):
+    """The per-step oracle of a sampler's ``fill``: ``samples`` (h, ...) and
+    ``noise`` (h, n) or None filled one step at a time, in stream order,
+    step j's sample ``draw(rng)`` and then its n Gaussian draws from
+    ``rng``.  These are the values of h (draw, normals) pairs, and the
+    generator ends where those pairs leave it."""
+    for j in range(len(samples)):
+        samples[j] = draw(rng)
+        if noise is not None:
+            rng.standard_normal(out=noise[j])
+
+
+def step_draw(sampler):
+    """One step's sample of ``sampler`` from a generator: its ``draw``, or
+    for a RecordedPerturbations its stream's next entry."""
+    if isinstance(sampler, RecordedPerturbations):
+        entries = iter(sampler.stream)
+        return lambda rng: next(entries)
+    return sampler.draw
 
 
 # ------------------------------------------------------------------ #
@@ -129,6 +150,7 @@ def per_step_run(w0, rng, problem, config, stop=None, sampler=None):
     buffered draws.  A noise draw of norm <= sgd.NOISE_NORM_FLOOR gives
     zero noise."""
     constraints = problem.constraints
+    draw = None if sampler is None else step_draw(sampler)
     w = np.array(w0, dtype=float)[None]
     n = w.shape[1]
     trace = []
@@ -143,7 +165,7 @@ def per_step_run(w0, rng, problem, config, stop=None, sampler=None):
         if ends:
             break
         if sampler is not None:
-            G = sampler.gradient(w, sampler.draw(rng)[None])
+            G = sampler.gradient(w, draw(rng)[None])
         if config.noise_scale > 0:
             z = rng.standard_normal(n)
             norm = sgd.row_norms(z)
@@ -229,13 +251,31 @@ class TestNoise:
             unit_sphere_noise(0, np.random.default_rng(3))
 
     def test_recorded_perturbations_replay_and_exhaust(self):
-        stream = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
-        pert = RecordedPerturbations(None, stream)
-        rng = np.random.default_rng(5)
-        np.testing.assert_array_equal(pert.draw(rng), stream[0])
-        np.testing.assert_array_equal(pert.draw(rng), stream[1])
-        with pytest.raises(RuntimeError, match="exhausted"):
-            pert.draw(rng)
+        """Each fill takes the stream's next entries and draws its noise in
+        one call, the values of per-step (entry, normals) pairs, on PCG64
+        and on Philox; a fill that needs more entries than are left raises
+        before it writes or draws."""
+        stream = 0.1 * np.random.default_rng(4).standard_normal((7, 2))
+        for bitgen in (np.random.PCG64, np.random.Philox):
+            pert, draw = RecordedPerturbations(None, stream), step_draw(RecordedPerturbations(None, stream))
+            rng, other = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+            for h, n in ((3, 4), (1, None), (2, 1)):
+                samples, noise = np.empty((h, 2)), None if n is None else np.empty((h, n))
+                want, want_noise = np.empty((h, 2)), None if n is None else np.empty((h, n))
+                assert pert.fill(rng, samples, noise) is None
+                fill_steps(draw, other, want, want_noise)
+                np.testing.assert_array_equal(samples, want)
+                if n is not None:
+                    np.testing.assert_array_equal(noise, want_noise)
+            np.testing.assert_array_equal(samples, stream[4:6])
+            np.testing.assert_equal(rng.bit_generator.state, other.bit_generator.state)
+            samples = np.full((2, 2), np.nan)
+            with pytest.raises(RuntimeError, match="^perturbation stream exhausted$"):
+                pert.fill(rng, samples, np.empty((2, 3)))
+            assert np.isnan(samples).all()
+            np.testing.assert_equal(rng.bit_generator.state, other.bit_generator.state)
+            pert.fill(rng, samples[:1], None)
+            np.testing.assert_array_equal(samples[0], stream[6])
 
     def test_recorded_perturbations_add_sample_to_gradient(self):
         obj = QuadraticObjective(np.zeros(2), np.ones(2), np.eye(2))
@@ -300,7 +340,7 @@ class TestNoisySgd:
         projection would otherwise rescale the overflowed row to zeros."""
         basis = OrthoBasis.standard(3)
         config = SgdConfig(eta=0.01, iterations=20, noise_scale=1e308, record_every=10)
-        rec = projected_noisy_sgd(maxeig_objective(basis=basis), None, basis.vectors[0], config)
+        rec = single_run(maxeig_objective(basis=basis), None, basis.vectors[0], config)
         assert rec.diverged and rec.n_steps == 0
         assert rec.message == "iterate diverged at step 0"
 
@@ -340,14 +380,14 @@ class TestProjectedSgd:
         prob = standard_maxeig(3)
         config = SgdConfig(iterations=10)
         with pytest.raises(ValueError, match="feasible"):
-            projected_noisy_sgd(prob, None, 2.0 * np.eye(3)[0], config)
+            single_run(prob, None, 2.0 * np.eye(3)[0], config)
 
     def test_stays_at_exact_minimum_without_noise(self):
         basis = OrthoBasis.standard(3)
         prob = correlation_objective(basis=basis, halved=True)
         w0 = (basis.vectors[[1, 2, 0]] * np.array([[-1.0], [1.0], [1.0]])).ravel()
         config = SgdConfig(eta=0.01, iterations=200, noise_scale=0.0, record_every=50)
-        rec = projected_noisy_sgd(prob, None, w0, config)
+        rec = single_run(prob, None, w0, config)
         assert np.max(np.abs(rec.final_point - w0)) <= 1e-12
 
     def test_every_recorded_iterate_is_feasible(self):
@@ -357,7 +397,7 @@ class TestProjectedSgd:
         rng = np.random.default_rng(6)
         w0 = prob.random_feasible(rng)
         config = SgdConfig(eta=0.02, iterations=500, noise_scale=1.0, seed=8, record_every=1)
-        rec = projected_noisy_sgd(prob, None, w0, config)
+        rec = single_run(prob, None, w0, config)
         assert not rec.diverged
         assert abs(np.linalg.norm(rec.final_point) - 1.0) <= 1e-10
 
@@ -366,7 +406,7 @@ class TestProjectedSgd:
         rng = np.random.default_rng(7)
         w0 = prob.random_feasible(rng)
         config = SgdConfig(eta=0.01, iterations=1, noise_scale=0.0, record_every=1)
-        rec = projected_noisy_sgd(prob, None, w0, config)
+        rec = single_run(prob, None, w0, config)
         np.testing.assert_allclose(
             rec.grad_norms[0], np.linalg.norm(tangent_gradient(prob, w0)), rtol=1e-12
         )
@@ -384,7 +424,7 @@ class TestProjectedSgd:
         total = 0.0
         n = 10_000
         for k in range(n):
-            rec = projected_noisy_sgd(prob, None, w0, config, rng=trial_rng(0, k))
+            rec = single_run(prob, None, w0, config, rng=trial_rng(0, k))
             total += f0 - rec.final_f
         assert total / n > 0.0
 
@@ -459,9 +499,6 @@ class TestStackedTrials:
         assert len(stacked) == k
         for j in range(k):
             assert_same_run(stacked[j], projected_trials(1, lambda _: start(j), config, stop=stop)[0])
-            if stop is None:
-                w0, rng, prob, sampler = start(j)
-                assert_same_run(stacked[j], projected_noisy_sgd(prob, sampler, w0, config, rng=rng))
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(sorted(PROBLEMS)), d=st.integers(1, 5), k=st.integers(1, 8),
@@ -541,11 +578,11 @@ class TestStackedTrials:
         """With the floor NOISE_NORM_FLOOR raised so that about 8% of noise
         draws are degenerate, every row still equals one (sample, noise)
         draw per step with the same floor, a degenerate draw giving zero
-        noise at its step.  Sampler rows on PCG64 are filled from raw words,
-        other generators and the ica sampler step by step.  Every row, noise
-        only or with a sampler, runs its whole budget and leaves its
-        generator where the per-step draws do.  Blocks of 1 to 30 steps,
-        capped by the budget left."""
+        noise at its step.  Sampler rows are filled from raw PCG64 words,
+        and refused before any draw on another generator; noise-only rows
+        run on any numpy generator.  Every row runs its whole budget and
+        leaves its generator where the per-step draws do.  Blocks of 1 to
+        30 steps, capped by the budget left."""
         if sampler_kind == "ica":
             kind = "correlation"
         basis = OrthoBasis.random(d, np.random.default_rng(seed))
@@ -566,6 +603,12 @@ class TestStackedTrials:
         rngs = [rng(j) for j in range(k)]
         with (mock.patch.object(sgd, "NOISE_NORM_FLOOR", floor), mock.patch.object(sgd, "NOISE_BLOCK", 1),
               mock.patch.object(sgd, "NOISE_BYTES", steps * 8 * k * (n + sample_size))):
+            if sampler is not None and generator == "philox":
+                with pytest.raises(ValueError, match="PCG64"):
+                    projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config)
+                for j in range(k):
+                    np.testing.assert_equal(rngs[j].bit_generator.state, rng(j).bit_generator.state)
+                return
             stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config)
             for j in range(k):
                 twin = rng(j)
@@ -576,28 +619,35 @@ class TestStackedTrials:
                 np.testing.assert_array_equal(rngs[j].standard_normal(4), twin.standard_normal(4))
                 np.testing.assert_array_equal(rngs[j].integers(2**32, size=3), twin.integers(2**32, size=3))
 
-    @pytest.mark.parametrize("sampler_kind", ["simple", "ica", "recorded"])
+    @pytest.mark.parametrize("sampler_kind", ["simple", "ica", "recorded", "recorded-philox"])
     def test_full_budget_sampler_row_leaves_generator_where_per_step_draws_do(self, sampler_kind):
         """A sampler row's blocks never reach past its budget, so after a
         full run its generator stands where one (sample, noise) pair per
         step leaves it, and continuing it (as ica's annealed phase does)
-        continues the stream."""
+        continues the stream.  Replayed streams run on any numpy
+        generator, Philox too."""
         d, k, iters = 4, 3, 101
         basis = OrthoBasis.random(d, np.random.default_rng(8))
         prob = PROBLEMS["correlation"](basis=basis)
         stream = 0.1 * np.random.default_rng(9).standard_normal((iters, d * d))
         sampler = {"simple": lambda: SimpleSampler(basis), "recorded": lambda: RecordedPerturbations(prob, stream),
-                   "ica": lambda: IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind]
+                   "ica": lambda: IcaSampler(IcaModel(basis.vectors.T), batch_size=3)}[sampler_kind.split("-")[0]]
+
+        def rng(j):
+            if sampler_kind == "recorded-philox":
+                return np.random.Generator(np.random.Philox(np.random.SeedSequence(3, spawn_key=(j,))))
+            return trial_rng(3, j)
+
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=1.0, seed=3, record_every=10)
         w0s = [prob.random_feasible(trial_rng(3, j)) for j in range(k)]
-        rngs = [trial_rng(3, j) for j in range(k)]
+        rngs = [rng(j) for j in range(k)]
         # blocks of 12 steps: 8 full ones, then one capped at the 5 left
         with mock.patch.object(sgd, "NOISE_BYTES", 12 * 8 * k * (d * d + int(np.prod(sampler().sample_shape)))):
             stacked = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler()), config)
         for j in range(k):
-            twin = trial_rng(3, j)
+            twin = rng(j)
             assert_same_run(stacked[j], per_step_run(w0s[j], twin, prob, config, sampler=sampler()))
-            assert rngs[j].bit_generator.state == twin.bit_generator.state
+            np.testing.assert_equal(rngs[j].bit_generator.state, twin.bit_generator.state)
 
     def test_sampler_block_height(self, tmp_path):
         """A stack with a sampler fills the most steps whose samples and
@@ -904,18 +954,17 @@ class TestDrawAhead:
     @settings(max_examples=50, deadline=None)
     # rows that run their whole budget past block 0, and a row that stops
     # after reading block 2 of 4 while the other runs on
-    @example(sampler_kind="simple", generator="pcg64", d=2, k=2, height=3, blocks=3, last=2, seed=1,
-             noise=1.0, stride=4, exits=[(None, 0, 0)] * 4)
-    @example(sampler_kind="ica", generator="pcg64", d=2, k=2, height=2, blocks=4, last=2, seed=2,
-             noise=1.0, stride=3, exits=[("stop", 2, 1)] + [(None, 0, 0)] * 3)
-    @given(sampler_kind=st.sampled_from(["simple", "ica"]), generator=st.sampled_from(["pcg64", "philox"]),
-           d=st.integers(1, 3), k=st.integers(1, 4), height=st.integers(1, 6), blocks=st.integers(1, 4),
-           last=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]),
-           stride=st.integers(1, 10),
+    @example(sampler_kind="simple", d=2, k=2, height=3, blocks=3, last=2, seed=1, noise=1.0, stride=4,
+             exits=[(None, 0, 0)] * 4)
+    @example(sampler_kind="ica", d=2, k=2, height=2, blocks=4, last=2, seed=2, noise=1.0, stride=3,
+             exits=[("stop", 2, 1)] + [(None, 0, 0)] * 3)
+    @given(sampler_kind=st.sampled_from(["simple", "ica"]), d=st.integers(1, 3), k=st.integers(1, 4),
+           height=st.integers(1, 6), blocks=st.integers(1, 4), last=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1.0]), stride=st.integers(1, 10),
            exits=st.lists(st.tuples(st.sampled_from([None, "stop", "diverge"]), st.integers(0, 4),
                                     st.integers(-1, 1)), min_size=4, max_size=4))
-    def test_producer_equals_in_process(self, sampler_kind, generator, d, k, height, blocks, last, seed, noise,
-                                        stride, exits):
+    def test_producer_equals_in_process(self, sampler_kind, d, k, height, blocks, last, seed, noise, stride,
+                                        exits):
         """Records, bit for bit, and every generator's final state equal the
         run drawn in this process, for 1 to 4 blocks: rows that run their
         whole budget, and rows that leave through the stop predicate or by
@@ -931,17 +980,12 @@ class TestDrawAhead:
         config = SgdConfig(eta=0.02, iterations=iters, noise_scale=noise, seed=seed, record_every=stride)
         w0s = [prob.random_feasible(trial_rng(seed, j)) for j in range(k)]
 
-        def rng(j):
-            if generator == "pcg64":
-                return trial_rng(seed, j)
-            return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
-
         def run(ahead):
             exits = Exits(plan, k)
             sampler = (steered(SimpleSampler, exits)(basis) if sampler_kind == "simple"
                        else steered(IcaSampler, exits)(IcaModel(basis.vectors.T), batch_size=2))
             size = n * (noise > 0) + int(np.prod(sampler.sample_shape))
-            rngs = [rng(j) for j in range(k)]
+            rngs = [trial_rng(seed, j) for j in range(k)]
             with (drawn_ahead(ahead) as forks, mock.patch.object(sgd, "NOISE_BLOCK", 1),
                   mock.patch.object(sgd, "NOISE_BYTES", height * 8 * k * size)):
                 records = projected_trials(k, lambda j: (w0s[j], rngs[j], prob, sampler), config, stop=exits.stop)
@@ -955,6 +999,33 @@ class TestDrawAhead:
         drawing = any(plan.get(j) != ("stop", 0) for j in range(k))
         assert (len(forks), none) == (int(blocks > 1 and drawing), [])
         assert_no_child_left()
+
+    @pytest.mark.parametrize("ahead", [True, False])
+    @pytest.mark.parametrize("sampler_kind", ["simple", "ica"])
+    def test_sampler_rows_refuse_other_generators(self, sampler_kind, ahead):
+        """A sampler row on a generator that is not PCG64 fails the run at
+        its first fill, with a ValueError naming PCG64, before any step or
+        producer fork: its generator and those of the rows after it are
+        untouched."""
+        basis = OrthoBasis.random(3, np.random.default_rng(0))
+        prob = PROBLEMS["correlation"](basis=basis)
+        sampler = SimpleSampler(basis) if sampler_kind == "simple" else IcaSampler(IcaModel(basis.vectors.T), 2)
+        config = SgdConfig(eta=0.01, iterations=50, noise_scale=1.0, record_every=10)
+
+        def rng(j):
+            if j == 1:
+                return np.random.Generator(np.random.Philox(np.random.SeedSequence(0, spawn_key=(j,))))
+            return trial_rng(0, j)
+
+        rngs = [rng(j) for j in range(3)]
+        with (drawn_ahead(ahead) as forks, mock.patch.object(sgd, "NOISE_BLOCK", 1),
+              mock.patch.object(sgd, "NOISE_BYTES", 10 * 8 * 3 * (9 + int(np.prod(sampler.sample_shape))))):
+            with pytest.raises(ValueError, match="^samplers fill from raw PCG64 words, not from Philox$"):
+                projected_trials(3, lambda j: (prob.random_feasible(trial_rng(0, j)), rngs[j], prob, sampler),
+                                 config)
+        assert forks == []
+        for j in (1, 2):
+            np.testing.assert_equal(rngs[j].bit_generator.state, rng(j).bit_generator.state)
 
     def producer_run(self, sampler, stop=None, iters=50):
         """A forced-producer run of 3 rows in blocks of 10 steps."""

@@ -16,9 +16,9 @@ from strictsaddle.tensor4 import (
     OrthoBasis,
     Tensor4,
     basis_coords,
-    basis_form_matrix,
-    basis_form_vector,
+    coords_form_matrix,
     coords_form_scalar,
+    coords_form_vector,
     make_orthogonal_tensor,
     reconstruction_error_from_basis,
 )
@@ -242,6 +242,16 @@ def basis_scalar(basis, u, v, w, z):
     return coords_form_scalar(*(basis_coords(basis, x) for x in (u, v, w, z)))
 
 
+def basis_vector(basis, u):
+    """T(I,u,u,u) through the basis: the vector form over u's coordinates."""
+    return coords_form_vector(basis, basis_coords(basis, u))
+
+
+def basis_matrix(basis, u):
+    """T(I,I,u,u) through the basis: the matrix form over u's coordinates."""
+    return coords_form_matrix(basis, basis_coords(basis, u))
+
+
 class TestBasisFastPaths:
     def test_fast_paths_match_dense(self):
         T, basis = random_tensor_and_basis(5, seed=31)
@@ -255,10 +265,10 @@ class TestBasisFastPaths:
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                basis_form_vector(basis, u), form_vector(T, u), rtol=1e-10, atol=1e-12
+                basis_vector(basis, u), form_vector(T, u), rtol=1e-10, atol=1e-12
             )
             np.testing.assert_allclose(
-                basis_form_matrix(basis, u), form_matrix(T, u), rtol=1e-10, atol=1e-12
+                basis_matrix(basis, u), form_matrix(T, u), rtol=1e-10, atol=1e-12
             )
 
 
@@ -280,7 +290,7 @@ class TestStackedForms:
             assert stacked.shape == (7,)
             for i in range(7):
                 assert isinstance(row(i), float) and row(i) == stacked[i]
-        for fn, arg in ((form_vector, T), (basis_form_vector, basis)):
+        for fn, arg in ((form_vector, T), (basis_vector, basis)):
             stacked = fn(arg, U)
             for i in range(7):
                 np.testing.assert_array_equal(fn(arg, U[i]), stacked[i])
@@ -289,7 +299,7 @@ class TestStackedForms:
         T, basis = random_tensor_and_basis(3, seed=43)
         U = np.random.default_rng(44).standard_normal((2, 5, 3))
         s = form_scalar(T, U, U, U, U)
-        v = basis_form_vector(basis, U)
+        v = basis_vector(basis, U)
         assert s.shape == (2, 5) and v.shape == (2, 5, 3)
         for i, j in itertools.product(range(2), range(5)):
             u = U[i, j]
