@@ -80,20 +80,23 @@ SCHEDULES = ("constant", "inv-t")
 NOISE_NORM_FLOOR = 1e-12
 # Trials advanced together in one stack.  Bounds the stack's memory and the
 # number of live generators for any trial count; a row's result does not
-# depend on it.
-STACK_ROWS = 256
+# depend on it.  Escape's 1000 trials form one block, which splits once: one
+# fork, one join and one slowest trial per call.  The ceiling is a sampler
+# stack's two-slot ring of 8-step blocks: 2 × 1024 × 8 × 1100 × 8 B ≈ 138
+# MiB for ica at d=10 with 1024 or more seeds (34 MiB at 256 rows).
+STACK_ROWS = 1024
 # Every refill draws each row's next ``height`` steps: the most steps whose
 # noise and samples fit in NOISE_BYTES for the whole stack, never fewer
 # than NOISE_BLOCK and never more than the budget left.  That is 8 steps
-# at STACK_ROWS rows of n=40, 341 at 60 rows of n=4, and 186 at 4 rows of
-# n=100 with samples of 10.  A row's result does not depend on it.
+# at 1000 rows of n=40, 341 at 60 rows of n=4, and 186 at 4 rows of n=100
+# with samples of 10.  A row's result does not depend on it.
 NOISE_BLOCK = 8
 NOISE_BYTES = 640 * 1024
 # A block of trials whose rows are independent runs as one contiguous part
 # per usable CPU, each part at least SPLIT_MIN_WORK row entries (K·n), the
-# first in this process and the others in forked workers: on 2 CPUs a block
-# of 256 rows of n=40 splits, one of 256 rows of n=10 does not.  A row's
-# result does not depend on it.
+# first in this process and the others in forked workers: on 2 CPUs escape's
+# block of 1000 rows splits in two at n=40 and at n=10, while 256 rows of
+# n=10 and 60 rows of n=4 do not.  A row's result does not depend on it.
 SPLIT_MIN_WORK = 1536
 
 
@@ -691,13 +694,15 @@ def projected_trials(n_trials, start, config, stop=None):
     where one pair per step does and can be continued; one that stops or
     diverges early may leave it up to a block past.
 
-    With constraints, starts must be feasible, steps are projected and
+    With constraints, starts must be feasible (a block's starts are checked
+    in one call, before it forks or draws), steps are projected and
     recorded iterates are checked to 1e-10.  Returns RunRecords in trial order.
     """
     records = []
     for lo in range(0, n_trials, STACK_ROWS):
         starts = [start(k) for k in range(lo, min(lo + STACK_ROWS, n_trials))]
-        if not all(p.constraints is None or p.constraints.feasible(w0) for w0, _, p, _ in starts):
+        constraints = starts[0][2].constraints  # every row's, as in _run_loop
+        if constraints is not None and not constraints.feasible(np.array([w0 for w0, *_ in starts], dtype=float)):
             raise ValueError("projected run requires a feasible starting point")
         parts = _parts(starts)
         with _Forks() as forks:

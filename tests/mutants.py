@@ -4,19 +4,21 @@ For every mutant the script copies ``src/`` and ``tests/`` to a temporary
 directory, applies the mutant's edit there (an exact text replacement
 that must match the source once), and runs the mutant's tests on the
 copy, on the hypothesis profile ``mutants`` (``tests/conftest.py``), which
-does not shrink a failing example.  A mutant is caught when at least one
-of its tests fails.  First the same tests run on an unmutated copy, and
-must pass.  The repository itself is never edited.
+does not shrink a failing example.  AT_ONCE mutants run at a time, each
+on its own copy.  A mutant is caught when at least one of its tests
+fails.  First the same tests run on an unmutated copy, alone, and must
+pass.  The repository itself is never edited.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
 
-Prints one line per mutant, then the caught/total count per module and
-overall.  Exits 0 when every mutant is caught, 1 when one is missed, and
-2 when an edit no longer matches the source (STALE) or the tests fail
-unmutated.  A mutant's tests get twice as long as the unmutated run of
-every mutant's tests took, plus a minute; a mutant that makes them run
-longer (a loop that never ends) counts as caught, marked ``(timeout)``.
+Prints one line per mutant, in list order, then the caught/total count
+per module and overall.  Exits 0 when every mutant is caught, 1 when one
+is missed, and 2 when an edit no longer matches the source (STALE) or the
+tests fail unmutated.  A mutant's tests get twice as long as the
+unmutated run of every mutant's tests took, plus a minute; a mutant that
+makes them run longer (a loop that never ends) counts as caught, marked
+``(timeout)``.
 An unmutated run that takes over CONTROL_TIMEOUT_S exits 2.
 It runs outside the tier-1 suite: each mutant costs one pytest run.
 """
@@ -27,10 +29,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONTROL_TIMEOUT_S = 900
+AT_ONCE = 2  # mutants whose pytest runs at the same time
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,8 @@ MUTANTS = [
            ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
     Mutant("split-part-own-height", "src/strictsaddle/sgd.py",
            "_part, starts[lo:hi], config, stop, len(starts))", "_part, starts[lo:hi], config, stop, hi - lo)",
-           ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
+           ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",
+            "tests/test_sgd.py::TestSplitBlocks::test_worker_row_that_stops_early_refills_at_the_block_height")),
     Mutant("split-records-out-of-order", "src/strictsaddle/sgd.py",
            "records += part_records", "records = part_records + records",
            ("tests/test_sgd.py::TestSplitBlocks::test_split_equals_unsplit",)),
@@ -201,6 +206,11 @@ MUTANTS = [
     Mutant("departed-row-gets-full-budget-state", "src/strictsaddle/sgd.py",
            "states[self.last[i] - 1][i]", "states[-1][i]",
            ("tests/test_sgd.py::TestDrawAhead::test_producer_equals_in_process",)),
+    # a block's starts are checked in one call on the whole stack
+    Mutant("start-feasibility-first-row-only", "src/strictsaddle/sgd.py",
+           "np.array([w0 for w0, *_ in starts], dtype=float)", "np.array([w0 for w0, *_ in starts[:1]], dtype=float)",
+           ("tests/test_sgd.py::TestSplitBlocks::"
+            "test_infeasible_start_anywhere_in_a_block_raises_before_any_fork_or_draw",)),
     Mutant("csv-float-format", "src/strictsaddle/sgd.py",
            "repr(float(v)) if isinstance(v, float)", 'f"{float(v):.6g}" if isinstance(v, float)',
            ("tests/test_sgd.py::TestCsv::test_write_csv_cells", "tests/test_golden.py")),
@@ -256,10 +266,11 @@ def main(names):
         return 2
     timeout = 2 * (time.perf_counter() - began) + 60
     outcomes = []
-    for mutant in chosen:
-        ran = _pytest(mutant.tests, mutant, timeout)
-        outcomes.append({None: "STALE", "passed": "MISSED", "failed": "caught", "timeout": "caught"}[ran])
-        print(f"{outcomes[-1]:7} {mutant.name}{' (timeout)' if ran == 'timeout' else ''}", flush=True)
+    with ThreadPoolExecutor(AT_ONCE) as pool:
+        runs = pool.map(lambda mutant: _pytest(mutant.tests, mutant, timeout), chosen)
+        for mutant, ran in zip(chosen, runs):
+            outcomes.append({None: "STALE", "passed": "MISSED", "failed": "caught", "timeout": "caught"}[ran])
+            print(f"{outcomes[-1]:7} {mutant.name}{' (timeout)' if ran == 'timeout' else ''}", flush=True)
     for path in sorted({m.path for m in chosen}):
         mine = [outcome for m, outcome in zip(chosen, outcomes) if m.path == path]
         print(f"{mine.count('caught')}/{len(mine)} caught in {os.path.basename(path)}")

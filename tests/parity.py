@@ -36,9 +36,12 @@ RUN = "import sys; from strictsaddle.cli import main; sys.exit(main())"
 
 # (name, argv): the benchmark's and the north star's reference configs,
 # every objective, both samplers, ica sign counts (batch x d) even and odd,
-# and a sampler run of one block, which forks no block producer
+# a sampler run of one block, which forks no block producer, escape's
+# 1000 trials of n=10, one block split in two, and a census of 500 starts
+# in one block
 COMMANDS = [
     ("escape", ["escape", "--d", "40", "--trials", "1000", "--iters", "2000"]),
+    ("escape-d10", ["escape", "--d", "10", "--trials", "1000", "--iters", "2000"]),
     ("decompose", ["decompose", "--d", "10", "--seeds", "4", "--iters", "10000"]),
     ("decompose-one-block", ["decompose", "--d", "3", "--seeds", "2", "--iters", "50"]),
     ("decompose-maxeig", ["decompose", "--objective", "maxeig", "--d", "5", "--seeds", "3", "--iters", "2000"]),
@@ -51,6 +54,8 @@ COMMANDS = [
     ("verify", ["verify", "--d", "4"]),
     ("minima-census", ["minima", "--d", "2", "--starts", "60", "--iters", "1200", "--eta", "0.05",
                        "--noise", "0.5"]),
+    ("minima-500", ["minima", "--d", "4", "--starts", "500", "--iters", "2000", "--eta", "0.05",
+                    "--noise", "0.5"]),
 ]
 
 

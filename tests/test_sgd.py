@@ -827,6 +827,13 @@ class TestSplitBlocks:
             assert got_rngs[j].bit_generator.state == want_rngs[j].bit_generator.state
         assert_no_child_left()
 
+    def test_worker_row_that_stops_early_refills_at_the_block_height(self):
+        """A fixed case of the property above: the worker's one row stops
+        early, where a refill at its part's own height (2 steps for 1 row)
+        would leave its generator past where the block's (1 step) does."""
+        self.test_split_equals_unsplit.hypothesis.inner_test(
+            self, kind="correlation", d=3, k=2, block=2, parts=2, seed=1, stopping="value", iters=4, stride=1, steps=1)
+
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_infeasible_iterate_raises_wherever_its_row_runs(self, parts):
         """``_chi_norms``' RuntimeError on an iterate off the feasible set,
@@ -834,11 +841,15 @@ class TestSplitBlocks:
         worker left behind."""
         prob, here = standard_maxeig(4), os.getpid()
         feasible = SphereProduct.feasible
+        checks = []  # the feasibility checks made here, the first of the starts
 
         def off_in_workers(self, W):
             """Feasible here, where the starts are checked; off in the workers
             or, unsplit, once the run has started."""
-            return feasible(self, W) and os.getpid() == here and (parts > 1 or W.ndim == 1)
+            if os.getpid() != here:
+                return False
+            checks.append(None)
+            return feasible(self, W) and (parts > 1 or len(checks) == 1)
 
         config = SgdConfig(eta=0.01, iterations=30, noise_scale=1.0, record_every=10)
         with split(parts) as forks, mock.patch.object(SphereProduct, "feasible", off_in_workers):
@@ -846,6 +857,25 @@ class TestSplitBlocks:
                 projected_trials(6, lambda j: (np.eye(4)[0], trial_rng(0, j), prob, None), config)
         assert len(forks) == parts - 1
         assert_no_child_left()
+
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_infeasible_start_anywhere_in_a_block_raises_before_any_fork_or_draw(self, bad):
+        """One check of a block's stacked starts: an infeasible first, middle
+        or last row raises before the block forks or draws, every generator
+        untouched.  Rows with no constraints are not checked."""
+        prob, k = standard_maxeig(4), 7
+        w0s = [2.0 * np.eye(4)[0] if j == bad else np.eye(4)[0] for j in range(k)]
+        config = SgdConfig(eta=0.01, iterations=30, noise_scale=1.0, record_every=10)
+        rngs = [trial_rng(0, j) for j in range(k)]
+        with split(2) as forks, pytest.raises(ValueError, match="^projected run requires a feasible starting point$"):
+            projected_trials(k, lambda j: (w0s[j], rngs[j], prob, None), config)
+        assert forks == []
+        for j in range(k):
+            assert rngs[j].bit_generator.state == trial_rng(0, j).bit_generator.state
+        free = QuadraticObjective(np.zeros(4), np.ones(4), np.eye(4))
+        with split(2) as forks:
+            records = projected_trials(k, lambda j: (w0s[j], trial_rng(0, j), free, None), config)
+        assert len(forks) == 1 and all(r.n_steps == 30 and not r.diverged for r in records)
 
     def test_error_in_this_process_kills_the_workers(self):
         prob, here = standard_maxeig(4), os.getpid()
@@ -872,15 +902,23 @@ class TestSplitBlocks:
         assert_no_child_left()
 
     def test_escape_blocks_split_on_two_cpus_and_small_stacks_do_not(self):
-        """On 2 CPUs every block of escape's 1000 trials of n=40 splits in
-        two; the census's 60 rows of n=4 and a block of n=10 do not."""
+        """On 2 CPUs escape's one block of 1000 trials splits in two at n=40
+        and at n=10; the census's 60 rows of n=4 and 256 rows of n=10 do not."""
         def parts(k, n):
             return sgd._parts([(np.eye(n)[0], trial_rng(0, j), None, None) for j in range(k)])
 
         with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0, 1}):
-            assert (parts(256, 40), parts(232, 40), parts(60, 4), parts(256, 10)) == (2, 2, 1, 1)
+            assert (parts(1000, 40), parts(1000, 10), parts(60, 4), parts(256, 10)) == (2, 2, 1, 1)
         with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0}):
-            assert parts(256, 40) == 1
+            assert parts(1000, 40) == 1
+
+    def test_escape_forks_one_worker_on_two_cpus(self, tmp_path):
+        """escape's 1000 trials are one block: one worker, forked once."""
+        with mock.patch.object(sgd.os, "sched_getaffinity", lambda pid: {0, 1}), counted_forks() as forks:
+            assert cli.main(["escape", "--d", "40", "--trials", "1000", "--iters", "200",
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("rows", ["sampler", "recorded", "spy", "none"])
     def test_rows_that_cannot_split_never_fork(self, rows):
